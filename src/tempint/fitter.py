@@ -52,8 +52,7 @@ class FitGrid:
                        cfg: OracleConfig = DEFAULT_CONFIG) -> "FitGrid":
         mv = np.repeat(np.array(grid.m_values), len(grid.x_values))
         xv = np.tile(np.array(grid.x_values), len(grid.m_values))
-        hv = np.concatenate(
-            [oracle_h_row(m, grid.x_values, cfg) for m in grid.m_values])
+        hv = oracle_h_row(grid.m_values, grid.x_values, cfg).ravel()
         if not np.all(np.isfinite(hv)) or np.any(hv <= 0.0):
             raise FitError("non-finite or non-positive oracle target")
         return cls(grid=grid, m=mv, x=xv, h=hv)

@@ -9,6 +9,8 @@ counts exactly (81 x 97, 41 x 97, 1 x 97).
 
 from __future__ import annotations
 
+import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -23,6 +25,7 @@ from tempint.oracle import (
     OracleConfig,
     g_cf,
     h,
+    h_array,
 )
 from tempint.rational import RationalApproximant, rational_eval_h_array
 
@@ -103,21 +106,23 @@ class EvalGrid:
                         f"{self.spec}/refined{factor}")
 
 
-_H_CACHE: dict = {}
-
-
 def oracle_h(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
-    """Cached oracle h; safe for concurrent readers (dict get/set of floats)."""
-    key = (point.m, point.x, cfg.rel_tol)
-    val = _H_CACHE.get(key)
-    if val is None:
-        val = h(point, cfg)
-        _H_CACHE[key] = val
-    return val
+    """Oracle h at one point, uncached; grids go through ``oracle_h_row``."""
+    return h(point, cfg)
 
 
-def oracle_h_row(m: float, x_values, cfg: OracleConfig = DEFAULT_CONFIG):
-    return np.array([oracle_h(EvalPoint(m, x), cfg) for x in x_values])
+@functools.lru_cache(maxsize=8)
+def oracle_h_row(m_values: tuple, x_values: tuple,
+                 cfg: OracleConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Oracle h on the grid m_values x x_values, one row per m value.
+
+    Memoized per grid: one ``tempint tables`` run touches four grids and
+    one ``compare`` reuses one grid for every model.  The array is shared
+    between callers, so it is read-only.
+    """
+    hv = h_array(np.array(m_values)[:, None], np.array(x_values), cfg)
+    hv.flags.writeable = False
+    return hv
 
 
 def _model_label(model) -> str:
@@ -182,11 +187,16 @@ def report(model, grid: EvalGrid,
         if m_lines != grid.m_values:
             footnote = ("evaluated over tabulated m lines "
                         f"{list(m_lines)} only")
-    eps = np.empty((len(m_lines), len(grid.x_values)))
-    for i, m in enumerate(m_lines):
-        h_model = _model_h_row(model, m, grid.x_values)
-        h_true = oracle_h_row(m, grid.x_values, cfg)
-        eps[i, :] = h_model / h_true - 1.0
+    h_model = []
+    for m in m_lines:
+        try:
+            h_model.append(_model_h_row(model, m, grid.x_values))
+        except Exception:
+            # row by row, the model is checked before the oracle: an
+            # oracle failure on an earlier row takes precedence
+            oracle_h_row(m_lines[:len(h_model)], grid.x_values, cfg)
+            raise
+    eps = np.array(h_model) / oracle_h_row(m_lines, grid.x_values, cfg) - 1.0
     flat = int(np.argmax(np.abs(eps)))
     i, k = divmod(flat, len(grid.x_values))
     return DeviationReport(
@@ -238,13 +248,17 @@ def render_comparison_text(reports) -> str:
 
 
 def render_comparison_csv(reports) -> str:
-    lines = ["model,grid,points,sse,eps_max,arg_m,arg_x"]
+    # a custom grid spec holds a comma, so fields are quoted where needed
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["model", "grid", "points", "sse", "eps_max", "arg_m",
+                     "arg_x"])
     for r in reports:
         npts = len(r.m_lines) * len(r.grid.x_values)
-        lines.append(f"{r.model},{r.grid.spec},{npts},{r.sse!r},"
-                     f"{r.eps_max_abs!r},{r.argmax_point.m!r},"
-                     f"{r.argmax_point.x!r}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.model, r.grid.spec, npts, repr(r.sse),
+                         repr(r.eps_max_abs), repr(r.argmax_point.m),
+                         repr(r.argmax_point.x)])
+    return out.getvalue()
 
 
 def render_per_point_csv(report_obj: DeviationReport,

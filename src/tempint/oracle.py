@@ -12,7 +12,9 @@ Both are expected to agree to ~10x the configured relative tolerance
 across the working domain m in [-4, 4], x in [4, 100]; the agreement is
 asserted by the test suite.  ``h`` is the bounded companion
 h(m, x) = exp(x) * x**(m+2) * g(m, x), the quantity the rational
-approximants actually target.
+approximants actually target.  Grids go through ``h_array``, which runs
+the same iteration over whole arrays with bit-identical results; single
+points go through ``h``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 M_MIN, M_MAX = -4.0, 4.0
@@ -130,6 +133,42 @@ def _h_cf(point: EvalPoint, cfg: OracleConfig) -> float:
     return point.x * _lentz_cf(-(point.m + 1.0), point.x, cfg)
 
 
+def _lentz_cf_array(a: np.ndarray, x: np.ndarray, cfg: OracleConfig):
+    """``_lentz_cf`` elementwise over 1-D arrays: (F, converged mask).
+
+    Each lane runs exactly the scalar operations and leaves the iteration
+    once it converges, so converged values are bit-identical to
+    ``_lentz_cf``.  Lanes still open after ``cfg.max_iterations`` are
+    reported as not converged.
+    """
+    out = np.empty_like(x)
+    converged = np.zeros(x.shape, dtype=bool)
+    lanes = np.arange(x.size)
+    b = x + 1.0 - a
+    c = np.full_like(x, 1.0 / _TINY)
+    d = 1.0 / b
+    f = d.copy()
+    for i in range(1, cfg.max_iterations + 1):
+        if not lanes.size:
+            break
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < _TINY] = _TINY
+        c = b + an / c
+        c[np.abs(c) < _TINY] = _TINY
+        d = 1.0 / d
+        delta = d * c
+        f = f * delta
+        done = np.abs(delta - 1.0) < cfg.rel_tol
+        if done.any():
+            out[lanes[done]] = f[done]
+            converged[lanes[done]] = True
+            keep = ~done
+            lanes, a, b, c, d, f = (v[keep] for v in (lanes, a, b, c, d, f))
+    return out, converged
+
+
 def _h_quad(point: EvalPoint, cfg: OracleConfig) -> float:
     """h(m, x) = int_0^inf exp(-u) (1 + u/x)**-(m+2) du by quadrature."""
     m, x = point.m, point.x
@@ -175,6 +214,28 @@ def h(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
         return _h_cf(point, cfg)
     except ConvergenceError:
         return _h_quad(point, cfg)
+
+
+def h_array(m, x, cfg: OracleConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """``h`` elementwise over the broadcast of the arrays ``m`` and ``x``.
+
+    Bit-identical to ``h`` at every point, including the quadrature
+    fallback for points whose continued fraction does not converge.
+    Raises ``DomainError`` for the first point, in C order, outside the
+    working domain.
+    """
+    shape = np.broadcast_shapes(np.shape(m), np.shape(x))
+    m = np.broadcast_to(np.asarray(m, dtype=float), shape).ravel()
+    x = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+    inside = (M_MIN <= m) & (m <= M_MAX) & (X_MIN <= x) & (x <= X_MAX)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        _require_working_domain(EvalPoint(float(m[k]), float(x[k])))
+    f, converged = _lentz_cf_array(-(m + 1.0), x, cfg)
+    out = x * f
+    for k in np.flatnonzero(~converged):
+        out[k] = _h_quad(EvalPoint(float(m[k]), float(x[k])), cfg)
+    return out.reshape(shape)
 
 
 def h_series(point: EvalPoint, terms: int) -> float:

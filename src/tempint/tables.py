@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tempint.harness import EvalGrid, compare, report
+from tempint.harness import EvalGrid, report
+from tempint.oracle import DEFAULT_CONFIG
 
 # degree -> (eps_max, sse) on the full grid
 TABLE5 = {
@@ -88,11 +89,11 @@ def _sse_tol(model: str) -> float:
     return TOL_SSE_BUNDLED if model in _BUNDLED else TOL_SSE_LITERATURE
 
 
-def reproduce_table5(cfg=None):
+def reproduce_table5(cfg=DEFAULT_CONFIG):
     grid = EvalGrid.from_spec("paper-eval")
     cells = []
     for n, (eps_max, sse) in TABLE5.items():
-        r = report(f"G{n}", grid, **({"cfg": cfg} if cfg else {}))
+        r = report(f"G{n}", grid, cfg)
         cells.append(Cell("table5", f"n={n}", "eps_max", eps_max,
                           r.eps_max_abs, TOL_EPS_MAX))
         cells.append(Cell("table5", f"n={n}", "sse", sse, r.sse,
@@ -100,12 +101,12 @@ def reproduce_table5(cfg=None):
     return cells
 
 
-def reproduce_table7(cfg=None):
+def reproduce_table7(cfg=DEFAULT_CONFIG):
     grid = EvalGrid.from_spec("arrhenius")
     cells = []
     eps_by_model = {}
     for model, (sse, eps_max) in TABLE7.items():
-        r = report(model, grid, **({"cfg": cfg} if cfg else {}))
+        r = report(model, grid, cfg)
         eps_by_model[model] = r.eps_max_abs
         tol = (TOL_ARRHENIUS_BASELINE if model in ("J", "O", "SY")
                else TOL_EPS_MAX)
@@ -120,25 +121,24 @@ def reproduce_table7(cfg=None):
     return cells, ordered
 
 
-def reproduce_table10(cfg=None):
-    kw = {"cfg": cfg} if cfg else {}
+def reproduce_table10(cfg=DEFAULT_CONFIG):
     cells = []
     for grid_name, col in (("paper-narrow", 0), ("paper-eval", 1)):
         grid = EvalGrid.from_spec(grid_name)
         for model, pairs in TABLE10.items():
             sse, eps_max = pairs[col]
-            r = report(model, grid, **kw)
+            r = report(model, grid, cfg)
             cells.append(Cell("table10", model, f"sse[{grid_name}]",
                               sse, r.sse, _sse_tol(model)))
             cells.append(Cell("table10", model, f"eps_max[{grid_name}]",
                               eps_max, r.eps_max_abs, TOL_EPS_MAX))
-    r = report("X", EvalGrid.from_spec("paper-narrow"), **kw)
+    r = report("X", EvalGrid.from_spec("paper-narrow"), cfg)
     cells.append(Cell("table10", "X", "eps_max[tabulated m]",
                       TABLE10_X_EPS_MAX, r.eps_max_abs, TOL_EPS_MAX))
     return cells
 
 
-def reproduce_all(cfg=None):
+def reproduce_all(cfg=DEFAULT_CONFIG):
     """All cells plus the Arrhenius ordering flag."""
     t5 = reproduce_table5(cfg)
     t7, ordered = reproduce_table7(cfg)

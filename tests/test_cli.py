@@ -84,6 +84,25 @@ class TestCompare:
         assert code == 0
         assert out.startswith("model,grid,points,sse,eps_max")
 
+    def test_oracle_error_precedence(self, capsys):
+        code, _, err = run(capsys, "compare", "--models", "all",
+                           "--grid", "m=3.5:4.5:0.5,x=4:100:4")
+        assert code == 2
+        assert err.startswith(
+            "error: (m=4.5, x=4.0) outside working domain")
+
+    def test_earlier_row_error_wins(self, capsys):
+        # row m=0 fails in the oracle (x=2) before row m=0.5 fails in J
+        code, _, err = run(capsys, "eval", "--model", "J",
+                           "--grid", "m=0:0.5:0.5,x=2:100:4")
+        assert code == 2
+        assert err.startswith("error: (m=0.0, x=2.0) outside working domain")
+        # within a row the model is checked before the oracle
+        code, _, err = run(capsys, "eval", "--model", "J",
+                           "--grid", "m=0:4.5:4.5,x=4:100:4")
+        assert code == 2
+        assert "model J is not defined at m=4.5" in err
+
     def test_x_footnoted(self, capsys):
         code, out, _ = run(capsys, "compare", "--models", "X,G",
                            "--grid", "paper-narrow")

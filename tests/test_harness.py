@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 
@@ -141,6 +143,15 @@ class TestCompare:
         per_point = render_per_point_csv(reports[0])
         assert per_point.splitlines()[0] == "model,m,x,g_oracle,g_model,eps"
         assert len(per_point.splitlines()) == 98
+
+    def test_csv_quotes_custom_grid_spec(self):
+        spec = "m=-1:1:0.5,x=5:90:5"
+        reports = compare(["G", "C1"], EvalGrid.from_spec(spec))
+        rows = list(csv.reader(io.StringIO(render_comparison_csv(reports))))
+        assert len(rows) == 3
+        for row in rows:
+            assert len(row) == 7
+        assert [row[1] for row in rows[1:]] == [spec, spec]
 
 
 class TestVyazovkin:

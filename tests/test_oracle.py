@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,10 @@ from tempint.oracle import (
     g_cf,
     g_quad,
     h,
+    h_array,
     h_series,
 )
+from tempint.harness import EvalGrid
 
 # Frozen regression constants, computed by adaptive quadrature at
 # rel_tol 1e-14 and cross-checked against 30-digit arbitrary precision.
@@ -140,3 +143,61 @@ class TestErrors:
             OracleConfig(rel_tol=1e-3)
         with pytest.raises(ValueError):
             OracleConfig(rel_tol=0.0)
+
+
+def _grid_axes(spec, refine=1):
+    grid = EvalGrid.from_spec(spec).refined(refine)
+    return np.array(grid.m_values), np.array(grid.x_values)
+
+
+def _scalar_h(ms, xs, cfg=OracleConfig()):
+    return np.array([[h(EvalPoint(m, x), cfg) for x in xs] for m in ms])
+
+
+class TestHArray:
+    @pytest.mark.parametrize("refine", [1, 4])
+    def test_bit_identical_on_paper_eval(self, refine):
+        ms, xs = _grid_axes("paper-eval", refine)
+        assert np.array_equal(h_array(ms[:, None], xs), _scalar_h(ms, xs))
+
+    def test_bit_identical_on_random_scatter(self):
+        rng = np.random.default_rng(7)
+        ms = rng.uniform(-4.0, 4.0, 2000)
+        xs = rng.uniform(4.0, 100.0, 2000)
+        scalar = [h(EvalPoint(m, x)) for m, x in zip(ms, xs)]
+        assert np.array_equal(h_array(ms, xs), scalar)
+
+    def test_quadrature_fallback_per_lane(self):
+        # two iterations converge nowhere, so every lane falls back
+        cfg = OracleConfig(max_iterations=2)
+        ms, xs = _grid_axes("coarse")
+        assert np.array_equal(h_array(ms[:, None], xs, cfg),
+                              _scalar_h(ms, xs, cfg))
+
+    def test_domain_error_names_first_bad_point(self):
+        ms = np.array([0.0, 1.0, 4.5, 2.0])
+        with pytest.raises(DomainError, match=r"\(m=4\.5, x=10\.0\)"):
+            h_array(ms, 10.0)
+
+    def test_shapes(self):
+        assert h_array(np.empty(0), 10.0).shape == (0,)
+        assert h_array(-2.0, 10.0) == 1.0
+
+
+class TestMpmathOracle:
+    """An independent third oracle: Gamma(-(m+1), x) at 40 digits."""
+
+    def test_coarse_grid_agreement(self):
+        mpmath = pytest.importorskip("mpmath")
+        ms, xs = _grid_axes("coarse")
+        h_grid = h_array(ms[:, None], xs)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for i, m in enumerate(ms.tolist()):
+                for k, x in enumerate(xs.tolist()):
+                    ref = mpmath.gammainc(-(m + 1.0), x)
+                    g_from_h = (float(h_grid[i, k]) * mpmath.exp(-x)
+                                * mpmath.power(x, -(m + 2.0)))
+                    for val in (g_cf(EvalPoint(m, x)), g_from_h):
+                        worst = max(worst, abs(float(val / ref - 1)))
+        assert worst < 1e-13
