@@ -13,7 +13,6 @@ tolerance.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from tempint import harness, models, tables
@@ -28,21 +27,6 @@ EXIT_DOMAIN = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_POLE_WARNING = 4
 EXIT_TABLE_MISMATCH = 5
-
-
-def _threads_cap() -> int | None:
-    """TEMPINT_THREADS caps internal parallelism; evaluation is currently
-    sequential, so the cap is validated and retained for forward use."""
-    raw = os.environ.get("TEMPINT_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"TEMPINT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise SystemExit("TEMPINT_THREADS must be >= 1")
-    return n
 
 
 def _write_output(text: str, path) -> None:
@@ -221,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _threads_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

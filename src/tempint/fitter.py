@@ -180,7 +180,7 @@ class FitResult:
     converged: bool
     pole_warning: bool
     weighting: str
-    grid_spec: str
+    grid: EvalGrid             # the fit grid
 
     def report_text(self) -> str:
         lines = [
@@ -190,7 +190,7 @@ class FitResult:
             f"achieved_dev {self.achieved_dev!r}",
             f"denom_min {self.denom_min!r}",
             f"mode {self.weighting}",
-            f"grid-spec {self.grid_spec}",
+            f"grid-spec {self.grid.spec}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -211,13 +211,14 @@ def _coeffs_to_approximant(vec: np.ndarray, degree: int) -> RationalApproximant:
                                BivariatePoly(degree, b))
 
 
-def _deviation_on(approx: RationalApproximant, m, x, h_true,
-                  weighting: str) -> tuple[float, float]:
-    p = np.asarray(approx.numer.eval(m, x), dtype=float)
-    q = np.asarray(approx.denom.eval(m, x), dtype=float)
+def _deviation_on(approx: RationalApproximant, g: FitGrid,
+                  weighting: str) -> tuple[np.ndarray, float]:
+    """|deviation| of P/Q from the targets at every point, and min Q."""
+    p = np.asarray(approx.numer.eval(g.m, g.x), dtype=float)
+    q = np.asarray(approx.denom.eval(g.m, g.x), dtype=float)
     ratio = p / q
-    dev = ratio / h_true - 1.0 if weighting == "relative" else ratio - h_true
-    return float(np.abs(dev).max()), float(q.min())
+    dev = ratio / g.h - 1.0 if weighting == "relative" else ratio - g.h
+    return np.abs(dev), float(q.min())
 
 
 def bisect_fit(problem: FitProblem,
@@ -255,16 +256,15 @@ def bisect_fit(problem: FitProblem,
                  <= max(problem.bisection_tol_abs,
                         problem.bisection_tol_rel * u_plus))
     approx = _coeffs_to_approximant(witness, problem.degree)
-    achieved, _ = _deviation_on(approx, g.m, g.x, g.h, problem.weighting)
+    achieved = float(_deviation_on(approx, g, problem.weighting)[0].max())
     fine = FitGrid.from_eval_grid(g.grid.refined(4), cfg)
-    achieved_fine, denom_min = _deviation_on(
-        approx, fine.m, fine.x, fine.h, problem.weighting)
+    dev_fine, denom_min = _deviation_on(approx, fine, problem.weighting)
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
         iterations=iterations, achieved_dev=achieved,
-        achieved_dev_fine=achieved_fine, denom_min=denom_min,
+        achieved_dev_fine=float(dev_fine.max()), denom_min=denom_min,
         converged=converged, pole_warning=denom_min <= 0.0,
-        weighting=problem.weighting, grid_spec=g.grid.spec)
+        weighting=problem.weighting, grid=g.grid)
 
 
 def verify_fit(result: FitResult, fine_factor: int,
@@ -272,14 +272,9 @@ def verify_fit(result: FitResult, fine_factor: int,
     """Deviation and denominator sweep on a ``fine_factor``-refined grid."""
     if fine_factor < 1:
         raise ValueError("fine_factor must be >= 1")
-    base = EvalGrid.from_spec(result.grid_spec.split("/")[0])
-    fine = FitGrid.from_eval_grid(base.refined(fine_factor), cfg)
-    max_dev, denom_min = _deviation_on(
-        result.approximant, fine.m, fine.x, fine.h, result.weighting)
-    p = np.asarray(result.approximant.numer.eval(fine.m, fine.x), dtype=float)
-    q = np.asarray(result.approximant.denom.eval(fine.m, fine.x), dtype=float)
-    dev = (p / q / fine.h - 1.0 if result.weighting == "relative"
-           else p / q - fine.h)
-    near = int(np.count_nonzero(np.abs(dev) >= 0.99 * max_dev))
+    fine = FitGrid.from_eval_grid(result.grid.refined(fine_factor), cfg)
+    dev, denom_min = _deviation_on(result.approximant, fine, result.weighting)
+    max_dev = float(dev.max())
+    near = int(np.count_nonzero(dev >= 0.99 * max_dev))
     return VerificationReport(max_dev=max_dev, denom_min=denom_min,
                               grid_points=fine.size, near_extremal=near)

@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from tempint.oracle import (
     h,
     h_array,
 )
+# bound for perfbench/layers.py, which wraps harness.rational_eval_h_array
 from tempint.rational import RationalApproximant, rational_eval_h_array
 
 GRID_PRESETS = {
@@ -131,13 +131,6 @@ def _model_label(model) -> str:
     return str(model)
 
 
-def _model_h_row(model, m: float, x_values):
-    xs = np.asarray(x_values, dtype=float)
-    if isinstance(model, RationalApproximant):
-        return rational_eval_h_array(model, m, xs)
-    return np.asarray(models.model_h(model, m, xs), dtype=float)
-
-
 @dataclass
 class DeviationReport:
     model: str
@@ -163,7 +156,7 @@ class DeviationReport:
 def deviation(model, point: EvalPoint,
               cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     """Signed relative deviation g_model/g_oracle - 1 at one point."""
-    h_model = float(_model_h_row(model, point.m, [point.x])[0])
+    h_model = float(models.model_h(model, point.m, point.x))
     return h_model / oracle_h(point, cfg) - 1.0
 
 
@@ -187,10 +180,11 @@ def report(model, grid: EvalGrid,
         if m_lines != grid.m_values:
             footnote = ("evaluated over tabulated m lines "
                         f"{list(m_lines)} only")
+    xs = np.array(grid.x_values, dtype=float)
     h_model = []
     for m in m_lines:
         try:
-            h_model.append(_model_h_row(model, m, grid.x_values))
+            h_model.append(models.model_h(model, m, xs))
         except Exception:
             # row by row, the model is checked before the oracle: an
             # oracle failure on an earlier row takes precedence
@@ -294,9 +288,6 @@ def vyazovkin_segment(e_over_r: float, t_lo: float, t_hi: float,
         point = EvalPoint(0.0, x)
         if model == "oracle":
             return g_cf(point, cfg)
-        if isinstance(model, RationalApproximant):
-            hv = float(rational_eval_h_array(model, 0.0, np.array([x]))[0])
-            return math.exp(-x - 2.0 * math.log(x)) * hv
         return models.eval_model(model, point)
 
     return e_over_r * (g0(x_at_hi) - g0(x_at_lo))

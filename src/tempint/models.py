@@ -7,6 +7,12 @@ every model computes the bounded bracket h = g * exp(x) * x**(m+2)
 factors span ~90 orders of magnitude over the domain), so deviations
 against the oracle stay well scaled.
 
+``model_h(model, m, x)`` is the one way to evaluate any model.  The
+model is a registry tag or a fitted ``RationalApproximant``; the tags
+G1-G4 resolve to the bundled approximants, so they and a loaded
+coefficient file share one P/Q path with pole detection.
+``eval_model`` turns h into g through ``oracle.g_from_h``.
+
 J, O and SY approximate only the Arrhenius integral g(0, x).  The X
 model publishes numerator coefficients only for six tabulated m values
 and is never interpolated between them.  SY uses the corrected x**2
@@ -21,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tempint.oracle import EvalPoint
-from tempint.rational import RationalApproximant, paper_approximant
+from tempint.oracle import EvalPoint, g_from_h
+from tempint.rational import paper_approximant, rational_eval_h_array
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -224,23 +230,23 @@ def _check_domain(tag: str, m: float) -> None:
         raise ModelDomainError(tag, m, allowed)
 
 
-def bundled_approximant(tag: str) -> RationalApproximant:
-    return paper_approximant(int(tag[1]))
+def model_h(model, m: float, x):
+    """The model's bracket h = g_model * exp(x) * x**(m+2).
+
+    ``model`` is a tag or a ``RationalApproximant``; m is a scalar and x
+    a scalar or an array.
+    """
+    if isinstance(model, str):
+        _check_domain(model, m)
+        if model in _H_FUNCS:
+            return _H_FUNCS[model](m, x)
+        model = paper_approximant(int(model[1]))
+    return rational_eval_h_array(model, m, x)
 
 
-def model_h(tag: str, m: float, x):
-    """The model's bracket h = g_model * exp(x) * x**(m+2); x may be an array."""
-    _check_domain(tag, m)
-    if tag in ("G1", "G2", "G3", "G4"):
-        r = bundled_approximant(tag)
-        return r.numer.eval(m, x) / r.denom.eval(m, x)
-    return _H_FUNCS[tag](m, x)
-
-
-def eval_model(tag: str, point: EvalPoint) -> float:
+def eval_model(model, point: EvalPoint) -> float:
     """The model's approximation to g(m, x)."""
-    hval = model_h(tag, point.m, point.x)
-    return math.exp(-point.x - (point.m + 2.0) * math.log(point.x)) * float(hval)
+    return g_from_h(point.m, point.x, model_h(model, point.m, point.x))
 
 
 def list_models(m_filter: float | None = None) -> list[ModelInfo]:

@@ -195,11 +195,19 @@ def _h_quad(point: EvalPoint, cfg: OracleConfig) -> float:
     return val
 
 
+def g_from_h(m: float, x: float, hval: float) -> float:
+    """g(m, x) from the bracket h: h times exp(-x) * x**-(m+2), in log space.
+
+    ``g_quad`` and every model go through here.  ``g_cf`` keeps its own
+    exp(-x) * x**-(m+1) * F, which this would not reproduce bit for bit.
+    """
+    return math.exp(-x - (m + 2.0) * math.log(x)) * float(hval)
+
+
 def g_quad(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     """g(m, x) by adaptive quadrature, independent of ``g_cf``."""
     _require_working_domain(point)
-    hval = _h_quad(point, cfg)
-    return math.exp(-point.x - (point.m + 2.0) * math.log(point.x)) * hval
+    return g_from_h(point.m, point.x, _h_quad(point, cfg))
 
 
 def h(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:

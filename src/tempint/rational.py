@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from tempint.oracle import EvalPoint
+from tempint.oracle import EvalPoint, g_from_h
 
 
 class PoleError(Exception):
@@ -103,40 +103,41 @@ def poly_eval(p: BivariatePoly, point: EvalPoint):
 
 def rational_eval_h(r: RationalApproximant, point: EvalPoint) -> float:
     """The inner ratio P/Q, the approximation to h(m, x)."""
-    q = r.denom.eval(point.m, point.x)
-    if q == 0.0:
-        raise PoleError(
-            f"denominator vanishes at (m={point.m}, x={point.x})", point)
-    return r.numer.eval(point.m, point.x) / q
+    return rational_eval_h_array(r, point.m, point.x)
 
 
 def rational_eval_h_array(r: RationalApproximant, m, x):
-    """Vectorized P/Q with pole and sign-change detection.
+    """P/Q at scalar or array (m, x), with pole and sign-change detection.
 
-    ``m`` and ``x`` are broadcastable arrays covering a connected patch
-    of the domain; a zero or a sign change of Q across the patch raises
-    ``PoleError`` naming an offending point.
+    ``m`` and ``x`` are floats or broadcastable float arrays covering a
+    connected patch of the domain; a zero or a sign change of Q across
+    the patch raises ``PoleError`` naming an offending point.
     """
-    m = np.asarray(m, dtype=float)
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(r.denom.eval(m, x), dtype=float)
+    q = r.denom.eval(m, x)
+    if isinstance(q, float):
+        if not (q > 0.0 or q < 0.0):
+            raise _pole_error(m, x, q)
+    elif not (q.min() > 0.0 or q.max() < 0.0):
+        raise _pole_error(m, x, q)
+    return r.numer.eval(m, x) / q
+
+
+def _pole_error(m, x, q) -> PoleError:
+    q = np.asarray(q)
     bad = q == 0.0
-    if not bad.any() and q.size > 1:
+    if not bad.any():
         bad = np.sign(q) != np.sign(q.flat[0])
-    if np.any(bad):
-        k = int(np.argmax(np.ravel(bad)))
-        mb = float(np.broadcast_to(m, q.shape).flat[k])
-        xb = float(np.broadcast_to(x, q.shape).flat[k])
-        raise PoleError(
-            f"denominator vanishes or changes sign near (m={mb}, x={xb})",
-            EvalPoint(mb, xb))
-    return np.asarray(r.numer.eval(m, x), dtype=float) / q
+    k = int(np.argmax(np.ravel(bad)))
+    mb = float(np.broadcast_to(m, q.shape).flat[k])
+    xb = float(np.broadcast_to(x, q.shape).flat[k])
+    return PoleError(
+        f"denominator vanishes or changes sign near (m={mb}, x={xb})",
+        EvalPoint(mb, xb))
 
 
 def approximant_eval_g(r: RationalApproximant, point: EvalPoint) -> float:
     """(exp(-x)/x**(m+2)) * P/Q; prefactor computed in log space."""
-    log_pref = -point.x - (point.m + 2.0) * math.log(point.x)
-    return math.exp(log_pref) * rational_eval_h(r, point)
+    return g_from_h(point.m, point.x, rational_eval_h(r, point))
 
 
 def save_coeffs(r: RationalApproximant, path) -> None:

@@ -167,14 +167,3 @@ class TestTables:
         assert out.splitlines()[0] == \
             "table,row,column,expected,actual,tolerance,status"
         assert code == 0
-
-
-class TestThreadsEnv:
-    def test_invalid_threads_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("TEMPINT_THREADS", "zero")
-        with pytest.raises(SystemExit):
-            main(["list"])
-
-    def test_valid_threads_accepted(self, monkeypatch, capsys):
-        monkeypatch.setenv("TEMPINT_THREADS", "4")
-        assert main(["list"]) == 0

@@ -147,10 +147,17 @@ class TestBisectFit:
 
 class TestVerifyFit:
     def test_fine_factor_1_reproduces(self, coarse_fit_grid):
-        result = bisect_fit(FitProblem(degree=1, grid=coarse_fit_grid))
-        rep = verify_fit(result, 1)
-        assert rep.max_dev == result.achieved_dev
-        assert rep.near_extremal >= 1
+        # verification sweeps the fit grid itself, also for a refined
+        # grid and for one built without a spec
+        refined = EvalGrid.from_spec("m=-1:1:1,x=4:100:24").refined(2)
+        specless = EvalGrid((0.0, 1.0), (4.0, 50.0, 100.0))
+        for grid in (coarse_fit_grid, FitGrid.from_eval_grid(refined),
+                     FitGrid.from_eval_grid(specless)):
+            result = bisect_fit(FitProblem(degree=1, grid=grid))
+            rep = verify_fit(result, 1)
+            assert rep.grid_points == grid.size
+            assert rep.max_dev == result.achieved_dev
+            assert rep.near_extremal >= 1
 
     def test_fine_factor_4_structure(self, coarse_fit_grid):
         # the < 20% inflation contract holds on the default fit grid and

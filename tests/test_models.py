@@ -116,3 +116,29 @@ def test_bundled_aliases_match_coefficient_files():
         assert eval_model(f"G{n}", p) == pytest.approx(
             math.exp(-p.x - 3.0 * math.log(p.x)) * rational_eval_h(r, p),
             rel=1e-15)
+
+
+def test_tag_and_approximant_share_one_path():
+    from tempint.harness import EvalGrid, report, vyazovkin_segment
+    from tempint.rational import paper_approximant
+    r4 = paper_approximant(4)
+    for e, t_lo, t_hi in ((5000.0, 300.0, 310.0), (20000.0, 250.0, 4000.0)):
+        assert (vyazovkin_segment(e, t_lo, t_hi, "G4")
+                == vyazovkin_segment(e, t_lo, t_hi, r4))
+    grid = EvalGrid.from_spec("coarse")
+    assert np.array_equal(report("G3", grid).eps,
+                          report(paper_approximant(3), grid).eps)
+    xs = np.array(grid.x_values)
+    for m in (-4.0, 0.0, 2.5):
+        row = model_h(r4, m, xs)
+        for k, x in enumerate(grid.x_values):
+            assert model_h(r4, m, x) == row[k]
+
+
+def test_eval_model_pole_error():
+    from tempint.rational import BivariatePoly, PoleError, RationalApproximant
+    r = RationalApproximant(
+        BivariatePoly(1, {(0, 0): 1.0}),
+        BivariatePoly(1, {(0, 0): -10.0, (1, 0): 1.0}))   # Q = x - 10
+    with pytest.raises(PoleError):
+        eval_model(r, EvalPoint(0.0, 10.0))
