@@ -5,7 +5,7 @@ deterministic: fixed grid order and no randomness anywhere, so
 identical invocations produce byte-identical results.
 
 Exit codes: 0 success; 2 domain/validation error; 3 fit did not
-converge; 4 fit converged but with a pole warning (the coefficient
+converge or its LP solver failed; 4 fit converged but with a pole warning (the coefficient
 file is still written); 5 a table-reproduction cell is out of
 tolerance.
 """
@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from tempint import harness, models, tables
-from tempint.fitter import FitGrid, FitProblem, bisect_fit
+from tempint.fitter import FitError, FitGrid, FitProblem, bisect_fit
 from tempint.harness import EvalGrid
 from tempint.models import ModelDomainError
 from tempint.oracle import DomainError, EvalPoint, OracleError, g_cf, h, h_series
@@ -214,6 +214,9 @@ def main(argv=None) -> int:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_DOMAIN
+    except FitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 def entry() -> None:

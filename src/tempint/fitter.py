@@ -16,9 +16,19 @@ h_k in relative mode) the rows are
     Q_k >= denom_floor
 
 all linear in the stacked coefficient vector (a_ij, b_ij).  Monomial
-columns are rescaled to unit max absolute value before solving and the
-witness is unscaled afterwards, which keeps the LP well conditioned up
-to degree 4 on the default domain.
+columns are rescaled to unit max absolute value over the whole grid
+before solving and the witness is unscaled afterwards, which keeps the
+LP well conditioned up to degree 4 on the default domain.
+
+The LP cost grows with the row count, not with the difficulty, and a
+minimax fit has only about n_coeffs + 1 extremal points.  So the
+bisection runs on a subset S of the grid and exchanges points into it
+(a cutting-plane method, as in the Remez exchange): S starts as
+``SUBSET_PER_COEFF * n_coeffs`` evenly strided points, and each exchange
+adds at most ``EXCHANGE_PER_COEFF * n_coeffs`` of the worst violators
+outside S.  Every witness is checked on the whole grid with numpy, so
+``u_plus`` always rests on the whole grid, and full-grid LPs confirm
+``u_minus`` (see ``bisect_fit``).
 """
 
 from __future__ import annotations
@@ -32,6 +42,11 @@ from scipy.optimize import linprog
 from tempint.harness import EvalGrid, oracle_h_row
 from tempint.oracle import DEFAULT_CONFIG, OracleConfig
 from tempint.rational import BivariatePoly, RationalApproximant, index_pairs
+
+
+# Exchange sizing, in multiples of the coefficient count n_coeffs
+SUBSET_PER_COEFF = 16     # starting size of S
+EXCHANGE_PER_COEFF = 4    # most violators added to S per exchange
 
 
 class FitError(Exception):
@@ -70,7 +85,7 @@ class FitProblem:
     denom_floor: float = 1.0
     bisection_tol_abs: float = 1e-12
     bisection_tol_rel: float = 1e-4
-    max_bisections: int = 60
+    max_bisections: int = 60           # most levels per bisection pass on S
     feasibility_tol: float = 1e-9
 
     def __post_init__(self):
@@ -80,6 +95,15 @@ class FitProblem:
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.denom_floor <= 0.0 or self.bisection_tol_abs <= 0.0:
             raise ValueError("denom_floor and bisection tolerances must be > 0")
+        if not 0.0 <= self.bisection_tol_rel < 1.0:
+            raise ValueError("bisection_tol_rel must be finite and in [0, 1), "
+                             f"got {self.bisection_tol_rel}")
+        if not self.feasibility_tol > 0.0:
+            raise ValueError(
+                f"feasibility_tol must be > 0, got {self.feasibility_tol}")
+        if self.max_bisections < 0:
+            raise ValueError(
+                f"max_bisections must be >= 0, got {self.max_bisections}")
 
 
 @dataclass
@@ -103,27 +127,41 @@ def _monomial_matrix(degree: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.column_stack([x ** i * m ** j for i, j in pairs])
 
 
-def build_feasibility(problem: FitProblem, u: float) -> FeasibilitySystem:
-    """Three rows per grid point: two deviation bounds and the Q floor."""
-    if u < 0.0:
-        raise ValueError(f"u must be >= 0, got {u}")
+def _scaled_monomials(problem: FitProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Monomials at every grid point, columns scaled to unit max |value|."""
     g = problem.grid
     phi = _monomial_matrix(problem.degree, g.m, g.x)
     scale = np.abs(phi).max(axis=0)
     scale[scale == 0.0] = 1.0   # degenerate grids can zero whole columns
-    phi_s = phi / scale
-    w = g.h if problem.weighting == "relative" else np.ones_like(g.h)
+    return phi / scale, scale
+
+
+def build_feasibility(problem: FitProblem, u: float,
+                      points: np.ndarray | None = None) -> FeasibilitySystem:
+    """Three rows per grid point: two deviation bounds and the Q floor.
+
+    ``points`` (flat grid indices) restricts the rows to those points.
+    The column scale always comes from the whole grid, so each subset
+    row is bit-identical to its row in the full system.
+    """
+    if u < 0.0:
+        raise ValueError(f"u must be >= 0, got {u}")
+    phi_s, scale = _scaled_monomials(problem)
+    h = problem.grid.h
+    if points is not None:
+        phi_s, h = phi_s[points], h[points]
+    w = h if problem.weighting == "relative" else np.ones_like(h)
     zeros = np.zeros_like(phi_s)
-    upper = (g.h + u * w)[:, None] * phi_s
-    lower = (g.h - u * w)[:, None] * phi_s
+    upper = (h + u * w)[:, None] * phi_s
+    lower = (h - u * w)[:, None] * phi_s
     a_ub = np.vstack([
         np.hstack([phi_s, -upper]),
         np.hstack([-phi_s, lower]),
         np.hstack([zeros, -phi_s]),
     ])
     b_ub = np.concatenate([
-        np.zeros(2 * g.size),
-        -problem.denom_floor * np.ones(g.size),
+        np.zeros(2 * len(h)),
+        -problem.denom_floor * np.ones(len(h)),
     ])
     return FeasibilitySystem(
         degree=problem.degree, u=u, a_ub=a_ub, b_ub=b_ub,
@@ -173,7 +211,9 @@ class FitResult:
     approximant: RationalApproximant
     u_minus: float
     u_plus: float
-    iterations: int
+    iterations: int            # bisection levels of all passes
+    lp_solves: int             # check_feasible calls, confirmations too
+    active_points: int         # final size of the subset S
     achieved_dev: float        # recomputed against the oracle on the fit grid
     achieved_dev_fine: float   # same on the 4x-refined verification grid
     denom_min: float           # minimum denominator on the verification grid
@@ -221,47 +261,136 @@ def _deviation_on(approx: RationalApproximant, g: FitGrid,
     return np.abs(dev), float(q.min())
 
 
+def _check_on_grid(problem: FitProblem, basis, vec: np.ndarray, u: float,
+                   in_s: np.ndarray) -> tuple[np.ndarray, float]:
+    """Violators of a witness outside S, worst first, and its verified level.
+
+    A violator is a grid point outside S where one of the witness's rows
+    at level u exceeds ``feasibility_tol``.  With none, the witness holds
+    at u.  Otherwise it holds at its deviation over the whole grid, if
+    its denominator keeps the floor there, and at no level if not.
+    """
+    if in_s.all():
+        return np.empty(0, dtype=int), u
+    phi_s, scale = basis
+    h = problem.grid.h
+    w = h if problem.weighting == "relative" else 1.0
+    half = len(scale)
+    p = phi_s @ (vec[:half] * scale)
+    q = phi_s @ (vec[half:] * scale)
+    floor_excess = problem.denom_floor - q
+    excess = np.maximum.reduce([p - (h + u * w) * q, (h - u * w) * q - p,
+                                floor_excess])
+    excess[in_s] = -np.inf
+    bad = np.flatnonzero(excess > problem.feasibility_tol)
+    if not bad.size:
+        return bad, u
+    level = math.inf
+    if np.all(q > 0.0) and floor_excess.max() <= problem.feasibility_tol:
+        level = float(np.max(np.abs(p - h * q) / (w * q)))
+    return bad[np.argsort(-excess[bad], kind="stable")], level
+
+
 def bisect_fit(problem: FitProblem,
                cfg: OracleConfig = DEFAULT_CONFIG) -> FitResult:
-    """3-step bisection on the deviation level u.
+    """Bisection on the deviation level u over a growing subset S.
 
     Starts from [0, max|h|] (absolute mode) or [0, 1] (relative mode;
     the zero numerator with Q = denom_floor witnesses feasibility at
-    u = 1), halves the interval keeping the upper end feasible, and
-    returns the last feasible witness.  A posteriori verification
-    recomputes the deviation against the oracle on the fit grid and on
-    a 4x-refined grid, recording the minimum denominator found.
+    u = 1), checked by a full-grid LP.  Every further level solves the
+    LP on the rows of S only.  An infeasible S raises ``u_minus``; a
+    feasible witness lowers the upper end ``u_hi`` of the bisection on
+    S.  It moves ``u_plus`` to u if its rows also hold within
+    ``feasibility_tol`` at every grid point outside S, and otherwise to
+    its deviation over the whole grid, if that is lower.  When the
+    bisection on S closes on a witness that fails outside S, the worst
+    violators join S and the bisection goes on between ``u_minus`` and
+    ``u_plus``.  The fit ends when that bracket closes; ``max_bisections``
+    bounds the levels of one pass on S.  S starts as an evenly strided
+    ``SUBSET_PER_COEFF * n_coeffs`` points of the flattened grid (all of
+    it on small grids, where the LPs are exactly plain bisection's) and
+    grows by at most ``EXCHANGE_PER_COEFF * n_coeffs`` points per
+    exchange.
+
+    A subset verdict "infeasible" is not proof for the whole grid (HiGHS
+    returns wrong ones at degree 4), so ``u_minus`` is confirmed by a
+    full-grid LP before the first exchange builds on it, and again
+    before returning if it rose since.  If the full grid is feasible
+    there, that witness becomes ``u_plus``, S becomes the whole grid and
+    the bisection restarts from the initial bracket.  Levels at or above
+    ``u_plus`` then pass without an LP, and the LPs below it are exactly
+    plain bisection's.
+
+    A posteriori verification recomputes the deviation against the
+    oracle on the fit grid and on a 4x-refined grid, recording the
+    minimum denominator found.
     """
     g = problem.grid
     if problem.weighting == "relative":
-        u_plus = 1.0
+        u_start = 1.0
     else:
-        u_plus = float(np.abs(g.h).max())
-    u_minus = 0.0
-    witness = check_feasible(build_feasibility(problem, u_plus))
+        u_start = float(np.abs(g.h).max())
+    basis = _scaled_monomials(problem)
+    n_coeffs = 2 * len(basis[1])
+    in_s = np.zeros(g.size, dtype=bool)
+    n_start = min(SUBSET_PER_COEFF * n_coeffs, g.size)
+    in_s[np.arange(n_start) * g.size // n_start] = True
+    witness = check_feasible(build_feasibility(problem, u_start))
     if witness is None:
-        raise FitError(f"initial level u = {u_plus} unexpectedly infeasible")
-    iterations = 0
-    while (u_plus - u_minus > max(problem.bisection_tol_abs,
-                                  problem.bisection_tol_rel * u_plus)
-           and iterations < problem.max_bisections):
-        u = 0.5 * (u_minus + u_plus)
-        vec = check_feasible(build_feasibility(problem, u))
-        if vec is not None:
-            u_plus, witness = u, vec
-        else:
-            u_minus = u
-        iterations += 1
-    converged = (u_plus - u_minus
-                 <= max(problem.bisection_tol_abs,
-                        problem.bisection_tol_rel * u_plus))
+        raise FitError(f"initial level u = {u_start} unexpectedly infeasible")
+    u_minus, u_plus, u_hi = 0.0, u_start, u_start
+    confirmed = 0.0           # the highest u_minus a full-grid LP confirmed
+    iterations, lp_solves = 0, 1
+
+    def closed(u_hi):
+        return u_hi - u_minus <= max(problem.bisection_tol_abs,
+                                     problem.bisection_tol_rel * u_hi)
+
+    while True:
+        # one bisection pass on S, between u_minus and u_hi
+        points = None if in_s.all() else np.flatnonzero(in_s)
+        worst, levels = np.empty(0, dtype=int), 0
+        while not (closed(u_hi) or levels == problem.max_bisections):
+            u = 0.5 * (u_minus + u_hi)
+            levels += 1
+            if u >= u_plus:
+                # only after a restart: the witness holds at u_plus <= u
+                u_hi = u
+                continue
+            vec = check_feasible(build_feasibility(problem, u, points))
+            lp_solves += 1
+            if vec is None:
+                u_minus = u
+                continue
+            u_hi = u
+            worst, level = _check_on_grid(problem, basis, vec, u, in_s)
+            if level < u_plus:
+                u_plus, witness = level, vec
+        iterations += levels
+        exchange = bool(worst.size) and closed(u_hi)
+        if points is not None and u_minus > confirmed and (
+                confirmed == 0.0 or not exchange):
+            vec = check_feasible(build_feasibility(problem, u_minus))
+            lp_solves += 1
+            if vec is not None:
+                # a subset verdict was wrong: plain bisection from the start
+                in_s[:] = True
+                u_minus, u_plus, u_hi, witness = 0.0, u_minus, u_start, vec
+                continue
+            confirmed = u_minus
+        if not exchange:
+            break
+        in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
+        u_hi = u_plus
+    converged = closed(u_plus)
     approx = _coeffs_to_approximant(witness, problem.degree)
     achieved = float(_deviation_on(approx, g, problem.weighting)[0].max())
     fine = FitGrid.from_eval_grid(g.grid.refined(4), cfg)
     dev_fine, denom_min = _deviation_on(approx, fine, problem.weighting)
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
-        iterations=iterations, achieved_dev=achieved,
+        iterations=iterations, lp_solves=lp_solves,
+        active_points=int(in_s.sum()), achieved_dev=achieved,
         achieved_dev_fine=float(dev_fine.max()), denom_min=denom_min,
         converged=converged, pole_warning=denom_min <= 0.0,
         weighting=problem.weighting, grid=g.grid)

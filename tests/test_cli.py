@@ -64,6 +64,31 @@ class TestFit:
         r = load_coeffs(out_file)
         assert r.degree == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "2"])
+    def test_bad_tol_exit_2(self, capsys, tmp_path, tol):
+        out_file = tmp_path / "bad.fit"
+        code, _, err = run(capsys, "fit", "--degree", "1", "--grid", "coarse",
+                           "--tol", tol, "--out", str(out_file))
+        assert code == 2
+        assert "bisection_tol_rel" in err
+        assert not out_file.exists()
+
+    def test_lp_failure_exit_3(self, capsys, tmp_path, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        from tempint import fitter
+
+        def failing_linprog(*args, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(fitter, "linprog", failing_linprog)
+        out_file = tmp_path / "fail.fit"
+        code, _, err = run(capsys, "fit", "--degree", "1", "--grid", "coarse",
+                           "--out", str(out_file))
+        assert code == 3
+        assert err.startswith("error: LP solver failed (status 4)")
+        assert not out_file.exists()
+
 
 class TestCompare:
     def test_table7_layout(self, capsys):

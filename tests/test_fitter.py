@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tempint import fitter
 from tempint.fitter import (
     FitGrid,
     FitProblem,
@@ -121,12 +122,13 @@ class TestBisectFit:
         assert check_feasible(
             build_feasibility(problem, result.u_minus)) is None
 
-    def test_interval_halving(self, coarse_fit_grid):
+    def test_bracket_width(self, coarse_fit_grid):
         problem = FitProblem(degree=1, grid=coarse_fit_grid)
         result = bisect_fit(problem)
-        expected_width = 1.0 / 2.0 ** result.iterations
-        assert result.u_plus - result.u_minus == pytest.approx(
-            expected_width, rel=1e-9)
+        assert 0.0 < result.u_minus <= result.u_plus
+        assert result.u_plus - result.u_minus <= max(
+            problem.bisection_tol_abs,
+            problem.bisection_tol_rel * result.u_plus)
 
     def test_normalization(self, coarse_fit_grid):
         result = bisect_fit(FitProblem(degree=1, grid=coarse_fit_grid))
@@ -143,6 +145,87 @@ class TestBisectFit:
         result = bisect_fit(problem)
         assert not result.converged
         assert result.iterations == 3
+
+    @pytest.mark.parametrize("settings", [
+        {"bisection_tol_rel": float("nan")},
+        {"bisection_tol_rel": float("inf")},
+        {"bisection_tol_rel": 1.0},
+        {"bisection_tol_rel": -1e-4},
+        {"feasibility_tol": 0.0},
+        {"feasibility_tol": float("nan")},
+        {"max_bisections": -1},
+    ])
+    def test_bad_settings_rejected(self, coarse_fit_grid, settings):
+        with pytest.raises(ValueError):
+            FitProblem(degree=1, grid=coarse_fit_grid, **settings)
+
+
+class TestExchange:
+    def test_paper_eval_degree2_certified(self):
+        grid = FitGrid.from_eval_grid(EvalGrid.from_spec("paper-eval"))
+        problem = FitProblem(degree=2, grid=grid)
+        result = bisect_fit(problem)
+        assert result.converged
+        assert result.active_points < grid.size
+        assert check_feasible(
+            build_feasibility(problem, result.u_plus)) is not None
+        assert check_feasible(
+            build_feasibility(problem, result.u_minus)) is None
+        assert result.u_minus <= result.achieved_dev
+        assert result.achieved_dev <= 1.1 * 3.7095e-5
+
+    def test_wrong_subset_verdicts_fall_back(self, coarse_fit_grid,
+                                             monkeypatch):
+        problem = FitProblem(degree=1, grid=coarse_fit_grid)
+        with monkeypatch.context() as patch:
+            # a starting subset larger than the grid: plain bisection
+            patch.setattr(fitter, "SUBSET_PER_COEFF", coarse_fit_grid.size)
+            plain = bisect_fit(problem)
+        false_below = 2.0 * plain.u_plus
+        real_check = fitter.check_feasible
+        full_grid_levels = []
+
+        def lying_check(system):
+            # subset systems call every level below 2 u* infeasible,
+            # though the full grid is feasible down to u*
+            subset = system.a_ub.shape[0] < 3 * coarse_fit_grid.size
+            if subset and system.u < false_below:
+                return None
+            if not subset:
+                full_grid_levels.append(system.u)
+            return real_check(system)
+
+        monkeypatch.setattr(fitter, "check_feasible", lying_check)
+        result = bisect_fit(problem)
+        assert real_check(build_feasibility(problem, result.u_minus)) is None
+        # the contradiction restarts plain bisection on the whole grid
+        assert result.active_points == coarse_fit_grid.size
+        assert (result.u_minus, result.u_plus) == (plain.u_minus,
+                                                   plain.u_plus)
+        assert result.iterations > plain.iterations
+        # levels above the confirming witness's need no LP
+        assert min(full_grid_levels) < false_below
+        assert len(full_grid_levels) < plain.lp_solves
+
+    def test_small_grid_is_plain_bisection(self, monkeypatch):
+        # 65 points are fewer than the 16 x 6 starting subset of degree 1,
+        # so every level is one full-grid LP, as in plain bisection
+        grid = FitGrid.from_eval_grid(
+            EvalGrid.from_spec("m=-1:1:0.5,x=4:100:8"))
+        calls = []
+        real_linprog = fitter.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(kwargs["A_ub"].shape[0])
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(fitter, "linprog", counting_linprog)
+        result = bisect_fit(FitProblem(degree=1, grid=grid))
+        assert result.active_points == grid.size
+        assert len(calls) == result.lp_solves == result.iterations + 1
+        assert set(calls) == {3 * grid.size}
+        assert result.u_plus - result.u_minus == pytest.approx(
+            1.0 / 2.0 ** result.iterations, rel=1e-9)
 
 
 class TestVerifyFit:

@@ -10,12 +10,20 @@ def test_tracer_installs_and_uninstalls():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    from tempint import harness, models
-    before = (harness.report, models.model_h)
+    from tempint import cli, fitter, harness, models
+
+    def traced_names():
+        # the per-layer fit metrics read these wrappers
+        return (harness.report, models.model_h, fitter.linprog,
+                fitter.check_feasible, fitter.build_feasibility,
+                vars(fitter.FitGrid)["from_eval_grid"], cli.bisect_fit)
+
+    before = traced_names()
     tracer = layers.Tracer()
     tracer.install()
     try:
-        assert harness.report is not before[0]
+        during = traced_names()
+        assert all(new is not old for new, old in zip(during, before))
     finally:
         tracer.uninstall()
-    assert (harness.report, models.model_h) == before
+    assert traced_names() == before
