@@ -291,14 +291,28 @@ def _check_on_grid(problem: FitProblem, basis, vec: np.ndarray, u: float,
     return bad[np.argsort(-excess[bad], kind="stable")], level
 
 
+def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
+    """The upper end u_start of the first bracket and a witness there.
+
+    The witness P = 0, Q = denom_floor holds at every grid point with no
+    LP, because h > 0: -(h + u*w) * Q <= 0 always, (h - u*w) * Q <= 0 at
+    u = 1 in relative mode (w = h) and at u = max h in absolute mode
+    (w = 1), and Q meets the floor.
+    """
+    h = problem.grid.h
+    u_start = 1.0 if problem.weighting == "relative" else float(h.max())
+    vec = np.zeros(2 * len(index_pairs(problem.degree)))
+    vec[len(vec) // 2] = problem.denom_floor   # b_00, the constant of Q
+    return u_start, vec
+
+
 def bisect_fit(problem: FitProblem,
                cfg: OracleConfig = DEFAULT_CONFIG) -> FitResult:
     """Bisection on the deviation level u over a growing subset S.
 
-    Starts from [0, max|h|] (absolute mode) or [0, 1] (relative mode;
-    the zero numerator with Q = denom_floor witnesses feasibility at
-    u = 1), checked by a full-grid LP.  Every further level solves the
-    LP on the rows of S only.  An infeasible S raises ``u_minus``; a
+    Starts from [0, max|h|] (absolute mode) or [0, 1] (relative mode),
+    where P = 0, Q = denom_floor holds with no LP (``_initial_level``).
+    Every level solves the LP on the rows of S only.  An infeasible S raises ``u_minus``; a
     feasible witness lowers the upper end ``u_hi`` of the bisection on
     S.  It moves ``u_plus`` to u if its rows also hold within
     ``feasibility_tol`` at every grid point outside S, and otherwise to
@@ -326,21 +340,15 @@ def bisect_fit(problem: FitProblem,
     minimum denominator found.
     """
     g = problem.grid
-    if problem.weighting == "relative":
-        u_start = 1.0
-    else:
-        u_start = float(np.abs(g.h).max())
+    u_start, witness = _initial_level(problem)
     basis = _scaled_monomials(problem)
     n_coeffs = 2 * len(basis[1])
     in_s = np.zeros(g.size, dtype=bool)
     n_start = min(SUBSET_PER_COEFF * n_coeffs, g.size)
     in_s[np.arange(n_start) * g.size // n_start] = True
-    witness = check_feasible(build_feasibility(problem, u_start))
-    if witness is None:
-        raise FitError(f"initial level u = {u_start} unexpectedly infeasible")
     u_minus, u_plus, u_hi = 0.0, u_start, u_start
     confirmed = 0.0           # the highest u_minus a full-grid LP confirmed
-    iterations, lp_solves = 0, 1
+    iterations, lp_solves = 0, 0
 
     def closed(u_hi):
         return u_hi - u_minus <= max(problem.bisection_tol_abs,

@@ -27,7 +27,11 @@ from tempint.oracle import (
     h_array,
 )
 # bound for perfbench/layers.py, which wraps harness.rational_eval_h_array
-from tempint.rational import RationalApproximant, rational_eval_h_array
+from tempint.rational import (
+    PoleError,
+    RationalApproximant,
+    rational_eval_h_array,
+)
 
 GRID_PRESETS = {
     "paper-eval": "m=-4:4:0.1,x=4:100:1",
@@ -180,22 +184,23 @@ def report(model, grid: EvalGrid,
         if m_lines != grid.m_values:
             footnote = ("evaluated over tabulated m lines "
                         f"{list(m_lines)} only")
-    xs = np.array(grid.x_values, dtype=float)
-    h_model = []
-    for m in m_lines:
-        try:
-            h_model.append(models.model_h(model, m, xs))
-        except Exception:
-            # row by row, the model is checked before the oracle: an
-            # oracle failure on an earlier row takes precedence
-            oracle_h_row(m_lines[:len(h_model)], grid.x_values, cfg)
-            raise
-    eps = np.array(h_model) / oracle_h_row(m_lines, grid.x_values, cfg) - 1.0
-    flat = int(np.argmax(np.abs(eps)))
+    try:
+        h_model = models.model_h(model, np.array(m_lines)[:, None],
+                                 np.array(grid.x_values, dtype=float))
+    except (models.ModelDomainError, PoleError) as exc:
+        # the first failing m row wins, and within a row the model is
+        # checked before the oracle: an oracle failure on an earlier row
+        # takes precedence
+        m_bad = exc.point.m if isinstance(exc, PoleError) else exc.m
+        oracle_h_row(m_lines[:m_lines.index(m_bad)], grid.x_values, cfg)
+        raise
+    eps = h_model / oracle_h_row(m_lines, grid.x_values, cfg) - 1.0
+    abs_eps = np.abs(eps)
+    flat = int(np.argmax(abs_eps))
     i, k = divmod(flat, len(grid.x_values))
     return DeviationReport(
         model=label, grid=grid, m_lines=m_lines, eps=eps,
-        eps_max_abs=float(np.abs(eps).max()), sse=float((eps * eps).sum()),
+        eps_max_abs=float(abs_eps.flat[flat]), sse=float((eps * eps).sum()),
         argmax_point=EvalPoint(m_lines[i], grid.x_values[k]),
         footnote=footnote)
 

@@ -7,11 +7,13 @@ every model computes the bounded bracket h = g * exp(x) * x**(m+2)
 factors span ~90 orders of magnitude over the domain), so deviations
 against the oracle stay well scaled.
 
-``model_h(model, m, x)`` is the one way to evaluate any model.  The
-model is a registry tag or a fitted ``RationalApproximant``; the tags
-G1-G4 resolve to the bundled approximants, so they and a loaded
-coefficient file share one P/Q path with pole detection.
-``eval_model`` turns h into g through ``oracle.g_from_h``.
+``model_h(model, m, x)`` is the one way to evaluate any model, at one
+point, along one m row, or over a whole grid at once (m a column of
+shape (M, 1) broadcast against an x row).  The model is a registry tag
+or a fitted ``RationalApproximant``; the tags G1-G4 resolve to the
+bundled approximants, so they and a loaded coefficient file share one
+P/Q path with pole detection.  ``eval_model`` turns h into g through
+``oracle.g_from_h``.
 
 J, O and SY approximate only the Arrhenius integral g(0, x).  The X
 model publishes numerator coefficients only for six tabulated m values
@@ -48,6 +50,7 @@ class ModelDomainError(Exception):
     def __init__(self, tag, m, allowed):
         super().__init__(f"model {tag} is not defined at m={m}; allowed: {allowed}")
         self.tag = tag
+        self.m = m
         self.allowed = allowed
 
 
@@ -129,13 +132,22 @@ def _h_Ch4(m, x):
 
 
 def _h_Cp(m, x):
+    if isinstance(m, np.ndarray):
+        # row by row: for a scalar p, x ** p takes numpy's exact fast
+        # paths (reciprocal at p = -1, sqrt at p = 0.5), an array p not
+        return np.vstack([_h_Cp(float(mi), x) for mi in m[:, 0]])
     p = m + 2.0
     return ((2.0 - _SQRT2) / 4.0 * (x / (x + 2.0 + _SQRT2)) ** p
             + (2.0 + _SQRT2) / 4.0 * (x / (x + 2.0 - _SQRT2)) ** p)
 
 
 def _h_X(m, x):
-    a3, a2, a1 = X_MODEL_ROWS[_x_model_key(m)]
+    if isinstance(m, np.ndarray):
+        # one coefficient column per m row
+        a3, a2, a1 = np.array(
+            [X_MODEL_ROWS[_x_model_key(mi)] for mi in m[:, 0]]).T[:, :, None]
+    else:
+        a3, a2, a1 = X_MODEL_ROWS[_x_model_key(m)]
     num = (((x + a3) * x + a2) * x + a1) * x
     den = ((((x + 16.0) * x + 72.0) * x + 96.0) * x + 24.0)
     return num / den
@@ -222,19 +234,28 @@ def admits_m(tag: str, m: float) -> bool:
     return True
 
 
-def _check_domain(tag: str, m: float) -> None:
-    if not admits_m(tag, m):
+def _check_domain(tag: str, m) -> None:
+    """Raise ``ModelDomainError`` for the first m the model does not admit."""
+    if isinstance(m, np.ndarray):
+        if model_info(tag).m_domain != "any":
+            for mi in m[:, 0].tolist():
+                _check_domain(tag, mi)
+    elif not admits_m(tag, m):
         info = model_info(tag)
         allowed = ("m = 0" if info.m_domain == "zero"
                    else f"m in {sorted(X_MODEL_ROWS)}")
         raise ModelDomainError(tag, m, allowed)
 
 
-def model_h(model, m: float, x):
+def model_h(model, m, x):
     """The model's bracket h = g_model * exp(x) * x**(m+2).
 
-    ``model`` is a tag or a ``RationalApproximant``; m is a scalar and x
-    a scalar or an array.
+    ``model`` is a tag or a ``RationalApproximant``.  m is a scalar, with
+    x a scalar or an array, or a column of shape (M, 1), with x a row:
+    the result is then the (M, len(x)) grid, bit-identical to stacking
+    the rows evaluated one m at a time.  Domain and pole checks cover
+    the whole grid; an error names a point of the first m row that
+    fails.
     """
     if isinstance(model, str):
         _check_domain(model, m)

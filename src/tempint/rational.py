@@ -111,7 +111,7 @@ def rational_eval_h_array(r: RationalApproximant, m, x):
 
     ``m`` and ``x`` are floats or broadcastable float arrays covering a
     connected patch of the domain; a zero or a sign change of Q across
-    the patch raises ``PoleError`` naming an offending point.
+    the whole patch raises ``PoleError`` naming an offending point.
     """
     q = r.denom.eval(m, x)
     if isinstance(q, float):
@@ -123,13 +123,22 @@ def rational_eval_h_array(r: RationalApproximant, m, x):
 
 
 def _pole_error(m, x, q) -> PoleError:
-    q = np.asarray(q)
-    bad = q == 0.0
-    if not bad.any():
-        bad = np.sign(q) != np.sign(q.flat[0])
-    k = int(np.argmax(np.ravel(bad)))
-    mb = float(np.broadcast_to(m, q.shape).flat[k])
-    xb = float(np.broadcast_to(x, q.shape).flat[k])
+    """``PoleError`` at the first bad point of the first bad row of q.
+
+    A row (the last axis) is bad if Q vanishes in it, changes sign along
+    it, or has the other sign than the first row.  In that row the
+    first zero is named, else the first point whose sign differs from
+    the row's first point, else the row's first point.
+    """
+    q = np.atleast_2d(q)
+    sign = np.sign(q)
+    zero = q == 0.0
+    flip = sign != sign[:, :1]
+    row = int(np.argmax(zero.any(axis=1) | flip.any(axis=1)
+                        | (sign[:, 0] != sign[0, 0])))
+    k = int(np.argmax(zero[row] if zero[row].any() else flip[row]))
+    mb = float(np.broadcast_to(m, q.shape)[row, k])
+    xb = float(np.broadcast_to(x, q.shape)[row, k])
     return PoleError(
         f"denominator vanishes or changes sign near (m={mb}, x={xb})",
         EvalPoint(mb, xb))

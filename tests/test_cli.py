@@ -156,6 +156,19 @@ class TestEval:
                            "--grid", "arrhenius")
         assert code == 0
 
+    def test_denominator_sign_change_between_rows(self, capsys, tmp_path):
+        # Q = m - 0.05 keeps one sign along every m row but changes sign
+        # between the rows m = 0 and m = 0.1: a pole inside the grid
+        path = tmp_path / "pole.coeff"
+        path.write_text("degree 1\na 0 0 1.0\na 1 0 0.0\na 0 1 0.0\n"
+                        "b 0 0 -0.05\nb 1 0 0.0\nb 0 1 1.0\n")
+        code, out, err = run(capsys, "eval", "--coeffs", str(path),
+                             "--grid", "m=-1:1:0.1,x=4:100:4")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: denominator vanishes or changes sign near "
+                       "(m=0.1, x=4.0)\n")
+
 
 class TestList:
     def test_list_all(self, capsys):

@@ -80,6 +80,19 @@ class TestCheckFeasible:
         rows = (system.a_ub * system.col_scale) @ vec
         assert np.all(rows <= system.b_ub + 1e-7)
 
+    @pytest.mark.parametrize("weighting", ["relative", "absolute"])
+    def test_initial_witness_feasible(self, coarse_fit_grid, weighting):
+        # the first bracket needs no LP: P = 0, Q = denom_floor satisfies
+        # every row at its upper end, exactly
+        problem = FitProblem(degree=2, grid=coarse_fit_grid,
+                             weighting=weighting, denom_floor=0.5)
+        u_start, witness = fitter._initial_level(problem)
+        assert u_start == (1.0 if weighting == "relative"
+                           else coarse_fit_grid.h.max())
+        system = build_feasibility(problem, u_start)
+        assert np.all(system.a_ub @ (witness * system.col_scale)
+                      <= system.b_ub)
+
     def test_monotonicity_in_u(self, coarse_fit_grid):
         problem = FitProblem(degree=1, grid=coarse_fit_grid)
         feasible_at = {}
@@ -222,7 +235,7 @@ class TestExchange:
         monkeypatch.setattr(fitter, "linprog", counting_linprog)
         result = bisect_fit(FitProblem(degree=1, grid=grid))
         assert result.active_points == grid.size
-        assert len(calls) == result.lp_solves == result.iterations + 1
+        assert len(calls) == result.lp_solves == result.iterations
         assert set(calls) == {3 * grid.size}
         assert result.u_plus - result.u_minus == pytest.approx(
             1.0 / 2.0 ** result.iterations, rel=1e-9)

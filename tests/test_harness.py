@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tempint import models
 from tempint.harness import (
     EvalGrid,
     GRID_PRESETS,
     compare,
     deviation,
+    oracle_h_row,
     render_comparison_csv,
     render_comparison_text,
     render_per_point_csv,
@@ -21,6 +23,7 @@ from tempint.harness import (
 )
 from tempint.models import ModelDomainError
 from tempint.oracle import DomainError, EvalPoint
+from tempint.rational import load_coeffs, paper_approximant, save_coeffs
 
 # Frozen regression constant: direct adaptive quadrature at rel_tol
 # 1e-14 of the exp(-E/RT) dT segment for E/R = 10000 K, T in [500, 520].
@@ -108,6 +111,26 @@ class TestReport:
         assert rep.footnote
         assert rep.m_lines == (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
         assert rep.eps_max_abs == pytest.approx(6.14e-4, rel=0.05)
+
+    @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
+    def test_whole_grid_equals_row_stack(self, preset, tmp_path):
+        # report evaluates each model over the whole grid in one call; its
+        # eps must equal the rows evaluated one m at a time, bit for bit
+        grid = EvalGrid.from_spec(preset)
+        path = tmp_path / "g3.coeff"
+        save_coeffs(paper_approximant(3), path)
+        tags = [tag for tag in (*models.ALL_TAGS, "SY88")
+                if (any if tag == "X" else all)(
+                    models.admits_m(tag, m) for m in grid.m_values)]
+        assert "Cp" in tags and "G4" in tags
+        xs = np.array(grid.x_values)
+        for model in (*tags, load_coeffs(path)):
+            rep = report(model, grid)
+            rows = np.array([models.model_h(model, m, xs)
+                             for m in rep.m_lines])
+            expected = rows / oracle_h_row(rep.m_lines, grid.x_values) - 1.0
+            assert np.array_equal(rep.eps.view(np.int64),
+                                  expected.view(np.int64)), model
 
 
 class TestCompare:
