@@ -25,11 +25,8 @@ from tempint.rational import (
     ParseError,
     PoleError,
     RationalApproximant,
-    approximant_eval_g,
     load_coeffs,
     paper_approximant,
-    poly_eval,
-    rational_eval_h,
     save_coeffs,
 )
 
@@ -43,15 +40,12 @@ __all__ = [
     "ParseError",
     "PoleError",
     "RationalApproximant",
-    "approximant_eval_g",
     "g_cf",
     "g_quad",
     "h",
     "h_series",
     "load_coeffs",
     "paper_approximant",
-    "poly_eval",
-    "rational_eval_h",
     "save_coeffs",
 ]
 

@@ -40,7 +40,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tempint.harness import EvalGrid, oracle_h_row
-from tempint.oracle import DEFAULT_CONFIG, OracleConfig
 from tempint.rational import BivariatePoly, RationalApproximant, index_pairs
 
 
@@ -63,11 +62,10 @@ class FitGrid:
     h: np.ndarray
 
     @classmethod
-    def from_eval_grid(cls, grid: EvalGrid,
-                       cfg: OracleConfig = DEFAULT_CONFIG) -> "FitGrid":
+    def from_eval_grid(cls, grid: EvalGrid) -> "FitGrid":
         mv = np.repeat(np.array(grid.m_values), len(grid.x_values))
         xv = np.tile(np.array(grid.x_values), len(grid.m_values))
-        hv = oracle_h_row(grid.m_values, grid.x_values, cfg).ravel()
+        hv = oracle_h_row(grid.m_values, grid.x_values).ravel()
         if not np.all(np.isfinite(hv)) or np.any(hv <= 0.0):
             raise FitError("non-finite or non-positive oracle target")
         return cls(grid=grid, m=mv, x=xv, h=hv)
@@ -236,19 +234,17 @@ class FitResult:
 
 
 def _coeffs_to_approximant(vec: np.ndarray, degree: int) -> RationalApproximant:
-    pairs = index_pairs(degree)
-    half = len(pairs)
-    a = dict(zip(pairs, (float(v) for v in vec[:half])))
-    b = dict(zip(pairs, (float(v) for v in vec[half:])))
+    """P and Q from the stacked witness (a_ij, b_ij), both in
+    ``index_pairs`` order, the layout ``BivariatePoly`` stores."""
+    coeffs = [float(v) for v in vec]
+    a, b = coeffs[:len(coeffs) // 2], coeffs[len(coeffs) // 2:]
     # Presentation normalization: unit |b_00| unless it is near zero.
     # The witness has Q >= denom_floor > 0 on the grid; dividing by the
     # pivot's magnitude keeps it positive.
-    b00 = b[(0, 0)]
-    pivot = abs(b00) if abs(b00) >= 1e-3 else abs(max(b.values(), key=abs))
-    a = {k: v / pivot for k, v in a.items()}
-    b = {k: v / pivot for k, v in b.items()}
-    return RationalApproximant(BivariatePoly(degree, a),
-                               BivariatePoly(degree, b))
+    pivot = abs(b[0]) if abs(b[0]) >= 1e-3 else max(map(abs, b))
+    return RationalApproximant(
+        BivariatePoly(degree, [v / pivot for v in a]),
+        BivariatePoly(degree, [v / pivot for v in b]))
 
 
 def _deviation_on(approx: RationalApproximant, g: FitGrid,
@@ -306,8 +302,7 @@ def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
     return u_start, vec
 
 
-def bisect_fit(problem: FitProblem,
-               cfg: OracleConfig = DEFAULT_CONFIG) -> FitResult:
+def bisect_fit(problem: FitProblem) -> FitResult:
     """Bisection on the deviation level u over a growing subset S.
 
     Starts from [0, max|h|] (absolute mode) or [0, 1] (relative mode),
@@ -393,25 +388,30 @@ def bisect_fit(problem: FitProblem,
     converged = closed(u_plus)
     approx = _coeffs_to_approximant(witness, problem.degree)
     achieved = float(_deviation_on(approx, g, problem.weighting)[0].max())
-    fine = FitGrid.from_eval_grid(g.grid.refined(4), cfg)
-    dev_fine, denom_min = _deviation_on(approx, fine, problem.weighting)
+    fine = _sweep(approx, g.grid, 4, problem.weighting)
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
         iterations=iterations, lp_solves=lp_solves,
         active_points=int(in_s.sum()), achieved_dev=achieved,
-        achieved_dev_fine=float(dev_fine.max()), denom_min=denom_min,
-        converged=converged, pole_warning=denom_min <= 0.0,
+        achieved_dev_fine=fine.max_dev, denom_min=fine.denom_min,
+        converged=converged, pole_warning=fine.denom_min <= 0.0,
         weighting=problem.weighting, grid=g.grid)
 
 
-def verify_fit(result: FitResult, fine_factor: int,
-               cfg: OracleConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Deviation and denominator sweep on a ``fine_factor``-refined grid."""
+def _sweep(approx: RationalApproximant, grid: EvalGrid, fine_factor: int,
+           weighting: str) -> VerificationReport:
+    """Deviation and denominator sweep on ``grid`` refined by ``fine_factor``."""
     if fine_factor < 1:
         raise ValueError("fine_factor must be >= 1")
-    fine = FitGrid.from_eval_grid(result.grid.refined(fine_factor), cfg)
-    dev, denom_min = _deviation_on(result.approximant, fine, result.weighting)
+    fine = FitGrid.from_eval_grid(grid.refined(fine_factor))
+    dev, denom_min = _deviation_on(approx, fine, weighting)
     max_dev = float(dev.max())
     near = int(np.count_nonzero(dev >= 0.99 * max_dev))
     return VerificationReport(max_dev=max_dev, denom_min=denom_min,
                               grid_points=fine.size, near_extremal=near)
+
+
+def verify_fit(result: FitResult, fine_factor: int) -> VerificationReport:
+    """Deviation and denominator sweep on a ``fine_factor``-refined grid."""
+    return _sweep(result.approximant, result.grid, fine_factor,
+                  result.weighting)

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tempint import models
-from tempint.oracle import (
-    DEFAULT_CONFIG,
-    DomainError,
-    EvalPoint,
-    OracleConfig,
-    g_cf,
-    h,
-    h_array,
-)
+from tempint.oracle import DomainError, EvalPoint, g_cf, h, h_array
 # bound for perfbench/layers.py, which wraps harness.rational_eval_h_array
 from tempint.rational import (
     PoleError,
@@ -110,21 +102,20 @@ class EvalGrid:
                         f"{self.spec}/refined{factor}")
 
 
-def oracle_h(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+def oracle_h(point: EvalPoint) -> float:
     """Oracle h at one point, uncached; grids go through ``oracle_h_row``."""
-    return h(point, cfg)
+    return h(point)
 
 
 @functools.lru_cache(maxsize=8)
-def oracle_h_row(m_values: tuple, x_values: tuple,
-                 cfg: OracleConfig = DEFAULT_CONFIG) -> np.ndarray:
+def oracle_h_row(m_values: tuple, x_values: tuple) -> np.ndarray:
     """Oracle h on the grid m_values x x_values, one row per m value.
 
     Memoized per grid: one ``tempint tables`` run touches four grids and
     one ``compare`` reuses one grid for every model.  The array is shared
     between callers, so it is read-only.
     """
-    hv = h_array(np.array(m_values)[:, None], np.array(x_values), cfg)
+    hv = h_array(np.array(m_values)[:, None], np.array(x_values))
     hv.flags.writeable = False
     return hv
 
@@ -146,26 +137,24 @@ class DeviationReport:
     argmax_point: EvalPoint
     footnote: str = ""
 
-    def per_point_rows(self, cfg: OracleConfig = DEFAULT_CONFIG):
+    def per_point_rows(self):
         """Rows for the per-point CSV: model,m,x,g_oracle,g_model,eps."""
         for i, m in enumerate(self.m_lines):
             for k, x in enumerate(self.grid.x_values):
                 point = EvalPoint(m, x)
-                g_oracle = g_cf(point, cfg)
+                g_oracle = g_cf(point)
                 g_model = g_oracle * (1.0 + self.eps[i, k])
                 yield (self.model, m, x, g_oracle, g_model,
                        float(self.eps[i, k]))
 
 
-def deviation(model, point: EvalPoint,
-              cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+def deviation(model, point: EvalPoint) -> float:
     """Signed relative deviation g_model/g_oracle - 1 at one point."""
     h_model = float(models.model_h(model, point.m, point.x))
-    return h_model / oracle_h(point, cfg) - 1.0
+    return h_model / oracle_h(point) - 1.0
 
 
-def report(model, grid: EvalGrid,
-           cfg: OracleConfig = DEFAULT_CONFIG) -> DeviationReport:
+def report(model, grid: EvalGrid) -> DeviationReport:
     """Full per-point sweep with aggregates.
 
     Models must cover the whole grid; points outside a model's m-domain
@@ -192,9 +181,9 @@ def report(model, grid: EvalGrid,
         # checked before the oracle: an oracle failure on an earlier row
         # takes precedence
         m_bad = exc.point.m if isinstance(exc, PoleError) else exc.m
-        oracle_h_row(m_lines[:m_lines.index(m_bad)], grid.x_values, cfg)
+        oracle_h_row(m_lines[:m_lines.index(m_bad)], grid.x_values)
         raise
-    eps = h_model / oracle_h_row(m_lines, grid.x_values, cfg) - 1.0
+    eps = h_model / oracle_h_row(m_lines, grid.x_values) - 1.0
     abs_eps = np.abs(eps)
     flat = int(np.argmax(abs_eps))
     i, k = divmod(flat, len(grid.x_values))
@@ -220,12 +209,11 @@ def resolve_model_list(spec, grid: EvalGrid) -> list[str]:
     return [t.strip() for t in tags if t.strip()]
 
 
-def compare(model_list, grid: EvalGrid,
-            cfg: OracleConfig = DEFAULT_CONFIG) -> list[DeviationReport]:
+def compare(model_list, grid: EvalGrid) -> list[DeviationReport]:
     """One report per model, sorted by max |eps| ascending."""
     if not model_list:
         raise ValueError("empty model list")
-    reports = [report(m, grid, cfg) for m in model_list]
+    reports = [report(m, grid) for m in model_list]
     reports.sort(key=lambda r: r.eps_max_abs)
     return reports
 
@@ -260,17 +248,15 @@ def render_comparison_csv(reports) -> str:
     return out.getvalue()
 
 
-def render_per_point_csv(report_obj: DeviationReport,
-                         cfg: OracleConfig = DEFAULT_CONFIG) -> str:
+def render_per_point_csv(report_obj: DeviationReport) -> str:
     lines = ["model,m,x,g_oracle,g_model,eps"]
-    for tag, m, x, g_o, g_m, eps in report_obj.per_point_rows(cfg):
+    for tag, m, x, g_o, g_m, eps in report_obj.per_point_rows():
         lines.append(f"{tag},{m!r},{x!r},{g_o!r},{g_m!r},{eps!r}")
     return "\n".join(lines) + "\n"
 
 
 def vyazovkin_segment(e_over_r: float, t_lo: float, t_hi: float,
-                      model="oracle",
-                      cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+                      model="oracle") -> float:
     """Segment integral (E/R) * [g(0, E/(R*T_hi)) - g(0, E/(R*T_lo))].
 
     Equals the integral of exp(-E/(R*T)) dT over [t_lo, t_hi].  The
@@ -292,7 +278,7 @@ def vyazovkin_segment(e_over_r: float, t_lo: float, t_hi: float,
     def g0(x):
         point = EvalPoint(0.0, x)
         if model == "oracle":
-            return g_cf(point, cfg)
+            return g_cf(point)
         return models.eval_model(model, point)
 
     return e_over_r * (g0(x_at_hi) - g0(x_at_lo))

@@ -1,20 +1,22 @@
 """Bivariate polynomials and the rational approximant form.
 
 An approximant is  (exp(-x)/x**(m+2)) * P(m, x) / Q(m, x)  with P, Q
-total-degree-n polynomials in x and m.  Coefficient files use a dense
-graded-lexicographic layout (total degree ascending, then x-power
-descending) so files are deterministic and diffable.
+total-degree-n polynomials in x and m.  Polynomials hold their
+coefficients, and coefficient files list them, in one dense
+graded-lexicographic order (``index_pairs``: total degree ascending,
+then x-power descending), so files are deterministic and diffable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from tempint.oracle import EvalPoint, g_from_h
+from tempint.oracle import EvalPoint
 
 
 class PoleError(Exception):
@@ -38,25 +40,50 @@ def index_pairs(degree: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _slot(i: int, j: int) -> int:
+    """Position of c_ij in the ``index_pairs`` order."""
+    d = i + j
+    return d * (d + 1) // 2 + j
+
+
+@functools.cache
+def _horner_slots(degree: int) -> tuple[tuple[int, ...], ...]:
+    """Slots read by ``BivariatePoly.eval``: x powers descending, each
+    with its m powers descending."""
+    return tuple(tuple(_slot(i, j) for j in range(degree - i, -1, -1))
+                 for i in range(degree, -1, -1))
+
+
 @dataclass(frozen=True)
 class BivariatePoly:
-    """Total-degree-n polynomial: sum of c_ij * x**i * m**j, i + j <= n."""
+    """Total-degree-n polynomial: sum of c_ij * x**i * m**j, i + j <= n.
+
+    ``coeffs`` holds every c_ij as a float, in ``index_pairs(degree)``
+    order: the layout of coefficient files and of the fitter's LP
+    witness.
+    """
 
     degree: int
-    coeffs: dict
+    coeffs: tuple
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
-        for (i, j), v in self.coeffs.items():
-            if i < 0 or j < 0 or i + j > self.degree:
-                raise ValueError(
-                    f"index pair ({i}, {j}) invalid for degree {self.degree}")
+        coeffs = tuple(map(float, self.coeffs))
+        pairs = index_pairs(self.degree)
+        if len(coeffs) != len(pairs):
+            raise ValueError(f"degree {self.degree} needs {len(pairs)} "
+                             f"coefficients, got {len(coeffs)}")
+        for (i, j), v in zip(pairs, coeffs):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite coefficient c_{i}{j} = {v}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, i: int, j: int) -> float:
-        return self.coeffs.get((i, j), 0.0)
+        """c_ij, and 0.0 for a monomial above the degree."""
+        if i < 0 or j < 0 or i + j > self.degree:
+            return 0.0
+        return self.coeffs[_slot(i, j)]
 
     def eval(self, m, x):
         """Evaluate at (m, x); accepts scalars or numpy arrays.
@@ -64,17 +91,17 @@ class BivariatePoly:
         Horner accumulation over x powers, with the m-polynomial of each
         x power itself evaluated by Horner.
         """
-        n = self.degree
+        c = self.coeffs
         acc = 0.0
-        for i in range(n, -1, -1):
+        for slots in _horner_slots(self.degree):
             inner = 0.0
-            for j in range(n - i, -1, -1):
-                inner = inner * m + self.coeffs.get((i, j), 0.0)
+            for k in slots:
+                inner = inner * m + c[k]
             acc = acc * x + inner
         return acc
 
     def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.coeffs.values())
+        return not any(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -95,15 +122,6 @@ class RationalApproximant:
     @property
     def degree(self) -> int:
         return self.numer.degree
-
-
-def poly_eval(p: BivariatePoly, point: EvalPoint):
-    return p.eval(point.m, point.x)
-
-
-def rational_eval_h(r: RationalApproximant, point: EvalPoint) -> float:
-    """The inner ratio P/Q, the approximation to h(m, x)."""
-    return rational_eval_h_array(r, point.m, point.x)
 
 
 def rational_eval_h_array(r: RationalApproximant, m, x):
@@ -144,18 +162,13 @@ def _pole_error(m, x, q) -> PoleError:
         EvalPoint(mb, xb))
 
 
-def approximant_eval_g(r: RationalApproximant, point: EvalPoint) -> float:
-    """(exp(-x)/x**(m+2)) * P/Q; prefactor computed in log space."""
-    return g_from_h(point.m, point.x, rational_eval_h(r, point))
-
-
 def save_coeffs(r: RationalApproximant, path) -> None:
     """Write a coefficient file; ``load_coeffs`` round-trips bit-exactly."""
     lines = [f"degree {r.degree}"]
     pairs = index_pairs(r.degree)
     for tag, poly in (("a", r.numer), ("b", r.denom)):
-        for i, j in pairs:
-            lines.append(f"{tag} {i} {j} {poly.coeff(i, j)!r}")
+        for (i, j), v in zip(pairs, poly.coeffs):
+            lines.append(f"{tag} {i} {j} {v!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -173,7 +186,7 @@ def _parse_coeff_lines(lines, source: str) -> RationalApproximant:
         degree = int(header[1])
     except ValueError:
         raise ParseError(f"{source}:{lineno}: bad degree {header[1]!r}") from None
-    coeffs = {"a": {}, "b": {}}
+    slots = {"a": {}, "b": {}}   # filled slots of each polynomial
     for lineno, raw in it:
         line = raw.strip()
         if not line:
@@ -191,19 +204,21 @@ def _parse_coeff_lines(lines, source: str) -> RationalApproximant:
         if i < 0 or j < 0 or i + j > degree:
             raise ParseError(
                 f"{source}:{lineno}: index ({i}, {j}) exceeds degree {degree}")
-        if (i, j) in coeffs[fields[0]]:
+        filled, k = slots[fields[0]], _slot(i, j)
+        if k in filled:
             raise ParseError(
                 f"{source}:{lineno}: duplicate coefficient {fields[0]}_{i}{j}")
-        coeffs[fields[0]][(i, j)] = value
+        filled[k] = value
     expected = (degree + 1) * (degree + 2) // 2
     for tag in ("a", "b"):
-        if len(coeffs[tag]) != expected:
+        if len(slots[tag]) != expected:
             raise ParseError(
                 f"{source}: expected {expected} '{tag}' coefficients for "
-                f"degree {degree}, got {len(coeffs[tag])}")
-    return RationalApproximant(
-        numer=BivariatePoly(degree, coeffs["a"]),
-        denom=BivariatePoly(degree, coeffs["b"]))
+                f"degree {degree}, got {len(slots[tag])}")
+    numer, denom = ([slots[tag][k] for k in range(expected)]
+                    for tag in ("a", "b"))
+    return RationalApproximant(numer=BivariatePoly(degree, numer),
+                               denom=BivariatePoly(degree, denom))
 
 
 def load_coeffs(path) -> RationalApproximant:

@@ -13,7 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from tempint.harness import EvalGrid, report
-from tempint.oracle import DEFAULT_CONFIG
+
+# the three grids of the published tables, parsed once
+PAPER_EVAL = EvalGrid.from_spec("paper-eval")
+PAPER_NARROW = EvalGrid.from_spec("paper-narrow")
+ARRHENIUS = EvalGrid.from_spec("arrhenius")
 
 # degree -> (eps_max, sse) on the full grid
 TABLE5 = {
@@ -89,11 +93,10 @@ def _sse_tol(model: str) -> float:
     return TOL_SSE_BUNDLED if model in _BUNDLED else TOL_SSE_LITERATURE
 
 
-def reproduce_table5(cfg=DEFAULT_CONFIG):
-    grid = EvalGrid.from_spec("paper-eval")
+def reproduce_table5():
     cells = []
     for n, (eps_max, sse) in TABLE5.items():
-        r = report(f"G{n}", grid, cfg)
+        r = report(f"G{n}", PAPER_EVAL)
         cells.append(Cell("table5", f"n={n}", "eps_max", eps_max,
                           r.eps_max_abs, TOL_EPS_MAX))
         cells.append(Cell("table5", f"n={n}", "sse", sse, r.sse,
@@ -101,12 +104,11 @@ def reproduce_table5(cfg=DEFAULT_CONFIG):
     return cells
 
 
-def reproduce_table7(cfg=DEFAULT_CONFIG):
-    grid = EvalGrid.from_spec("arrhenius")
+def reproduce_table7():
     cells = []
     eps_by_model = {}
     for model, (sse, eps_max) in TABLE7.items():
-        r = report(model, grid, cfg)
+        r = report(model, ARRHENIUS)
         eps_by_model[model] = r.eps_max_abs
         tol = (TOL_ARRHENIUS_BASELINE if model in ("J", "O", "SY")
                else TOL_EPS_MAX)
@@ -121,26 +123,25 @@ def reproduce_table7(cfg=DEFAULT_CONFIG):
     return cells, ordered
 
 
-def reproduce_table10(cfg=DEFAULT_CONFIG):
+def reproduce_table10():
     cells = []
-    for grid_name, col in (("paper-narrow", 0), ("paper-eval", 1)):
-        grid = EvalGrid.from_spec(grid_name)
+    for grid, col in ((PAPER_NARROW, 0), (PAPER_EVAL, 1)):
         for model, pairs in TABLE10.items():
             sse, eps_max = pairs[col]
-            r = report(model, grid, cfg)
-            cells.append(Cell("table10", model, f"sse[{grid_name}]",
+            r = report(model, grid)
+            cells.append(Cell("table10", model, f"sse[{grid.spec}]",
                               sse, r.sse, _sse_tol(model)))
-            cells.append(Cell("table10", model, f"eps_max[{grid_name}]",
+            cells.append(Cell("table10", model, f"eps_max[{grid.spec}]",
                               eps_max, r.eps_max_abs, TOL_EPS_MAX))
-    r = report("X", EvalGrid.from_spec("paper-narrow"), cfg)
+    r = report("X", PAPER_NARROW)
     cells.append(Cell("table10", "X", "eps_max[tabulated m]",
                       TABLE10_X_EPS_MAX, r.eps_max_abs, TOL_EPS_MAX))
     return cells
 
 
-def reproduce_all(cfg=DEFAULT_CONFIG):
+def reproduce_all():
     """All cells plus the Arrhenius ordering flag."""
-    t5 = reproduce_table5(cfg)
-    t7, ordered = reproduce_table7(cfg)
-    t10 = reproduce_table10(cfg)
+    t5 = reproduce_table5()
+    t7, ordered = reproduce_table7()
+    t10 = reproduce_table10()
     return t5 + t7 + t10, ordered

@@ -1,8 +1,11 @@
 import math
+import pathlib
 
 import pytest
 
 from tempint.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -63,6 +66,18 @@ class TestFit:
         from tempint.rational import load_coeffs
         r = load_coeffs(out_file)
         assert r.degree == 1
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_coarse_fit_golden_bytes(self, capsys, tmp_path, degree):
+        # the coefficient and report files of a fit are deterministic
+        out_file = tmp_path / "c.coeff"
+        code, _, _ = run(capsys, "fit", "--degree", str(degree),
+                         "--grid", "coarse", "--out", str(out_file))
+        assert code == 0
+        golden = GOLDEN / f"fit-n{degree}-coarse"
+        assert out_file.read_bytes() == golden.with_suffix(".coeff").read_bytes()
+        assert ((tmp_path / "c.coeff.report").read_bytes()
+                == golden.with_suffix(".report").read_bytes())
 
     @pytest.mark.parametrize("tol", ["nan", "2"])
     def test_bad_tol_exit_2(self, capsys, tmp_path, tol):
@@ -190,8 +205,8 @@ class TestTables:
         # degree-3 accuracy cells
         import tempint.rational as rational
         r3 = rational.paper_approximant(3)
-        bad_numer = dict(r3.numer.coeffs)
-        bad_numer[(1, 0)] += 1e-3
+        bad_numer = list(r3.numer.coeffs)
+        bad_numer[1] += 1e-3   # a_10
         bad = rational.RationalApproximant(
             rational.BivariatePoly(3, bad_numer), r3.denom)
         monkeypatch.setitem(rational._PAPER_CACHE, 3, bad)

@@ -1,25 +1,43 @@
 import math
+import pathlib
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempint.models import eval_model, model_h
 from tempint.oracle import EvalPoint
 from tempint.rational import (
     BivariatePoly,
     ParseError,
     PoleError,
     RationalApproximant,
-    approximant_eval_g,
     index_pairs,
     load_coeffs,
     paper_approximant,
-    poly_eval,
-    rational_eval_h,
     rational_eval_h_array,
     save_coeffs,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def dict_horner(p: BivariatePoly, m, x):
+    """Reference evaluation from an (i, j)-keyed coefficient dict.
+
+    The same Horner order as ``BivariatePoly.eval``: x powers
+    descending, each with its m-polynomial by Horner.
+    """
+    c = dict(zip(index_pairs(p.degree), p.coeffs))
+    acc = 0.0
+    for i in range(p.degree, -1, -1):
+        inner = 0.0
+        for j in range(p.degree - i, -1, -1):
+            inner = inner * m + c[(i, j)]
+        acc = acc * x + inner
+    return acc
 
 
 def test_index_pairs_graded_lex():
@@ -29,25 +47,59 @@ def test_index_pairs_graded_lex():
 
 class TestPolyEval:
     def test_zero_poly(self):
-        p = BivariatePoly(3, {})
-        assert poly_eval(p, EvalPoint(1.7, 42.0)) == 0.0
+        p = BivariatePoly(3, [0.0] * 10)
+        assert p.eval(1.7, 42.0) == 0.0
+        assert p.is_zero()
 
     def test_linear(self):
-        p = BivariatePoly(1, {(0, 0): 1.0, (1, 0): 2.0})
-        assert poly_eval(p, EvalPoint(-3.0, 3.0)) == 7.0
+        p = BivariatePoly(1, [1.0, 2.0, 0.0])
+        assert p.eval(-3.0, 3.0) == 7.0
 
     def test_paper_numerator_at_origin_m(self):
         r = paper_approximant(1)
         expected = 0.237276056849810 + 0.388591025647952 * 10.0
-        assert poly_eval(r.numer, EvalPoint(0.0, 10.0)) == pytest.approx(
-            expected, rel=1e-15)
+        assert r.numer.eval(0.0, 10.0) == pytest.approx(expected, rel=1e-15)
 
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            BivariatePoly(1, {(1, 1): 2.0})
+    def test_wrong_length_rejected(self):
+        for n_coeffs in (0, 2, 4):
+            with pytest.raises(ValueError, match="needs 3 coefficients"):
+                BivariatePoly(1, [1.0] * n_coeffs)
+
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite coefficient c_01"):
+                BivariatePoly(1, [1.0, 0.0, bad])
+
+    def test_coeffs_are_python_floats(self):
+        p = BivariatePoly(1, np.array([1.0, 2.0, 3.0]))
+        assert p.coeffs == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in p.coeffs)
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_coeff_follows_index_pairs(self, degree):
+        pairs = index_pairs(degree)
+        p = BivariatePoly(degree, [float(k) for k in range(len(pairs))])
+        for k, (i, j) in enumerate(pairs):
+            assert p.coeff(i, j) == float(k)
+        assert p.coeff(degree + 1, 0) == 0.0
+        assert p.coeff(0, -1) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_eval_matches_dict_horner(self, n, paper_eval_grid):
+        r = paper_approximant(n)
+        rng = random.Random(n)
+        points = [(rng.uniform(-4.0, 4.0), rng.uniform(4.0, 100.0))
+                  for _ in range(2000)]
+        m_col = np.array(paper_eval_grid.m_values)[:, None]
+        x_row = np.array(paper_eval_grid.x_values)
+        for p in (r.numer, r.denom):
+            for m, x in points:
+                assert p.eval(m, x) == dict_horner(p, m, x)
+            assert np.array_equal(p.eval(m_col, x_row),
+                                  dict_horner(p, m_col, x_row))
 
     def test_array_eval_matches_scalar(self):
-        p = BivariatePoly(2, {(0, 0): 1.0, (1, 1): -0.5, (0, 2): 2.0})
+        p = BivariatePoly(2, [1.0, 0.0, 0.0, 0.0, -0.5, 2.0])
         xs = np.array([4.0, 10.0, 100.0])
         vals = p.eval(1.5, xs)
         for x, v in zip(xs, vals):
@@ -56,40 +108,38 @@ class TestPolyEval:
 
 class TestRationalEval:
     def test_identity_ratio(self):
-        p = BivariatePoly(1, {(0, 0): 0.3, (1, 0): 1.1, (0, 1): -2.0})
+        p = BivariatePoly(1, [0.3, 1.1, -2.0])
         r = RationalApproximant(p, p)
-        for point in (EvalPoint(0.0, 5.0), EvalPoint(-3.3, 77.0)):
-            assert rational_eval_h(r, point) == 1.0
+        for m, x in ((0.0, 5.0), (-3.3, 77.0)):
+            assert model_h(r, m, x) == 1.0
 
     def test_paper_g1_value(self):
         r = paper_approximant(1)
         expected = (0.237276056849810 + 3.88591025647952) / (1 + 3.86946448530584)
-        assert rational_eval_h(r, EvalPoint(0.0, 10.0)) == pytest.approx(
-            expected, rel=1e-15)
+        assert model_h(r, 0.0, 10.0) == pytest.approx(expected, rel=1e-15)
 
     def test_g3_accuracy_at_0_20(self, oracle_cfg):
         from tempint.oracle import h
         r = paper_approximant(3)
         hv = h(EvalPoint(0.0, 20.0), oracle_cfg)
-        assert rational_eval_h(r, EvalPoint(0.0, 20.0)) == pytest.approx(
-            hv, rel=1.72e-6)
+        assert model_h(r, 0.0, 20.0) == pytest.approx(hv, rel=1.72e-6)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            RationalApproximant(BivariatePoly(1, {(0, 0): 1.0}),
-                                BivariatePoly(2, {(0, 0): 1.0}))
+            RationalApproximant(BivariatePoly(1, [1.0, 0.0, 0.0]),
+                                BivariatePoly(2, [1.0] + [0.0] * 5))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
-            RationalApproximant(BivariatePoly(1, {(0, 0): 1.0}),
-                                BivariatePoly(1, {}))
+            RationalApproximant(BivariatePoly(1, [1.0, 0.0, 0.0]),
+                                BivariatePoly(1, [0.0, -0.0, 0.0]))
 
     def test_pole_error(self):
         r = RationalApproximant(
-            BivariatePoly(1, {(0, 0): 1.0}),
-            BivariatePoly(1, {(0, 0): -10.0, (1, 0): 1.0}))
+            BivariatePoly(1, [1.0, 0.0, 0.0]),
+            BivariatePoly(1, [-10.0, 1.0, 0.0]))   # Q = x - 10
         with pytest.raises(PoleError):
-            rational_eval_h(r, EvalPoint(0.0, 10.0))
+            model_h(r, 0.0, 10.0)
         with pytest.raises(PoleError):
             rational_eval_h_array(r, 0.0, np.array([4.0, 50.0]))
 
@@ -102,11 +152,10 @@ class TestRationalEval:
         lam = (-1.0 if neg else 1.0) * 2.0 ** k
         r = paper_approximant(2)
         scaled = RationalApproximant(
-            BivariatePoly(2, {k_: lam * v for k_, v in r.numer.coeffs.items()}),
-            BivariatePoly(2, {k_: lam * v for k_, v in r.denom.coeffs.items()}))
-        point = EvalPoint(m, x)
-        v1 = rational_eval_h(r, point)
-        v2 = rational_eval_h(scaled, point)
+            BivariatePoly(2, [lam * v for v in r.numer.coeffs]),
+            BivariatePoly(2, [lam * v for v in r.denom.coeffs]))
+        v1 = model_h(r, m, x)
+        v2 = model_h(scaled, m, x)
         assert v2 == pytest.approx(v1, rel=4.5e-16)  # 2 ulps
 
     def test_scale_invariance_non_dyadic(self):
@@ -114,32 +163,31 @@ class TestRationalEval:
         lam = 3.7
         r = paper_approximant(2)
         scaled = RationalApproximant(
-            BivariatePoly(2, {k: lam * v for k, v in r.numer.coeffs.items()}),
-            BivariatePoly(2, {k: lam * v for k, v in r.denom.coeffs.items()}))
+            BivariatePoly(2, [lam * v for v in r.numer.coeffs]),
+            BivariatePoly(2, [lam * v for v in r.denom.coeffs]))
         for m in (-4.0, -1.3, 0.0, 2.5, 4.0):
             for x in (4.0, 17.0, 63.0, 100.0):
-                point = EvalPoint(m, x)
-                assert rational_eval_h(scaled, point) == pytest.approx(
-                    rational_eval_h(r, point), rel=1e-13)
+                assert model_h(scaled, m, x) == pytest.approx(
+                    model_h(r, m, x), rel=1e-13)
 
     def test_prefactor(self):
-        p = BivariatePoly(1, {(0, 0): 1.0, (1, 0): 0.5})
+        p = BivariatePoly(1, [1.0, 0.5, 0.0])
         r = RationalApproximant(p, p)
-        assert approximant_eval_g(r, EvalPoint(-2.0, 5.0)) == pytest.approx(
+        assert eval_model(r, EvalPoint(-2.0, 5.0)) == pytest.approx(
             math.exp(-5.0), rel=1e-15)
 
     def test_g4_accuracy_at_0_50(self, oracle_cfg):
         from tempint.oracle import g_cf
         r = paper_approximant(4)
         g_true = g_cf(EvalPoint(0.0, 50.0), oracle_cfg)
-        assert approximant_eval_g(r, EvalPoint(0.0, 50.0)) == pytest.approx(
+        assert eval_model(r, EvalPoint(0.0, 50.0)) == pytest.approx(
             g_true, rel=6.18e-7)
 
     def test_g2_accuracy_at_2p5_4(self, oracle_cfg):
         from tempint.oracle import g_cf
         r = paper_approximant(2)
         g_true = g_cf(EvalPoint(2.5, 4.0), oracle_cfg)
-        assert approximant_eval_g(r, EvalPoint(2.5, 4.0)) == pytest.approx(
+        assert eval_model(r, EvalPoint(2.5, 4.0)) == pytest.approx(
             g_true, rel=6.26e-5)
 
 
@@ -171,10 +219,8 @@ class TestSerialization:
     def test_round_trip_random(self, vals, tmp_path_factory):
         if all(v == 0.0 for v in vals[6:]):
             vals[6] = 1.0
-        pairs = index_pairs(2)
         r = RationalApproximant(
-            BivariatePoly(2, dict(zip(pairs, vals[:6]))),
-            BivariatePoly(2, dict(zip(pairs, vals[6:]))))
+            BivariatePoly(2, vals[:6]), BivariatePoly(2, vals[6:]))
         path = tmp_path_factory.mktemp("coeff") / "r.coeff"
         save_coeffs(r, path)
         back = load_coeffs(path)
@@ -208,4 +254,19 @@ class TestSerialization:
         path = tmp_path / "bad.coeff"
         path.write_text("degree 1\na 0 0 1.0\nb 0 0 1.0\n")
         with pytest.raises(ParseError, match="expected 3"):
+            load_coeffs(path)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_save_bundled_golden_bytes(self, n, tmp_path):
+        # the bundled files keep the published digits ("1", not "1.0"),
+        # so saving them writes other bytes: the shortest reprs pinned here
+        path = tmp_path / f"g{n}.coeff"
+        save_coeffs(paper_approximant(n), path)
+        assert path.read_bytes() == (GOLDEN / f"g{n}-saved.coeff").read_bytes()
+        assert load_coeffs(path) == paper_approximant(n)
+
+    def test_parse_error_duplicate(self, tmp_path):
+        path = tmp_path / "bad.coeff"
+        path.write_text("degree 1\na 0 1 1.0\na 0 1 2.0\n")
+        with pytest.raises(ParseError, match=r":3: duplicate coefficient a_01"):
             load_coeffs(path)
