@@ -89,18 +89,20 @@ def _require_working_domain(point: EvalPoint) -> None:
             f"m in [{M_MIN}, {M_MAX}], x in [{X_MIN}, {X_MAX}]")
 
 
-def _lentz_cf(a: float, x: float, cfg: OracleConfig) -> float:
+def _lentz_cf(a: float, x: float, cfg: OracleConfig, start: int = 0) -> float:
     """Continued fraction F with Gamma(a, x) = exp(-x) * x**a * F.
 
     Modified Lentz iteration; valid for x > 0 and the real parameters
-    a = -(m+1) in [-5, 3] arising in the working domain.
+    a = -(m+1) in [-5, 3] arising in the working domain.  With ``start``
+    = k > 0 it returns 1 / T_k instead, T_k = b_k + a_(k+1) / (b_(k+1) + ...)
+    the tail of the fraction below its k-th level.
     """
-    b = x + 1.0 - a
+    b = x + 1.0 - a + 2.0 * start
     c = 1.0 / _TINY
     d = 1.0 / b
     f = d
     prev = f
-    for i in range(1, cfg.max_iterations + 1):
+    for i in range(start + 1, start + cfg.max_iterations + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -120,12 +122,30 @@ def _lentz_cf(a: float, x: float, cfg: OracleConfig) -> float:
         f"within {cfg.max_iterations} iterations", (prev, f))
 
 
+# Levels of the fraction that g_cf evaluates backward.  A relative error in
+# the tail below them reaches F times 0.0145 at most on the working domain
+# (the largest factor is at m = -4, x = 4).
+_BACKWARD_LEVELS = 2
+
+
 def g_cf(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
-    """g(m, x) via the continued fraction for Gamma(-(m+1), x)."""
+    """g(m, x) via the continued fraction for Gamma(-(m+1), x).
+
+    Lentz evaluates the tail below the top ``_BACKWARD_LEVELS`` levels,
+    which are then evaluated backward from it: F comes out within about an
+    ulp, where the forward Lentz product alone carries several ulps of
+    rounding noise.  With exp(-x) and x**a as separate factors rather than
+    exp(-x + a*log(x)), g is within 1e-15 relative and stays strictly
+    decreasing between adjacent floats of x, whose true values are 2.5
+    ulps of g or more apart.
+    """
     _require_working_domain(point)
-    a = -(point.m + 1.0)
-    f = _lentz_cf(a, point.x, cfg)
-    return math.exp(-point.x + a * math.log(point.x)) * f
+    a, x = -(point.m + 1.0), point.x
+    t = 1.0 / _lentz_cf(a, x, cfg, start=_BACKWARD_LEVELS)
+    b0 = x + 1.0 - a
+    for i in range(_BACKWARD_LEVELS, 0, -1):
+        t = (b0 + 2.0 * (i - 1)) - i * (i - a) / t
+    return math.exp(-x) * x ** a / t
 
 
 def _h_cf(point: EvalPoint, cfg: OracleConfig) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempint.oracle import (
@@ -79,12 +79,22 @@ class TestCrossValidation:
         assert h(point) > 0.0
 
     @given(m=domain_m, x1=domain_x, x2=domain_x)
+    @example(m=2.0, x1=4.0, x2=math.nextafter(4.0, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_decreasing_in_x(self, m, x1, x2):
         if x1 == x2:
             return
         lo, hi = sorted((x1, x2))
         assert g_cf(EvalPoint(m, lo)) > g_cf(EvalPoint(m, hi))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (4.0, math.nextafter(4.0, 5.0)),
+        (math.nextafter(100.0, 0.0), 100.0),
+    ])
+    def test_adjacent_floats_ordered(self, lo, hi):
+        # one ulp of x moves g by 2.5 ulps of g or more on the domain
+        for m in np.linspace(-4.0, 4.0, 33).tolist():
+            assert g_cf(EvalPoint(m, lo)) > g_cf(EvalPoint(m, hi)), m
 
 
 class TestSeries:
@@ -201,3 +211,15 @@ class TestMpmathOracle:
                     for val in (g_cf(EvalPoint(m, x)), g_from_h):
                         worst = max(worst, abs(float(val / ref - 1)))
         assert worst < 1e-13
+
+    def test_g_cf_to_a_few_ulps(self):
+        mpmath = pytest.importorskip("mpmath")
+        ms, xs = _grid_axes("coarse")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for m in ms.tolist():
+                for x in xs.tolist():
+                    ref = mpmath.gammainc(-(m + 1.0), x)
+                    worst = max(worst,
+                                abs(float(g_cf(EvalPoint(m, x)) / ref - 1)))
+        assert worst < 1e-15
