@@ -13,7 +13,6 @@ from tempint.oracle import (
     ConvergenceError,
     DomainError,
     EvalPoint,
-    OracleConfig,
     OracleError,
     g_cf,
     g_quad,
@@ -35,7 +34,6 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "EvalPoint",
-    "OracleConfig",
     "OracleError",
     "ParseError",
     "PoleError",

@@ -5,15 +5,15 @@ finite grid is quasiconvex: for fixed u the sublevel set of coefficient
 vectors is a polyhedron, so bisection on u needs only a linear
 feasibility test per level.  Each test is posed as a phase-1 LP
 (minimize the common slack t subject to all rows relaxed by t; the
-system is feasible iff the optimum slack is below the feasibility
-tolerance), which is numerically robust and yields a witness vector.
+system is feasible iff the optimum slack is below ``FEASIBILITY_TOL``),
+which is numerically robust and yields a witness vector.
 
 Per grid point k with target h_k and weight w_k (1 in absolute mode,
 h_k in relative mode) the rows are
 
     P_k - (h_k + u*w_k) * Q_k <= 0
    -P_k + (h_k - u*w_k) * Q_k <= 0
-    Q_k >= denom_floor
+    Q_k >= DENOM_FLOOR
 
 all linear in the stacked coefficient vector (a_ij, b_ij).  Monomial
 columns are rescaled to unit max absolute value over the whole grid
@@ -34,7 +34,8 @@ outside S.  Every witness is checked on the whole grid with numpy, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -46,6 +47,11 @@ from tempint.rational import BivariatePoly, RationalApproximant, index_pairs
 # Exchange sizing, in multiples of the coefficient count n_coeffs
 SUBSET_PER_COEFF = 16     # starting size of S
 EXCHANGE_PER_COEFF = 4    # most violators added to S per exchange
+
+DENOM_FLOOR = 1.0          # Q >= DENOM_FLOOR at every grid point
+BISECTION_TOL_ABS = 1e-12  # the bracket closes within this, or tol_rel * u
+MAX_BISECTIONS = 60        # most levels per bisection pass on S
+FEASIBILITY_TOL = 1e-9     # phase-1 slack, and row excess, of a feasible u
 
 
 class FitError(Exception):
@@ -80,40 +86,35 @@ class FitProblem:
     degree: int
     grid: FitGrid
     weighting: str = "relative"        # or "absolute"
-    denom_floor: float = 1.0
-    bisection_tol_abs: float = 1e-12
     bisection_tol_rel: float = 1e-4
-    max_bisections: int = 60           # most levels per bisection pass on S
-    feasibility_tol: float = 1e-9
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         if self.weighting not in ("relative", "absolute"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
-        if self.denom_floor <= 0.0 or self.bisection_tol_abs <= 0.0:
-            raise ValueError("denom_floor and bisection tolerances must be > 0")
         if not 0.0 <= self.bisection_tol_rel < 1.0:
             raise ValueError("bisection_tol_rel must be finite and in [0, 1), "
                              f"got {self.bisection_tol_rel}")
-        if not self.feasibility_tol > 0.0:
-            raise ValueError(
-                f"feasibility_tol must be > 0, got {self.feasibility_tol}")
-        if self.max_bisections < 0:
-            raise ValueError(
-                f"max_bisections must be >= 0, got {self.max_bisections}")
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Monomials at every grid point, columns scaled to unit max |value|."""
+        g = self.grid
+        phi = _monomial_matrix(self.degree, g.m, g.x)
+        scale = np.abs(phi).max(axis=0)
+        scale[scale == 0.0] = 1.0   # degenerate grids can zero whole columns
+        return phi / scale, scale
 
 
 @dataclass
 class FeasibilitySystem:
     """Dense rows A @ c <= b over the stacked (a_ij, b_ij) coefficients."""
 
-    degree: int
     u: float
     a_ub: np.ndarray
     b_ub: np.ndarray
     col_scale: np.ndarray   # per-coefficient rescale applied to the columns
-    feasibility_tol: float
 
     @property
     def n_coeffs(self) -> int:
@@ -123,15 +124,6 @@ class FeasibilitySystem:
 def _monomial_matrix(degree: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
     pairs = index_pairs(degree)
     return np.column_stack([x ** i * m ** j for i, j in pairs])
-
-
-def _scaled_monomials(problem: FitProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Monomials at every grid point, columns scaled to unit max |value|."""
-    g = problem.grid
-    phi = _monomial_matrix(problem.degree, g.m, g.x)
-    scale = np.abs(phi).max(axis=0)
-    scale[scale == 0.0] = 1.0   # degenerate grids can zero whole columns
-    return phi / scale, scale
 
 
 def build_feasibility(problem: FitProblem, u: float,
@@ -144,7 +136,7 @@ def build_feasibility(problem: FitProblem, u: float,
     """
     if u < 0.0:
         raise ValueError(f"u must be >= 0, got {u}")
-    phi_s, scale = _scaled_monomials(problem)
+    phi_s, scale = problem.basis
     h = problem.grid.h
     if points is not None:
         phi_s, h = phi_s[points], h[points]
@@ -159,12 +151,10 @@ def build_feasibility(problem: FitProblem, u: float,
     ])
     b_ub = np.concatenate([
         np.zeros(2 * len(h)),
-        -problem.denom_floor * np.ones(len(h)),
+        -DENOM_FLOOR * np.ones(len(h)),
     ])
-    return FeasibilitySystem(
-        degree=problem.degree, u=u, a_ub=a_ub, b_ub=b_ub,
-        col_scale=np.concatenate([scale, scale]),
-        feasibility_tol=problem.feasibility_tol)
+    return FeasibilitySystem(u=u, a_ub=a_ub, b_ub=b_ub,
+                             col_scale=np.concatenate([scale, scale]))
 
 
 def check_feasible(system: FeasibilitySystem):
@@ -172,7 +162,7 @@ def check_feasible(system: FeasibilitySystem):
 
     Phase-1 LP: minimize t subject to A @ c - t <= b, t >= 0.  Always
     solvable; the original system is feasible iff the optimum t is
-    within the feasibility tolerance.
+    within ``FEASIBILITY_TOL``.
     """
     n = system.n_coeffs
     c = np.zeros(n + 1)
@@ -191,7 +181,7 @@ def check_feasible(system: FeasibilitySystem):
                       method="highs")
     if res.status != 0:
         raise FitError(f"LP solver failed (status {res.status}): {res.message}")
-    if res.fun > system.feasibility_tol:
+    if res.fun > FEASIBILITY_TOL:
         return None
     return res.x[:n] / system.col_scale
 
@@ -239,7 +229,7 @@ def _coeffs_to_approximant(vec: np.ndarray, degree: int) -> RationalApproximant:
     coeffs = [float(v) for v in vec]
     a, b = coeffs[:len(coeffs) // 2], coeffs[len(coeffs) // 2:]
     # Presentation normalization: unit |b_00| unless it is near zero.
-    # The witness has Q >= denom_floor > 0 on the grid; dividing by the
+    # The witness has Q >= DENOM_FLOOR > 0 on the grid; dividing by the
     # pivot's magnitude keeps it positive.
     pivot = abs(b[0]) if abs(b[0]) >= 1e-3 else max(map(abs, b))
     return RationalApproximant(
@@ -257,32 +247,32 @@ def _deviation_on(approx: RationalApproximant, g: FitGrid,
     return np.abs(dev), float(q.min())
 
 
-def _check_on_grid(problem: FitProblem, basis, vec: np.ndarray, u: float,
+def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
                    in_s: np.ndarray) -> tuple[np.ndarray, float]:
     """Violators of a witness outside S, worst first, and its verified level.
 
     A violator is a grid point outside S where one of the witness's rows
-    at level u exceeds ``feasibility_tol``.  With none, the witness holds
+    at level u exceeds ``FEASIBILITY_TOL``.  With none, the witness holds
     at u.  Otherwise it holds at its deviation over the whole grid, if
     its denominator keeps the floor there, and at no level if not.
     """
     if in_s.all():
         return np.empty(0, dtype=int), u
-    phi_s, scale = basis
+    phi_s, scale = problem.basis
     h = problem.grid.h
     w = h if problem.weighting == "relative" else 1.0
     half = len(scale)
     p = phi_s @ (vec[:half] * scale)
     q = phi_s @ (vec[half:] * scale)
-    floor_excess = problem.denom_floor - q
+    floor_excess = DENOM_FLOOR - q
     excess = np.maximum.reduce([p - (h + u * w) * q, (h - u * w) * q - p,
                                 floor_excess])
     excess[in_s] = -np.inf
-    bad = np.flatnonzero(excess > problem.feasibility_tol)
+    bad = np.flatnonzero(excess > FEASIBILITY_TOL)
     if not bad.size:
         return bad, u
     level = math.inf
-    if np.all(q > 0.0) and floor_excess.max() <= problem.feasibility_tol:
+    if np.all(q > 0.0) and floor_excess.max() <= FEASIBILITY_TOL:
         level = float(np.max(np.abs(p - h * q) / (w * q)))
     return bad[np.argsort(-excess[bad], kind="stable")], level
 
@@ -290,7 +280,7 @@ def _check_on_grid(problem: FitProblem, basis, vec: np.ndarray, u: float,
 def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
     """The upper end u_start of the first bracket and a witness there.
 
-    The witness P = 0, Q = denom_floor holds at every grid point with no
+    The witness P = 0, Q = DENOM_FLOOR holds at every grid point with no
     LP, because h > 0: -(h + u*w) * Q <= 0 always, (h - u*w) * Q <= 0 at
     u = 1 in relative mode (w = h) and at u = max h in absolute mode
     (w = 1), and Q meets the floor.
@@ -298,7 +288,7 @@ def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
     h = problem.grid.h
     u_start = 1.0 if problem.weighting == "relative" else float(h.max())
     vec = np.zeros(2 * len(index_pairs(problem.degree)))
-    vec[len(vec) // 2] = problem.denom_floor   # b_00, the constant of Q
+    vec[len(vec) // 2] = DENOM_FLOOR   # b_00, the constant of Q
     return u_start, vec
 
 
@@ -306,15 +296,15 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     """Bisection on the deviation level u over a growing subset S.
 
     Starts from [0, max|h|] (absolute mode) or [0, 1] (relative mode),
-    where P = 0, Q = denom_floor holds with no LP (``_initial_level``).
+    where P = 0, Q = DENOM_FLOOR holds with no LP (``_initial_level``).
     Every level solves the LP on the rows of S only.  An infeasible S raises ``u_minus``; a
     feasible witness lowers the upper end ``u_hi`` of the bisection on
     S.  It moves ``u_plus`` to u if its rows also hold within
-    ``feasibility_tol`` at every grid point outside S, and otherwise to
+    ``FEASIBILITY_TOL`` at every grid point outside S, and otherwise to
     its deviation over the whole grid, if that is lower.  When the
     bisection on S closes on a witness that fails outside S, the worst
     violators join S and the bisection goes on between ``u_minus`` and
-    ``u_plus``.  The fit ends when that bracket closes; ``max_bisections``
+    ``u_plus``.  The fit ends when that bracket closes; ``MAX_BISECTIONS``
     bounds the levels of one pass on S.  S starts as an evenly strided
     ``SUBSET_PER_COEFF * n_coeffs`` points of the flattened grid (all of
     it on small grids, where the LPs are exactly plain bisection's) and
@@ -336,8 +326,7 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     """
     g = problem.grid
     u_start, witness = _initial_level(problem)
-    basis = _scaled_monomials(problem)
-    n_coeffs = 2 * len(basis[1])
+    n_coeffs = 2 * len(problem.basis[1])
     in_s = np.zeros(g.size, dtype=bool)
     n_start = min(SUBSET_PER_COEFF * n_coeffs, g.size)
     in_s[np.arange(n_start) * g.size // n_start] = True
@@ -346,14 +335,14 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     iterations, lp_solves = 0, 0
 
     def closed(u_hi):
-        return u_hi - u_minus <= max(problem.bisection_tol_abs,
+        return u_hi - u_minus <= max(BISECTION_TOL_ABS,
                                      problem.bisection_tol_rel * u_hi)
 
     while True:
         # one bisection pass on S, between u_minus and u_hi
         points = None if in_s.all() else np.flatnonzero(in_s)
         worst, levels = np.empty(0, dtype=int), 0
-        while not (closed(u_hi) or levels == problem.max_bisections):
+        while not (closed(u_hi) or levels == MAX_BISECTIONS):
             u = 0.5 * (u_minus + u_hi)
             levels += 1
             if u >= u_plus:
@@ -366,7 +355,7 @@ def bisect_fit(problem: FitProblem) -> FitResult:
                 u_minus = u
                 continue
             u_hi = u
-            worst, level = _check_on_grid(problem, basis, vec, u, in_s)
+            worst, level = _check_on_grid(problem, vec, u, in_s)
             if level < u_plus:
                 u_plus, witness = level, vec
         iterations += levels

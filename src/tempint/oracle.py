@@ -8,13 +8,12 @@ Two independent algorithms provide ground truth:
   the substitution t = x + u, which removes the exp(-x) * x**-(m+2)
   scale from the numerical problem.
 
-Both are expected to agree to ~10x the configured relative tolerance
-across the working domain m in [-4, 4], x in [4, 100]; the agreement is
-asserted by the test suite.  ``h`` is the bounded companion
+Both are expected to agree to ~10x ``REL_TOL`` across the working domain
+m in [-4, 4], x in [4, 100]; the agreement is asserted by the test suite.
+``h_array`` evaluates the bounded companion
 h(m, x) = exp(x) * x**(m+2) * g(m, x), the quantity the rational
-approximants actually target.  Grids go through ``h_array``, which runs
-the same iteration over whole arrays with bit-identical results; single
-points go through ``h``.
+approximants actually target, over whole arrays; ``h`` is its one-point
+case.
 """
 
 from __future__ import annotations
@@ -29,6 +28,9 @@ M_MIN, M_MAX = -4.0, 4.0
 X_MIN, X_MAX = 4.0, 100.0
 
 _TINY = 1e-300
+# Must stay ~6 orders tighter than the best approximant it judges.
+REL_TOL = 1e-13
+MAX_ITERATIONS = 10_000
 
 
 class OracleError(Exception):
@@ -66,22 +68,6 @@ class EvalPoint:
             raise DomainError(f"x must be positive, got x={self.x}")
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    rel_tol: float = 1e-13
-    max_iterations: int = 10_000
-
-    def __post_init__(self):
-        # Must stay ~6 orders tighter than the best approximant it judges.
-        if not 0.0 < self.rel_tol < 1e-6:
-            raise ValueError(f"rel_tol must be in (0, 1e-6), got {self.rel_tol}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-DEFAULT_CONFIG = OracleConfig()
-
-
 def _require_working_domain(point: EvalPoint) -> None:
     if not (M_MIN <= point.m <= M_MAX and X_MIN <= point.x <= X_MAX):
         raise DomainError(
@@ -89,7 +75,7 @@ def _require_working_domain(point: EvalPoint) -> None:
             f"m in [{M_MIN}, {M_MAX}], x in [{X_MIN}, {X_MAX}]")
 
 
-def _lentz_cf(a: float, x: float, cfg: OracleConfig, start: int = 0) -> float:
+def _lentz_cf(a: float, x: float, start: int = 0) -> float:
     """Continued fraction F with Gamma(a, x) = exp(-x) * x**a * F.
 
     Modified Lentz iteration; valid for x > 0 and the real parameters
@@ -102,7 +88,7 @@ def _lentz_cf(a: float, x: float, cfg: OracleConfig, start: int = 0) -> float:
     d = 1.0 / b
     f = d
     prev = f
-    for i in range(start + 1, start + cfg.max_iterations + 1):
+    for i in range(start + 1, start + MAX_ITERATIONS + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -115,11 +101,11 @@ def _lentz_cf(a: float, x: float, cfg: OracleConfig, start: int = 0) -> float:
         delta = d * c
         prev = f
         f *= delta
-        if abs(delta - 1.0) < cfg.rel_tol:
+        if abs(delta - 1.0) < REL_TOL:
             return f
     raise ConvergenceError(
         f"continued fraction for Gamma({a}, {x}) did not converge "
-        f"within {cfg.max_iterations} iterations", (prev, f))
+        f"within {MAX_ITERATIONS} iterations", (prev, f))
 
 
 # Levels of the fraction that g_cf evaluates backward.  A relative error in
@@ -128,7 +114,7 @@ def _lentz_cf(a: float, x: float, cfg: OracleConfig, start: int = 0) -> float:
 _BACKWARD_LEVELS = 2
 
 
-def g_cf(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+def g_cf(point: EvalPoint) -> float:
     """g(m, x) via the continued fraction for Gamma(-(m+1), x).
 
     Lentz evaluates the tail below the top ``_BACKWARD_LEVELS`` levels,
@@ -141,25 +127,20 @@ def g_cf(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     """
     _require_working_domain(point)
     a, x = -(point.m + 1.0), point.x
-    t = 1.0 / _lentz_cf(a, x, cfg, start=_BACKWARD_LEVELS)
+    t = 1.0 / _lentz_cf(a, x, start=_BACKWARD_LEVELS)
     b0 = x + 1.0 - a
     for i in range(_BACKWARD_LEVELS, 0, -1):
         t = (b0 + 2.0 * (i - 1)) - i * (i - a) / t
     return math.exp(-x) * x ** a / t
 
 
-def _h_cf(point: EvalPoint, cfg: OracleConfig) -> float:
-    # h = exp(x) x^(m+2) g = x * F with the Lentz fraction F above.
-    return point.x * _lentz_cf(-(point.m + 1.0), point.x, cfg)
-
-
-def _lentz_cf_array(a: np.ndarray, x: np.ndarray, cfg: OracleConfig):
+def _lentz_cf_array(a: np.ndarray, x: np.ndarray):
     """``_lentz_cf`` elementwise over 1-D arrays: (F, converged mask).
 
     Each lane runs exactly the scalar operations and leaves the iteration
     once it converges, so converged values are bit-identical to
-    ``_lentz_cf``.  Lanes still open after ``cfg.max_iterations`` are
-    reported as not converged.
+    ``_lentz_cf``.  Lanes still open after ``MAX_ITERATIONS`` are reported
+    as not converged.
     """
     out = np.empty_like(x)
     converged = np.zeros(x.shape, dtype=bool)
@@ -168,7 +149,7 @@ def _lentz_cf_array(a: np.ndarray, x: np.ndarray, cfg: OracleConfig):
     c = np.full_like(x, 1.0 / _TINY)
     d = 1.0 / b
     f = d.copy()
-    for i in range(1, cfg.max_iterations + 1):
+    for i in range(1, MAX_ITERATIONS + 1):
         if not lanes.size:
             break
         an = -i * (i - a)
@@ -180,7 +161,7 @@ def _lentz_cf_array(a: np.ndarray, x: np.ndarray, cfg: OracleConfig):
         d = 1.0 / d
         delta = d * c
         f = f * delta
-        done = np.abs(delta - 1.0) < cfg.rel_tol
+        done = np.abs(delta - 1.0) < REL_TOL
         if done.any():
             out[lanes[done]] = f[done]
             converged[lanes[done]] = True
@@ -189,7 +170,7 @@ def _lentz_cf_array(a: np.ndarray, x: np.ndarray, cfg: OracleConfig):
     return out, converged
 
 
-def _h_quad(point: EvalPoint, cfg: OracleConfig) -> float:
+def _h_quad(point: EvalPoint) -> float:
     """h(m, x) = int_0^inf exp(-u) (1 + u/x)**-(m+2) du by quadrature."""
     m, x = point.m, point.x
     p = m + 2.0
@@ -198,7 +179,7 @@ def _h_quad(point: EvalPoint, cfg: OracleConfig) -> float:
     def integrand(u):
         return math.exp(-u - p * math.log1p(u / x))
 
-    out = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=cfg.rel_tol,
+    out = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=REL_TOL,
                limit=200, full_output=True)
     val, abserr = out[0], out[1]
     if len(out) > 3:
@@ -206,49 +187,46 @@ def _h_quad(point: EvalPoint, cfg: OracleConfig) -> float:
             f"quadrature failed at (m={m}, x={x}): {out[3]}")
     # Truncation tail bound: integrand <= exp(-u) * (1 + upper/x)^max(0,-p).
     tail = math.exp(-upper) * (1.0 + upper / x) ** max(0.0, -p)
-    if tail > cfg.rel_tol * val:
+    if tail > REL_TOL * val:
         raise OracleError(
             f"truncation bound {tail:g} exceeds tolerance at (m={m}, x={x})")
-    if abserr > 10.0 * cfg.rel_tol * val:
+    if abserr > 10.0 * REL_TOL * val:
         raise OracleError(
             f"quadrature error estimate {abserr:g} too large at (m={m}, x={x})")
     return val
 
 
 def g_from_h(m: float, x: float, hval: float) -> float:
-    """g(m, x) from the bracket h: h times exp(-x) * x**-(m+2), in log space.
+    """g(m, x) from the bracket h: exp(-x) * x**-(m+2) * h.
 
-    ``g_quad`` and every model go through here.  ``g_cf`` keeps its own
-    exp(-x) * x**-(m+1) * F, which this would not reproduce bit for bit.
+    ``g_quad`` and every model go through here.  The prefactor's two
+    factors stay separate, as in ``g_cf``: folded into
+    exp(-x - (m+2) log x) it would carry tens of ulps of rounding.
     """
-    return math.exp(-x - (m + 2.0) * math.log(x)) * float(hval)
+    return math.exp(-x) * x ** -(m + 2.0) * float(hval)
 
 
-def g_quad(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+def g_quad(point: EvalPoint) -> float:
     """g(m, x) by adaptive quadrature, independent of ``g_cf``."""
     _require_working_domain(point)
-    return g_from_h(point.m, point.x, _h_quad(point, cfg))
+    return g_from_h(point.m, point.x, _h_quad(point))
 
 
-def h(point: EvalPoint, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
-    """Scaled target h(m, x) = exp(x) * x**(m+2) * g(m, x).
+def h(point: EvalPoint) -> float:
+    """Scaled target h(m, x) = exp(x) * x**(m+2) * g(m, x) at one point.
 
-    h(-2, x) = 1 exactly; h -> 1 as x -> infinity for fixed m.  Uses the
-    continued fraction, falling back to quadrature if it fails to
-    converge.
+    h(-2, x) = 1 exactly; h -> 1 as x -> infinity for fixed m.  The
+    one-point case of ``h_array``, as a Python float.
     """
-    _require_working_domain(point)
-    try:
-        return _h_cf(point, cfg)
-    except ConvergenceError:
-        return _h_quad(point, cfg)
+    return float(h_array(point.m, point.x))
 
 
-def h_array(m, x, cfg: OracleConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """``h`` elementwise over the broadcast of the arrays ``m`` and ``x``.
+def h_array(m, x) -> np.ndarray:
+    """h elementwise over the broadcast of the arrays ``m`` and ``x``.
 
-    Bit-identical to ``h`` at every point, including the quadrature
-    fallback for points whose continued fraction does not converge.
+    h = exp(x) x^(m+2) g = x * F with the Lentz fraction F of
+    ``_lentz_cf``; each lane runs exactly its scalar operations.  Points
+    whose continued fraction does not converge fall back to quadrature.
     Raises ``DomainError`` for the first point, in C order, outside the
     working domain.
     """
@@ -259,10 +237,10 @@ def h_array(m, x, cfg: OracleConfig = DEFAULT_CONFIG) -> np.ndarray:
     if not inside.all():
         k = int(np.argmin(inside))
         _require_working_domain(EvalPoint(float(m[k]), float(x[k])))
-    f, converged = _lentz_cf_array(-(m + 1.0), x, cfg)
+    f, converged = _lentz_cf_array(-(m + 1.0), x)
     out = x * f
     for k in np.flatnonzero(~converged):
-        out[k] = _h_quad(EvalPoint(float(m[k]), float(x[k])), cfg)
+        out[k] = _h_quad(EvalPoint(float(m[k]), float(x[k])))
     return out.reshape(shape)
 
 

@@ -1,12 +1,6 @@
 import pytest
 
 from tempint.harness import EvalGrid
-from tempint.oracle import OracleConfig
-
-
-@pytest.fixture(scope="session")
-def oracle_cfg():
-    return OracleConfig()
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from tempint.cli import main
 from tempint.fitter import (
+    BISECTION_TOL_ABS,
     FitGrid,
     FitProblem,
     bisect_fit,
@@ -134,7 +135,7 @@ def test_criterion_6_bisection_properties():
     # the exchange moves u_plus to witness deviations, so the bracket is
     # checked against the stopping tolerance instead of 2**-iterations
     width = result.u_plus - result.u_minus <= max(
-        problem.bisection_tol_abs, problem.bisection_tol_rel * result.u_plus)
+        BISECTION_TOL_ABS, problem.bisection_tol_rel * result.u_plus)
     ok = monotone and cert_plus and cert_minus and width
     _announce(6, ok,
               f"monotone={monotone} cert(u+)={cert_plus} "

@@ -14,6 +14,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+ORACLE_GOLDEN_POINTS = [
+    (m, x) for m in ("-4", "-2", "0", "2.5", "4")
+    for x in ("4", repr(math.nextafter(4.0, 5.0)),
+              repr(math.nextafter(100.0, 0.0)), "100")
+] + [("0", "0"), ("0", "3.9999"), ("0", "100.5"), ("4.5", "10"),
+     ("-4.1", "50"), ("nan", "10"), ("0", "-3")]
+
+
+def _oracle_transcript(capsys):
+    chunks = []
+    for m, x in ORACLE_GOLDEN_POINTS:
+        code, out, err = run(capsys, "oracle", "-m", m, "-x", x)
+        chunks.append(f"$ tempint oracle -m {m} -x {x}\nexit {code}\n"
+                      f"{out}{err}")
+    return "".join(chunks)
+
+
 class TestOracle:
     def test_closed_form(self, capsys):
         code, out, _ = run(capsys, "oracle", "-m", "-2", "-x", "10")
@@ -40,10 +57,11 @@ class TestOracle:
         assert code == 0
         assert "series[2] = 0.96" in out
 
-    def test_determinism(self, capsys):
-        _, out1, _ = run(capsys, "oracle", "-m", "1.3", "-x", "42")
-        _, out2, _ = run(capsys, "oracle", "-m", "1.3", "-x", "42")
-        assert out1 == out2
+    def test_golden_bytes(self, capsys):
+        # stdout, stderr and exit code at the closed-form line m = -2, at
+        # both ends of x with their adjacent floats, and out of the domain
+        assert _oracle_transcript(capsys) == (
+            GOLDEN / "oracle.txt").read_text(encoding="utf-8")
 
 
 class TestFit:
@@ -162,6 +180,13 @@ class TestEval:
                            "--grid", "arrhenius", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "model,m,x,g_oracle,g_model,eps"
+
+    def test_eval_csv_golden_bytes(self, capsys):
+        code, out, _ = run(capsys, "eval", "--model", "G4",
+                           "--grid", "coarse", "--format", "csv")
+        assert code == 0
+        assert out == (GOLDEN / "eval-G4-coarse.csv").read_text(
+            encoding="utf-8")
 
     def test_eval_coeff_file(self, capsys, tmp_path):
         from tempint.rational import paper_approximant, save_coeffs

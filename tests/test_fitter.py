@@ -43,7 +43,7 @@ class TestBuildFeasibility:
         np.testing.assert_allclose(unscaled[1], -unscaled[0], rtol=1e-12)
         np.testing.assert_allclose(unscaled[2], [0, 0, 0, -1, -10, 0],
                                    rtol=1e-12)
-        assert system.b_ub[2] == -problem.denom_floor
+        assert system.b_ub[2] == -fitter.DENOM_FLOOR
 
     def test_relative_equals_absolute_where_h_is_1(self):
         # on the m = -2 line the target is exactly 1, so both weightings
@@ -81,11 +81,13 @@ class TestCheckFeasible:
         assert np.all(rows <= system.b_ub + 1e-7)
 
     @pytest.mark.parametrize("weighting", ["relative", "absolute"])
-    def test_initial_witness_feasible(self, coarse_fit_grid, weighting):
-        # the first bracket needs no LP: P = 0, Q = denom_floor satisfies
+    def test_initial_witness_feasible(self, coarse_fit_grid, weighting,
+                                      monkeypatch):
+        # the first bracket needs no LP: P = 0, Q = DENOM_FLOOR satisfies
         # every row at its upper end, exactly
+        monkeypatch.setattr(fitter, "DENOM_FLOOR", 0.5)
         problem = FitProblem(degree=2, grid=coarse_fit_grid,
-                             weighting=weighting, denom_floor=0.5)
+                             weighting=weighting)
         u_start, witness = fitter._initial_level(problem)
         assert u_start == (1.0 if weighting == "relative"
                            else coarse_fit_grid.h.max())
@@ -140,7 +142,7 @@ class TestBisectFit:
         result = bisect_fit(problem)
         assert 0.0 < result.u_minus <= result.u_plus
         assert result.u_plus - result.u_minus <= max(
-            problem.bisection_tol_abs,
+            fitter.BISECTION_TOL_ABS,
             problem.bisection_tol_rel * result.u_plus)
 
     def test_normalization(self, coarse_fit_grid):
@@ -153,9 +155,9 @@ class TestBisectFit:
         u2 = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid)).u_plus
         assert u2 <= u1 + 1e-4 * u1
 
-    def test_non_convergence_flag(self, coarse_fit_grid):
-        problem = FitProblem(degree=1, grid=coarse_fit_grid, max_bisections=3)
-        result = bisect_fit(problem)
+    def test_non_convergence_flag(self, coarse_fit_grid, monkeypatch):
+        monkeypatch.setattr(fitter, "MAX_BISECTIONS", 3)
+        result = bisect_fit(FitProblem(degree=1, grid=coarse_fit_grid))
         assert not result.converged
         assert result.iterations == 3
 
@@ -164,9 +166,6 @@ class TestBisectFit:
         {"bisection_tol_rel": float("inf")},
         {"bisection_tol_rel": 1.0},
         {"bisection_tol_rel": -1e-4},
-        {"feasibility_tol": 0.0},
-        {"feasibility_tol": float("nan")},
-        {"max_bisections": -1},
     ])
     def test_bad_settings_rejected(self, coarse_fit_grid, settings):
         with pytest.raises(ValueError):

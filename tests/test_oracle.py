@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tempint import oracle
 from tempint.oracle import (
     ConvergenceError,
     DomainError,
     EvalPoint,
-    OracleConfig,
+    _h_quad,
+    _lentz_cf,
     g_cf,
+    g_from_h,
     g_quad,
     h,
     h_array,
@@ -66,10 +69,9 @@ class TestCrossValidation:
     @given(m=domain_m, x=domain_x)
     @settings(max_examples=100, deadline=None)
     def test_cf_vs_quad(self, m, x):
-        cfg = OracleConfig()
         point = EvalPoint(m, x)
-        assert g_cf(point, cfg) == pytest.approx(
-            g_quad(point, cfg), rel=10.0 * cfg.rel_tol)
+        assert g_cf(point) == pytest.approx(
+            g_quad(point), rel=10.0 * oracle.REL_TOL)
 
     @given(m=domain_m, x=domain_x)
     @settings(max_examples=100, deadline=None)
@@ -142,17 +144,11 @@ class TestErrors:
         with pytest.raises(DomainError):
             g_quad(EvalPoint(5.0, 10.0))
 
-    def test_convergence_failure_carries_iterates(self):
-        cfg = OracleConfig(rel_tol=1e-15, max_iterations=2)
+    def test_convergence_failure_carries_iterates(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 2)
         with pytest.raises(ConvergenceError) as exc:
-            g_cf(EvalPoint(0.0, 4.0), cfg)
+            g_cf(EvalPoint(0.0, 4.0))
         assert len(exc.value.last_iterates) == 2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(rel_tol=1e-3)
-        with pytest.raises(ValueError):
-            OracleConfig(rel_tol=0.0)
 
 
 def _grid_axes(spec, refine=1):
@@ -160,8 +156,16 @@ def _grid_axes(spec, refine=1):
     return np.array(grid.m_values), np.array(grid.x_values)
 
 
-def _scalar_h(ms, xs, cfg=OracleConfig()):
-    return np.array([[h(EvalPoint(m, x), cfg) for x in xs] for m in ms])
+def _reference_h(m, x):
+    # the scalar continued fraction, with quadrature where it fails
+    try:
+        return x * _lentz_cf(-(m + 1.0), x)
+    except ConvergenceError:
+        return _h_quad(EvalPoint(m, x))
+
+
+def _scalar_h(ms, xs):
+    return np.array([[_reference_h(m, x) for x in xs] for m in ms])
 
 
 class TestHArray:
@@ -174,15 +178,14 @@ class TestHArray:
         rng = np.random.default_rng(7)
         ms = rng.uniform(-4.0, 4.0, 2000)
         xs = rng.uniform(4.0, 100.0, 2000)
-        scalar = [h(EvalPoint(m, x)) for m, x in zip(ms, xs)]
+        scalar = [_reference_h(m, x) for m, x in zip(ms, xs)]
         assert np.array_equal(h_array(ms, xs), scalar)
 
-    def test_quadrature_fallback_per_lane(self):
+    def test_quadrature_fallback_per_lane(self, monkeypatch):
         # two iterations converge nowhere, so every lane falls back
-        cfg = OracleConfig(max_iterations=2)
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 2)
         ms, xs = _grid_axes("coarse")
-        assert np.array_equal(h_array(ms[:, None], xs, cfg),
-                              _scalar_h(ms, xs, cfg))
+        assert np.array_equal(h_array(ms[:, None], xs), _scalar_h(ms, xs))
 
     def test_domain_error_names_first_bad_point(self):
         ms = np.array([0.0, 1.0, 4.5, 2.0])
@@ -192,6 +195,8 @@ class TestHArray:
     def test_shapes(self):
         assert h_array(np.empty(0), 10.0).shape == (0,)
         assert h_array(-2.0, 10.0) == 1.0
+        # a Python float, whose repr the CLI prints
+        assert type(h(EvalPoint(0.0, 10.0))) is float
 
 
 class TestMpmathOracle:
@@ -206,9 +211,9 @@ class TestMpmathOracle:
             for i, m in enumerate(ms.tolist()):
                 for k, x in enumerate(xs.tolist()):
                     ref = mpmath.gammainc(-(m + 1.0), x)
-                    g_from_h = (float(h_grid[i, k]) * mpmath.exp(-x)
-                                * mpmath.power(x, -(m + 2.0)))
-                    for val in (g_cf(EvalPoint(m, x)), g_from_h):
+                    g_h = (float(h_grid[i, k]) * mpmath.exp(-x)
+                           * mpmath.power(x, -(m + 2.0)))
+                    for val in (g_cf(EvalPoint(m, x)), g_h):
                         worst = max(worst, abs(float(val / ref - 1)))
         assert worst < 1e-13
 
@@ -223,3 +228,16 @@ class TestMpmathOracle:
                     worst = max(worst,
                                 abs(float(g_cf(EvalPoint(m, x)) / ref - 1)))
         assert worst < 1e-15
+
+    def test_g_from_h_prefactor_to_a_few_ulps(self):
+        # exp(-x) * x**-(m+2) alone, with h = 1
+        mpmath = pytest.importorskip("mpmath")
+        ms, xs = _grid_axes("coarse")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for m in ms.tolist():
+                for x in xs.tolist():
+                    ref = mpmath.exp(-x) * mpmath.power(x, -(m + 2.0))
+                    worst = max(worst,
+                                abs(float(g_from_h(m, x, 1.0) / ref - 1)))
+        assert worst < 5e-16

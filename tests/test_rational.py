@@ -118,10 +118,10 @@ class TestRationalEval:
         expected = (0.237276056849810 + 3.88591025647952) / (1 + 3.86946448530584)
         assert model_h(r, 0.0, 10.0) == pytest.approx(expected, rel=1e-15)
 
-    def test_g3_accuracy_at_0_20(self, oracle_cfg):
+    def test_g3_accuracy_at_0_20(self):
         from tempint.oracle import h
         r = paper_approximant(3)
-        hv = h(EvalPoint(0.0, 20.0), oracle_cfg)
+        hv = h(EvalPoint(0.0, 20.0))
         assert model_h(r, 0.0, 20.0) == pytest.approx(hv, rel=1.72e-6)
 
     def test_degree_mismatch(self):
@@ -176,17 +176,17 @@ class TestRationalEval:
         assert eval_model(r, EvalPoint(-2.0, 5.0)) == pytest.approx(
             math.exp(-5.0), rel=1e-15)
 
-    def test_g4_accuracy_at_0_50(self, oracle_cfg):
+    def test_g4_accuracy_at_0_50(self):
         from tempint.oracle import g_cf
         r = paper_approximant(4)
-        g_true = g_cf(EvalPoint(0.0, 50.0), oracle_cfg)
+        g_true = g_cf(EvalPoint(0.0, 50.0))
         assert eval_model(r, EvalPoint(0.0, 50.0)) == pytest.approx(
             g_true, rel=6.18e-7)
 
-    def test_g2_accuracy_at_2p5_4(self, oracle_cfg):
+    def test_g2_accuracy_at_2p5_4(self):
         from tempint.oracle import g_cf
         r = paper_approximant(2)
-        g_true = g_cf(EvalPoint(2.5, 4.0), oracle_cfg)
+        g_true = g_cf(EvalPoint(2.5, 4.0))
         assert eval_model(r, EvalPoint(2.5, 4.0)) == pytest.approx(
             g_true, rel=6.26e-5)
 
