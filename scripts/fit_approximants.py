@@ -3,9 +3,10 @@
 
 Runs the bisection fitter for each requested degree on the chosen grid
 and stores ``g<n>.coeff`` plus ``g<n>.report`` in the output directory.
-Each line reports the bisection levels, the LP solves and the final size
-of the exchange subset.  Degree 4 on the full default grid takes minutes
-of LP time.
+Each line reports the bisection levels, the LP solves, the guessed LPs
+whose level the bisection did not visit (see ``tempint.fitter``) and the
+final size of the exchange subset.  Degree 4 on the full default grid
+takes minutes of LP time.
 """
 
 import argparse
@@ -45,7 +46,8 @@ def main(argv=None):
         (args.out / f"g{degree}.report").write_text(result.report_text())
         print(f"n={degree}: achieved_dev {result.achieved_dev:.3e} "
               f"(fine {result.achieved_dev_fine:.3e}), "
-              f"{result.iterations} bisections, {result.lp_solves} LPs, "
+              f"{result.iterations} bisections, {result.lp_solves} LPs "
+              f"(+{result.lp_speculative} unused guesses), "
               f"{result.active_points} active points, {elapsed:.1f}s "
               f"-> {coeff_path}")
         if result.pole_warning:

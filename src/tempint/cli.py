@@ -4,15 +4,16 @@ Subcommands: oracle, fit, eval, compare, tables, list.  Output is
 deterministic: fixed grid order and no randomness anywhere, so
 identical invocations produce byte-identical results.
 
-Exit codes: 0 success; 2 domain/validation error; 3 fit did not
-converge or its LP solver failed; 4 fit converged but with a pole warning (the coefficient
-file is still written); 5 a table-reproduction cell is out of
-tolerance.
+Exit codes: 0 success; 2 domain/validation error, or a file that cannot
+be read or written; 3 fit did not converge or its LP solver failed; 4
+fit converged but with a pole warning (the coefficient file is still
+written); 5 a table-reproduction cell is out of tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from tempint import harness, models, tables
@@ -148,7 +149,9 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="tempint",
         description="General temperature integral: oracle, minimax rational "
@@ -213,6 +216,9 @@ def main(argv=None) -> int:
             OracleError, KeyError, ValueError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,11 +29,22 @@ adds at most ``EXCHANGE_PER_COEFF * n_coeffs`` of the worst violators
 outside S.  Every witness is checked on the whole grid with numpy, so
 ``u_plus`` always rests on the whole grid, and full-grid LPs confirm
 ``u_minus`` (see ``bisect_fit``).
+
+HiGHS releases the GIL, so on two or more CPUs each bisection level is a
+pair step: a worker thread solves the LP at the level u while the
+calling thread solves the level the bisection visits next if u is
+feasible.  A verdict depends only on the level and S, so the fit is
+byte-identical to sequential bisection; the guess is wasted when u turns
+out infeasible, and a solver failure at a guessed level is raised only
+if the bisection reaches that level.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -186,6 +197,33 @@ def check_feasible(system: FeasibilitySystem):
     return res.x[:n] / system.col_scale
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:     # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _verdict(problem: FitProblem, u: float, points):
+    """``check_feasible`` at u on ``points``, or the FitError it raised."""
+    try:
+        return check_feasible(build_feasibility(problem, u, points))
+    except FitError as exc:
+        return exc
+
+
+def _pair_step(pool, problem: FitProblem, u: float, guess, points):
+    """The verdict at u, and (guess, verdict) if ``guess`` is not None.
+
+    The worker solves u while this thread solves the guess.
+    """
+    if guess is None:
+        return _verdict(problem, u, points), None
+    future = pool.submit(_verdict, problem, u, points)
+    ahead = (guess, _verdict(problem, guess, points))
+    return future.result(), ahead
+
+
 @dataclass
 class VerificationReport:
     max_dev: float
@@ -200,7 +238,8 @@ class FitResult:
     u_minus: float
     u_plus: float
     iterations: int            # bisection levels of all passes
-    lp_solves: int             # check_feasible calls, confirmations too
+    lp_solves: int             # LPs of the levels visited, confirmations too
+    lp_speculative: int        # guessed LPs whose level was not visited
     active_points: int         # final size of the subset S
     achieved_dev: float        # recomputed against the oracle on the fit grid
     achieved_dev_fine: float   # same on the 4x-refined verification grid
@@ -320,6 +359,9 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     ``u_plus`` then pass without an LP, and the LPs below it are exactly
     plain bisection's.
 
+    On two or more CPUs the levels of a pass on S run as pair steps (see
+    the module docstring); the confirmations run alone.
+
     A posteriori verification recomputes the deviation against the
     oracle on the fit grid and on a 4x-refined grid, recording the
     minimum denominator found.
@@ -332,48 +374,66 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     in_s[np.arange(n_start) * g.size // n_start] = True
     u_minus, u_plus, u_hi = 0.0, u_start, u_start
     confirmed = 0.0           # the highest u_minus a full-grid LP confirmed
-    iterations, lp_solves = 0, 0
+    iterations, lp_solves, lp_speculative = 0, 0, 0
 
     def closed(u_hi):
         return u_hi - u_minus <= max(BISECTION_TOL_ABS,
                                      problem.bisection_tol_rel * u_hi)
 
-    while True:
-        # one bisection pass on S, between u_minus and u_hi
-        points = None if in_s.all() else np.flatnonzero(in_s)
-        worst, levels = np.empty(0, dtype=int), 0
-        while not (closed(u_hi) or levels == MAX_BISECTIONS):
-            u = 0.5 * (u_minus + u_hi)
-            levels += 1
-            if u >= u_plus:
-                # only after a restart: the witness holds at u_plus <= u
+    pool = ThreadPoolExecutor(max_workers=1) if _usable_cpus() > 1 else None
+    with pool or nullcontext():
+        while True:
+            # one bisection pass on S, between u_minus and u_hi
+            points = None if in_s.all() else np.flatnonzero(in_s)
+            worst, levels = np.empty(0, dtype=int), 0
+            ahead = None      # (level, verdict) solved one level ahead
+            while not (closed(u_hi) or levels == MAX_BISECTIONS):
+                u = 0.5 * (u_minus + u_hi)
+                levels += 1
+                if u >= u_plus:
+                    # only after a restart: the witness holds at u_plus <= u
+                    u_hi = u
+                    continue
+                if ahead is not None and ahead[0] == u:
+                    vec, ahead = ahead[1], None
+                else:
+                    lp_speculative += ahead is not None
+                    # guess the level visited next if u is feasible, when
+                    # that level needs an LP
+                    guess = 0.5 * (u_minus + u)
+                    if (pool is None or closed(u) or levels == MAX_BISECTIONS
+                            or guess >= u_plus):
+                        guess = None
+                    vec, ahead = _pair_step(pool, problem, u, guess, points)
+                lp_solves += 1
+                if isinstance(vec, FitError):
+                    raise vec
+                if vec is None:
+                    u_minus = u
+                    continue
                 u_hi = u
-                continue
-            vec = check_feasible(build_feasibility(problem, u, points))
-            lp_solves += 1
-            if vec is None:
-                u_minus = u
-                continue
-            u_hi = u
-            worst, level = _check_on_grid(problem, vec, u, in_s)
-            if level < u_plus:
-                u_plus, witness = level, vec
-        iterations += levels
-        exchange = bool(worst.size) and closed(u_hi)
-        if points is not None and u_minus > confirmed and (
-                confirmed == 0.0 or not exchange):
-            vec = check_feasible(build_feasibility(problem, u_minus))
-            lp_solves += 1
-            if vec is not None:
-                # a subset verdict was wrong: plain bisection from the start
-                in_s[:] = True
-                u_minus, u_plus, u_hi, witness = 0.0, u_minus, u_start, vec
-                continue
-            confirmed = u_minus
-        if not exchange:
-            break
-        in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
-        u_hi = u_plus
+                worst, level = _check_on_grid(problem, vec, u, in_s)
+                if level < u_plus:
+                    u_plus, witness = level, vec
+            lp_speculative += ahead is not None
+            iterations += levels
+            exchange = bool(worst.size) and closed(u_hi)
+            if points is not None and u_minus > confirmed and (
+                    confirmed == 0.0 or not exchange):
+                vec = check_feasible(build_feasibility(problem, u_minus))
+                lp_solves += 1
+                if vec is not None:
+                    # a subset verdict was wrong: plain bisection from the
+                    # start
+                    in_s[:] = True
+                    u_minus, u_plus, u_hi = 0.0, u_minus, u_start
+                    witness = vec
+                    continue
+                confirmed = u_minus
+            if not exchange:
+                break
+            in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
+            u_hi = u_plus
     converged = closed(u_plus)
     approx = _coeffs_to_approximant(witness, problem.degree)
     achieved = float(_deviation_on(approx, g, problem.weighting)[0].max())
@@ -381,6 +441,7 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
         iterations=iterations, lp_solves=lp_solves,
+        lp_speculative=lp_speculative,
         active_points=int(in_s.sum()), achieved_dev=achieved,
         achieved_dev_fine=fine.max_dev, denom_min=fine.denom_min,
         converged=converged, pole_warning=fine.denom_min <= 0.0,

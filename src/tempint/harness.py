@@ -143,9 +143,9 @@ class DeviationReport:
             for k, x in enumerate(self.grid.x_values):
                 point = EvalPoint(m, x)
                 g_oracle = g_cf(point)
-                g_model = g_oracle * (1.0 + self.eps[i, k])
-                yield (self.model, m, x, g_oracle, g_model,
-                       float(self.eps[i, k]))
+                eps = float(self.eps[i, k])
+                yield (self.model, m, x, g_oracle, g_oracle * (1.0 + eps),
+                       eps)
 
 
 def deviation(model, point: EvalPoint) -> float:

@@ -122,6 +122,55 @@ class TestFit:
         assert err.startswith("error: LP solver failed (status 4)")
         assert not out_file.exists()
 
+    def test_lp_failure_at_unreached_guess_ignored(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # the LP of a guessed level that the bisection never visits fails;
+        # the fit goes on and writes the sequential fit's files
+        import threading
+
+        from scipy.optimize import OptimizeResult
+
+        from tempint import fitter
+
+        visited = set()
+        real_check = fitter.check_feasible
+
+        def recording_check(system):
+            visited.add(system.u)
+            return real_check(system)
+
+        argv = ["fit", "--degree", "1", "--grid", "coarse", "--out"]
+        with monkeypatch.context() as patch:
+            patch.setattr(fitter, "_usable_cpus", lambda: 1)
+            patch.setattr(fitter, "check_feasible", recording_check)
+            assert run(capsys, *argv, str(tmp_path / "seq.fit"))[0] == 0
+
+        level = threading.local()   # the level of this thread's LP
+        real_build = fitter.build_feasibility
+        real_linprog = fitter.linprog
+        failed = []
+
+        def build(problem, u, points=None):
+            level.u = u
+            return real_build(problem, u, points)
+
+        def failing_linprog(*args, **kwargs):
+            if level.u not in visited:
+                failed.append(level.u)
+                return OptimizeResult(status=4,
+                                      message="numerical difficulties")
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(fitter, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fitter, "build_feasibility", build)
+        monkeypatch.setattr(fitter, "linprog", failing_linprog)
+        code, _, err = run(capsys, *argv, str(tmp_path / "pair.fit"))
+        assert code == 0 and err == ""
+        assert failed
+        for suffix in (".fit", ".fit.report"):
+            assert ((tmp_path / f"pair{suffix}").read_bytes()
+                    == (tmp_path / f"seq{suffix}").read_bytes())
+
 
 class TestCompare:
     def test_table7_layout(self, capsys):
@@ -187,6 +236,23 @@ class TestEval:
         assert code == 0
         assert out == (GOLDEN / "eval-G4-coarse.csv").read_text(
             encoding="utf-8")
+
+    def test_eval_csv_numbers_parse(self, capsys):
+        code, out, _ = run(capsys, "eval", "--model", "G4",
+                           "--grid", "m=-1:1:1,x=4:100:32", "--format", "csv")
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            for field in line.split(",")[1:]:
+                float(field)
+
+    def test_missing_coeff_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing.coeff"
+        code, out, err = run(capsys, "eval", "--coeffs", str(path),
+                             "--grid", "coarse")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: [Errno 2] No such file or directory: "
+                       f"{str(path)!r}\n")
 
     def test_eval_coeff_file(self, capsys, tmp_path):
         from tempint.rational import paper_approximant, save_coeffs

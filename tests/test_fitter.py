@@ -221,23 +221,45 @@ class TestExchange:
 
     def test_small_grid_is_plain_bisection(self, monkeypatch):
         # 65 points are fewer than the 16 x 6 starting subset of degree 1,
-        # so every level is one full-grid LP, as in plain bisection
+        # so every level is one full-grid LP, as in plain bisection; on
+        # two CPUs the guessed LPs of infeasible levels come on top
         grid = FitGrid.from_eval_grid(
             EvalGrid.from_spec("m=-1:1:0.5,x=4:100:8"))
-        calls = []
         real_linprog = fitter.linprog
+        for cpus in (1, 2):
+            calls = []
 
-        def counting_linprog(*args, **kwargs):
-            calls.append(kwargs["A_ub"].shape[0])
-            return real_linprog(*args, **kwargs)
+            def counting_linprog(*args, **kwargs):
+                calls.append(kwargs["A_ub"].shape[0])
+                return real_linprog(*args, **kwargs)
 
-        monkeypatch.setattr(fitter, "linprog", counting_linprog)
-        result = bisect_fit(FitProblem(degree=1, grid=grid))
-        assert result.active_points == grid.size
-        assert len(calls) == result.lp_solves == result.iterations
-        assert set(calls) == {3 * grid.size}
-        assert result.u_plus - result.u_minus == pytest.approx(
-            1.0 / 2.0 ** result.iterations, rel=1e-9)
+            monkeypatch.setattr(fitter, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(fitter, "linprog", counting_linprog)
+            result = bisect_fit(FitProblem(degree=1, grid=grid))
+            assert result.active_points == grid.size
+            assert len(calls) == result.lp_solves + result.lp_speculative
+            assert result.lp_solves == result.iterations
+            assert (result.lp_speculative == 0) == (cpus == 1)
+            assert set(calls) == {3 * grid.size}
+            assert result.u_plus - result.u_minus == pytest.approx(
+                1.0 / 2.0 ** result.iterations, rel=1e-9)
+
+
+class TestPairStep:
+    def test_same_fit_on_one_and_two_cpus(self, coarse_fit_grid,
+                                          monkeypatch):
+        problem = FitProblem(degree=2, grid=coarse_fit_grid)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(fitter, "_usable_cpus", lambda: cpus)
+            results.append(bisect_fit(problem))
+        one, two = results
+        assert one.lp_speculative == 0 < two.lp_speculative
+        assert (two.u_minus, two.u_plus, two.iterations, two.lp_solves,
+                two.active_points) == (one.u_minus, one.u_plus,
+                                       one.iterations, one.lp_solves,
+                                       one.active_points)
+        assert two.approximant == one.approximant
 
 
 class TestVerifyFit:
