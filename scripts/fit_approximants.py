@@ -25,8 +25,6 @@ def main(argv=None):
                         help="comma-separated degrees to fit (default all)")
     parser.add_argument("--grid", default="paper-eval",
                         help="grid preset or m=lo:hi:step,x=lo:hi:step spec")
-    parser.add_argument("--weighting", default="relative",
-                        choices=["relative", "absolute"])
     parser.add_argument("--out", default="fits", type=pathlib.Path,
                         help="output directory (default ./fits)")
     args = parser.parse_args(argv)
@@ -38,8 +36,7 @@ def main(argv=None):
 
     for degree in degrees:
         start = time.perf_counter()
-        result = bisect_fit(FitProblem(degree=degree, grid=grid,
-                                       weighting=args.weighting))
+        result = bisect_fit(FitProblem(degree=degree, grid=grid))
         elapsed = time.perf_counter() - start
         coeff_path = args.out / f"g{degree}.coeff"
         save_coeffs(result.approximant, coeff_path)

@@ -57,7 +57,6 @@ def cmd_fit(args) -> int:
     grid = EvalGrid.from_spec(args.grid)
     fit_grid = FitGrid.from_eval_grid(grid)
     problem = FitProblem(degree=args.degree, grid=fit_grid,
-                         weighting=args.mode,
                          bisection_tol_rel=args.tol)
     result = bisect_fit(problem)
     save_coeffs(result.approximant, args.out)
@@ -169,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True, choices=range(1, 7))
     p.add_argument("--grid", default="paper-eval",
                    help="preset name or m=lo:hi:step,x=lo:hi:step")
-    p.add_argument("--mode", choices=("relative", "absolute"),
-                   default="relative")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="relative bisection stopping tolerance")
     p.add_argument("--out", required=True)

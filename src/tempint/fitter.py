@@ -1,18 +1,20 @@
 """Minimax rational fitting by bisection with LP feasibility subproblems.
 
-Minimizing the maximal deviation u of P/Q from the target h over a
-finite grid is quasiconvex: for fixed u the sublevel set of coefficient
-vectors is a polyhedron, so bisection on u needs only a linear
-feasibility test per level.  Each test is posed as a phase-1 LP
-(minimize the common slack t subject to all rows relaxed by t; the
-system is feasible iff the optimum slack is below ``FEASIBILITY_TOL``),
-which is numerically robust and yields a witness vector.
+The objective is the paper's accuracy metric: the maximal relative
+deviation u = max |eps|, eps = (P/Q) / h - 1, of P/Q from the target h
+over a finite grid.  Minimizing it is quasiconvex: for fixed u the
+sublevel set of coefficient vectors is a polyhedron, so bisection on u
+needs only a linear feasibility test per level.  Each test is posed as
+a phase-1 LP (minimize the common slack t subject to all rows relaxed
+by t; the system is feasible iff the optimum slack is below
+``FEASIBILITY_TOL``), which is numerically robust and yields a witness
+vector.
 
-Per grid point k with target h_k and weight w_k (1 in absolute mode,
-h_k in relative mode) the rows are
+Per grid point k with target h_k > 0 the rows are |P_k/Q_k - h_k| <=
+u*h_k multiplied through by Q_k > 0, and the denominator floor:
 
-    P_k - (h_k + u*w_k) * Q_k <= 0
-   -P_k + (h_k - u*w_k) * Q_k <= 0
+    P_k - (h_k + u*h_k) * Q_k <= 0
+   -P_k + (h_k - u*h_k) * Q_k <= 0
     Q_k >= DENOM_FLOOR
 
 all linear in the stacked coefficient vector (a_ij, b_ij).  Monomial
@@ -96,14 +98,11 @@ class FitGrid:
 class FitProblem:
     degree: int
     grid: FitGrid
-    weighting: str = "relative"        # or "absolute"
     bisection_tol_rel: float = 1e-4
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if self.weighting not in ("relative", "absolute"):
-            raise ValueError(f"unknown weighting {self.weighting!r}")
         if not 0.0 <= self.bisection_tol_rel < 1.0:
             raise ValueError("bisection_tol_rel must be finite and in [0, 1), "
                              f"got {self.bisection_tol_rel}")
@@ -151,10 +150,9 @@ def build_feasibility(problem: FitProblem, u: float,
     h = problem.grid.h
     if points is not None:
         phi_s, h = phi_s[points], h[points]
-    w = h if problem.weighting == "relative" else np.ones_like(h)
     zeros = np.zeros_like(phi_s)
-    upper = (h + u * w)[:, None] * phi_s
-    lower = (h - u * w)[:, None] * phi_s
+    upper = (h + u * h)[:, None] * phi_s
+    lower = (h - u * h)[:, None] * phi_s
     a_ub = np.vstack([
         np.hstack([phi_s, -upper]),
         np.hstack([-phi_s, lower]),
@@ -225,14 +223,6 @@ def _pair_step(pool, problem: FitProblem, u: float, guess, points):
 
 
 @dataclass
-class VerificationReport:
-    max_dev: float
-    denom_min: float
-    grid_points: int
-    near_extremal: int   # points within 1% of the max deviation
-
-
-@dataclass
 class FitResult:
     approximant: RationalApproximant
     u_minus: float
@@ -246,7 +236,6 @@ class FitResult:
     denom_min: float           # minimum denominator on the verification grid
     converged: bool
     pole_warning: bool
-    weighting: str
     grid: EvalGrid             # the fit grid
 
     def report_text(self) -> str:
@@ -256,7 +245,7 @@ class FitResult:
             f"iterations {self.iterations}",
             f"achieved_dev {self.achieved_dev!r}",
             f"denom_min {self.denom_min!r}",
-            f"mode {self.weighting}",
+            "mode relative",
             f"grid-spec {self.grid.spec}",
         ]
         return "\n".join(lines) + "\n"
@@ -276,14 +265,12 @@ def _coeffs_to_approximant(vec: np.ndarray, degree: int) -> RationalApproximant:
         BivariatePoly(degree, [v / pivot for v in b]))
 
 
-def _deviation_on(approx: RationalApproximant, g: FitGrid,
-                  weighting: str) -> tuple[np.ndarray, float]:
-    """|deviation| of P/Q from the targets at every point, and min Q."""
+def _deviation_on(approx: RationalApproximant,
+                  g: FitGrid) -> tuple[np.ndarray, float]:
+    """|eps| of P/Q against the targets at every point, and min Q."""
     p = np.asarray(approx.numer.eval(g.m, g.x), dtype=float)
     q = np.asarray(approx.denom.eval(g.m, g.x), dtype=float)
-    ratio = p / q
-    dev = ratio / g.h - 1.0 if weighting == "relative" else ratio - g.h
-    return np.abs(dev), float(q.min())
+    return np.abs(p / q / g.h - 1.0), float(q.min())
 
 
 def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
@@ -299,12 +286,11 @@ def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
         return np.empty(0, dtype=int), u
     phi_s, scale = problem.basis
     h = problem.grid.h
-    w = h if problem.weighting == "relative" else 1.0
     half = len(scale)
     p = phi_s @ (vec[:half] * scale)
     q = phi_s @ (vec[half:] * scale)
     floor_excess = DENOM_FLOOR - q
-    excess = np.maximum.reduce([p - (h + u * w) * q, (h - u * w) * q - p,
+    excess = np.maximum.reduce([p - (h + u * h) * q, (h - u * h) * q - p,
                                 floor_excess])
     excess[in_s] = -np.inf
     bad = np.flatnonzero(excess > FEASIBILITY_TOL)
@@ -312,7 +298,7 @@ def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
         return bad, u
     level = math.inf
     if np.all(q > 0.0) and floor_excess.max() <= FEASIBILITY_TOL:
-        level = float(np.max(np.abs(p - h * q) / (w * q)))
+        level = float(np.max(np.abs(p - h * q) / (h * q)))
     return bad[np.argsort(-excess[bad], kind="stable")], level
 
 
@@ -320,35 +306,31 @@ def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
     """The upper end u_start of the first bracket and a witness there.
 
     The witness P = 0, Q = DENOM_FLOOR holds at every grid point with no
-    LP, because h > 0: -(h + u*w) * Q <= 0 always, (h - u*w) * Q <= 0 at
-    u = 1 in relative mode (w = h) and at u = max h in absolute mode
-    (w = 1), and Q meets the floor.
+    LP at u = 1, because h > 0: -(h + u*h) * Q <= 0 always,
+    (h - u*h) * Q = 0 at u = 1, and Q meets the floor.
     """
-    h = problem.grid.h
-    u_start = 1.0 if problem.weighting == "relative" else float(h.max())
     vec = np.zeros(2 * len(index_pairs(problem.degree)))
     vec[len(vec) // 2] = DENOM_FLOOR   # b_00, the constant of Q
-    return u_start, vec
+    return 1.0, vec
 
 
 def bisect_fit(problem: FitProblem) -> FitResult:
     """Bisection on the deviation level u over a growing subset S.
 
-    Starts from [0, max|h|] (absolute mode) or [0, 1] (relative mode),
-    where P = 0, Q = DENOM_FLOOR holds with no LP (``_initial_level``).
-    Every level solves the LP on the rows of S only.  An infeasible S raises ``u_minus``; a
-    feasible witness lowers the upper end ``u_hi`` of the bisection on
-    S.  It moves ``u_plus`` to u if its rows also hold within
-    ``FEASIBILITY_TOL`` at every grid point outside S, and otherwise to
-    its deviation over the whole grid, if that is lower.  When the
-    bisection on S closes on a witness that fails outside S, the worst
-    violators join S and the bisection goes on between ``u_minus`` and
-    ``u_plus``.  The fit ends when that bracket closes; ``MAX_BISECTIONS``
-    bounds the levels of one pass on S.  S starts as an evenly strided
-    ``SUBSET_PER_COEFF * n_coeffs`` points of the flattened grid (all of
-    it on small grids, where the LPs are exactly plain bisection's) and
-    grows by at most ``EXCHANGE_PER_COEFF * n_coeffs`` points per
-    exchange.
+    Starts from [0, 1], where P = 0, Q = DENOM_FLOOR holds with no LP
+    (``_initial_level``).  Every level solves the LP on the rows of S
+    only.  An infeasible S raises ``u_minus``; a feasible witness lowers
+    the upper end ``u_hi`` of the bisection on S.  It moves ``u_plus``
+    to u if its rows also hold within ``FEASIBILITY_TOL`` at every grid
+    point outside S, and otherwise to its deviation over the whole grid,
+    if that is lower.  When the bisection on S closes on a witness that
+    fails outside S, the worst violators join S and the bisection goes
+    on between ``u_minus`` and ``u_plus``.  The fit ends when that
+    bracket closes; ``MAX_BISECTIONS`` bounds the levels of one pass on
+    S.  S starts as an evenly strided ``SUBSET_PER_COEFF * n_coeffs``
+    points of the flattened grid (all of it on small grids, where the
+    LPs are exactly plain bisection's) and grows by at most
+    ``EXCHANGE_PER_COEFF * n_coeffs`` points per exchange.
 
     A subset verdict "infeasible" is not proof for the whole grid (HiGHS
     returns wrong ones at degree 4), so ``u_minus`` is confirmed by a
@@ -436,32 +418,13 @@ def bisect_fit(problem: FitProblem) -> FitResult:
             u_hi = u_plus
     converged = closed(u_plus)
     approx = _coeffs_to_approximant(witness, problem.degree)
-    achieved = float(_deviation_on(approx, g, problem.weighting)[0].max())
-    fine = _sweep(approx, g.grid, 4, problem.weighting)
+    achieved = float(_deviation_on(approx, g)[0].max())
+    fine_dev, denom_min = _deviation_on(
+        approx, FitGrid.from_eval_grid(g.grid.refined(4)))
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
         iterations=iterations, lp_solves=lp_solves,
         lp_speculative=lp_speculative,
         active_points=int(in_s.sum()), achieved_dev=achieved,
-        achieved_dev_fine=fine.max_dev, denom_min=fine.denom_min,
-        converged=converged, pole_warning=fine.denom_min <= 0.0,
-        weighting=problem.weighting, grid=g.grid)
-
-
-def _sweep(approx: RationalApproximant, grid: EvalGrid, fine_factor: int,
-           weighting: str) -> VerificationReport:
-    """Deviation and denominator sweep on ``grid`` refined by ``fine_factor``."""
-    if fine_factor < 1:
-        raise ValueError("fine_factor must be >= 1")
-    fine = FitGrid.from_eval_grid(grid.refined(fine_factor))
-    dev, denom_min = _deviation_on(approx, fine, weighting)
-    max_dev = float(dev.max())
-    near = int(np.count_nonzero(dev >= 0.99 * max_dev))
-    return VerificationReport(max_dev=max_dev, denom_min=denom_min,
-                              grid_points=fine.size, near_extremal=near)
-
-
-def verify_fit(result: FitResult, fine_factor: int) -> VerificationReport:
-    """Deviation and denominator sweep on a ``fine_factor``-refined grid."""
-    return _sweep(result.approximant, result.grid, fine_factor,
-                  result.weighting)
+        achieved_dev_fine=float(fine_dev.max()), denom_min=denom_min,
+        converged=converged, pole_warning=denom_min <= 0.0, grid=g.grid)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ GRID_PRESETS = {
 
 
 def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"non-finite grid range {lo}:{hi}:{step}")
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:
@@ -146,12 +149,6 @@ class DeviationReport:
                 eps = float(self.eps[i, k])
                 yield (self.model, m, x, g_oracle, g_oracle * (1.0 + eps),
                        eps)
-
-
-def deviation(model, point: EvalPoint) -> float:
-    """Signed relative deviation g_model/g_oracle - 1 at one point."""
-    h_model = float(models.model_h(model, point.m, point.x))
-    return h_model / oracle_h(point) - 1.0
 
 
 def report(model, grid: EvalGrid) -> DeviationReport:

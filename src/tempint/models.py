@@ -24,6 +24,7 @@ as the explicit tag "SY88" for demonstration only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,20 +68,20 @@ def _h_O(m, x):
     return num * x / den
 
 
-def _h_SY(m, x):
-    num = (((x + 18.0) * x + 86.0) * x + 96.0) * x
-    den = ((((x + 20.0) * x + 120.0) * x + 240.0) * x + 120.0)
-    return num / den
-
-
-def _h_SY88(m, x):
-    num = (((x + 18.0) * x + 88.0) * x + 96.0) * x
+def _h_SY(m, x, c2):
+    """Senum & Yang; ``c2`` is the x**2 numerator coefficient."""
+    num = (((x + 18.0) * x + c2) * x + 96.0) * x
     den = ((((x + 20.0) * x + 120.0) * x + 240.0) * x + 120.0)
     return num / den
 
 
 def _h_G(m, x):
     return 1.0 / (1.0 + (m + 2.0) / x)
+
+
+def _h_from_log_g(m, x, log_g):
+    """h = g * exp(x) * x**(m+2) for a model given as log g."""
+    return np.exp(log_g + x + (m + 2.0) * np.log(x))
 
 
 def _h_W1(m, x):
@@ -90,7 +91,7 @@ def _h_W1(m, x):
 def _h_W2(m, x):
     log_g = (-0.18887 * (m + 2.0) - (1.00145 + 0.00069 * m) * x
              - 0.94733 * (m + 2.0) * np.log(x))
-    return np.exp(log_g + x + (m + 2.0) * np.log(x))
+    return _h_from_log_g(m, x, log_g)
 
 
 def _h_C1(m, x):
@@ -119,7 +120,7 @@ def _h_Ch1(m, x):
 def _h_Ch2(m, x):
     log_g = (-(0.16656 * m + 0.39329) - (1.00147 + 0.00057 * m) * x
              - (1.89021 + 0.95479 * m) * np.log(x))
-    return np.exp(log_g + x + (m + 2.0) * np.log(x))
+    return _h_from_log_g(m, x, log_g)
 
 
 def _h_Ch3(m, x):
@@ -206,7 +207,8 @@ _REGISTRY = {
 }
 
 _H_FUNCS = {
-    "J": _h_J, "O": _h_O, "SY": _h_SY, "SY88": _h_SY88,
+    "J": _h_J, "O": _h_O, "SY": functools.partial(_h_SY, c2=86.0),
+    "SY88": functools.partial(_h_SY, c2=88.0),
     "G": _h_G, "W1": _h_W1, "W2": _h_W2,
     "C1": _h_C1, "C2": _h_C2, "C3": _h_C3,
     "Ch1": _h_Ch1, "Ch2": _h_Ch2, "Ch3": _h_Ch3, "Ch4": _h_Ch4,

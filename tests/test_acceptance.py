@@ -106,14 +106,21 @@ def test_criterion_5_fitter_reproduction(degree):
               f"{result.iterations} bisections")
 
 
+# achieved_dev bounds just above what the fitter reaches on paper-eval
+# (2.3144e-7 and 6.1551e-9), far below the published 1.72e-6 and 6.18e-7
+EXPLORATORY_DEV_BOUND = {3: 2.33e-7, 4: 6.2e-9}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("degree", [3, 4])
 def test_criterion_5_exploratory_degrees(degree):
     grid = FitGrid.from_eval_grid(EvalGrid.from_spec("paper-eval"))
     result = bisect_fit(FitProblem(degree=degree, grid=grid))
     target = TABLE5[degree][0]
-    _announce(5, result.achieved_dev <= 1.1 * target,
-              f"n={degree} exploratory: achieved {result.achieved_dev:.3e}")
+    bound = EXPLORATORY_DEV_BOUND[degree]
+    _announce(5, result.achieved_dev <= bound,
+              f"n={degree} exploratory: achieved {result.achieved_dev:.3e} "
+              f"(bound {bound:.3e}, published {target:.2e})")
 
 
 def test_criterion_6_bisection_properties():

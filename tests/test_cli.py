@@ -245,6 +245,13 @@ class TestEval:
             for field in line.split(",")[1:]:
                 float(field)
 
+    def test_non_finite_grid_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--model", "G",
+                             "--grid", "m=0:inf:1,x=4:100:1")
+        assert code == 2
+        assert out == ""
+        assert "non-finite grid range" in err
+
     def test_missing_coeff_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing.coeff"
         code, out, err = run(capsys, "eval", "--coeffs", str(path),

@@ -8,9 +8,8 @@ from tempint.fitter import (
     bisect_fit,
     build_feasibility,
     check_feasible,
-    verify_fit,
 )
-from tempint.harness import EvalGrid
+from tempint.harness import EvalGrid, report
 from tempint.rational import paper_approximant
 
 
@@ -31,30 +30,23 @@ class TestBuildFeasibility:
         assert system.a_ub.shape == (3 * coarse_fit_grid.size, 12)
 
     def test_single_point_rows(self, single_point_grid):
-        problem = FitProblem(degree=1, grid=single_point_grid,
-                             weighting="absolute")
-        system = build_feasibility(problem, 0.0)
+        problem = FitProblem(degree=1, grid=single_point_grid)
+        u = 0.25
+        system = build_feasibility(problem, u)
         assert system.a_ub.shape == (3, 6)
         h0 = single_point_grid.h[0]
-        # row (i): phi . a - h * phi . b <= 0, columns unscaled
+        hi, lo = (1.0 + u) * h0, (1.0 - u) * h0
+        # rows phi . a - (1 + u) h0 phi . b <= 0 and
+        # -phi . a + (1 - u) h0 phi . b <= 0, columns unscaled
         unscaled = system.a_ub * system.col_scale
-        np.testing.assert_allclose(unscaled[0], [1, 10, 0, -h0, -10 * h0, 0],
+        np.testing.assert_allclose(unscaled[0], [1, 10, 0, -hi, -10 * hi, 0],
                                    rtol=1e-12)
-        np.testing.assert_allclose(unscaled[1], -unscaled[0], rtol=1e-12)
+        np.testing.assert_allclose(unscaled[1], [-1, -10, 0, lo, 10 * lo, 0],
+                                   rtol=1e-12)
         np.testing.assert_allclose(unscaled[2], [0, 0, 0, -1, -10, 0],
                                    rtol=1e-12)
-        assert system.b_ub[2] == -fitter.DENOM_FLOOR
-
-    def test_relative_equals_absolute_where_h_is_1(self):
-        # on the m = -2 line the target is exactly 1, so both weightings
-        # emit identical rows
-        grid = FitGrid.from_eval_grid(EvalGrid.from_spec("m=-2:-2:1,x=4:100:8"))
-        u = 0.125
-        rel = build_feasibility(FitProblem(degree=1, grid=grid,
-                                           weighting="relative"), u)
-        absol = build_feasibility(FitProblem(degree=1, grid=grid,
-                                             weighting="absolute"), u)
-        np.testing.assert_allclose(rel.a_ub, absol.a_ub, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(system.b_ub,
+                                      [0.0, 0.0, -fitter.DENOM_FLOOR])
 
     def test_negative_u_rejected(self, coarse_fit_grid):
         with pytest.raises(ValueError):
@@ -80,17 +72,13 @@ class TestCheckFeasible:
         rows = (system.a_ub * system.col_scale) @ vec
         assert np.all(rows <= system.b_ub + 1e-7)
 
-    @pytest.mark.parametrize("weighting", ["relative", "absolute"])
-    def test_initial_witness_feasible(self, coarse_fit_grid, weighting,
-                                      monkeypatch):
+    def test_initial_witness_feasible(self, coarse_fit_grid, monkeypatch):
         # the first bracket needs no LP: P = 0, Q = DENOM_FLOOR satisfies
         # every row at its upper end, exactly
         monkeypatch.setattr(fitter, "DENOM_FLOOR", 0.5)
-        problem = FitProblem(degree=2, grid=coarse_fit_grid,
-                             weighting=weighting)
+        problem = FitProblem(degree=2, grid=coarse_fit_grid)
         u_start, witness = fitter._initial_level(problem)
-        assert u_start == (1.0 if weighting == "relative"
-                           else coarse_fit_grid.h.max())
+        assert u_start == 1.0
         system = build_feasibility(problem, u_start)
         assert np.all(system.a_ub @ (witness * system.col_scale)
                       <= system.b_ub)
@@ -264,30 +252,29 @@ class TestPairStep:
 
 class TestVerifyFit:
     def test_fine_factor_1_reproduces(self, coarse_fit_grid):
-        # verification sweeps the fit grid itself, also for a refined
-        # grid and for one built without a spec
+        # the deviation report of the fitted approximant on the fit grid
+        # is achieved_dev exactly, also for a refined grid and for one
+        # built without a spec
         refined = EvalGrid.from_spec("m=-1:1:1,x=4:100:24").refined(2)
         specless = EvalGrid((0.0, 1.0), (4.0, 50.0, 100.0))
         for grid in (coarse_fit_grid, FitGrid.from_eval_grid(refined),
                      FitGrid.from_eval_grid(specless)):
-            result = bisect_fit(FitProblem(degree=1, grid=grid))
-            rep = verify_fit(result, 1)
-            assert rep.grid_points == grid.size
-            assert rep.max_dev == result.achieved_dev
-            assert rep.near_extremal >= 1
+            for degree in (1, 2):
+                result = bisect_fit(FitProblem(degree=degree, grid=grid))
+                rep = report(result.approximant, grid.grid)
+                assert rep.eps_max_abs == result.achieved_dev, (grid, degree)
 
     def test_fine_factor_4_structure(self, coarse_fit_grid):
         # the < 20% inflation contract holds on the default fit grid and
         # is asserted with the acceptance fits; the coarse smoke grid only
         # gets structural checks
         result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
-        rep = verify_fit(result, 4)
-        assert rep.grid_points > coarse_fit_grid.size
-        assert rep.denom_min > 0.0
-        assert rep.max_dev == result.achieved_dev_fine
+        assert result.denom_min > 0.0 and not result.pole_warning
+        fine = coarse_fit_grid.grid.refined(4)
+        assert report(result.approximant, fine).eps_max_abs == (
+            result.achieved_dev_fine)
 
     def test_bundled_g3_verification(self):
         # published degree-3 approximant on the evaluation grid
-        from tempint.harness import report
         rep = report("G3", EvalGrid.from_spec("paper-eval"))
         assert rep.eps_max_abs == pytest.approx(1.72e-6, rel=0.05)

@@ -12,7 +12,6 @@ from tempint.harness import (
     EvalGrid,
     GRID_PRESETS,
     compare,
-    deviation,
     oracle_h_row,
     render_comparison_csv,
     render_comparison_text,
@@ -22,7 +21,7 @@ from tempint.harness import (
     vyazovkin_segment,
 )
 from tempint.models import ModelDomainError
-from tempint.oracle import DomainError, EvalPoint
+from tempint.oracle import DomainError
 from tempint.rational import load_coeffs, paper_approximant, save_coeffs
 
 # Frozen regression constant: direct adaptive quadrature at rel_tol
@@ -52,6 +51,14 @@ class TestGrids:
             with pytest.raises(ValueError):
                 EvalGrid.from_spec(bad)
 
+    @pytest.mark.parametrize("spec", [
+        "m=nan:1:1,x=4:100:1", "m=0:inf:1,x=4:100:1", "m=-inf:1:1,x=4:100:1",
+        "m=0:1:inf,x=4:100:1", "m=0:1:nan,x=4:100:1", "m=0:1:1,x=4:nan:1",
+    ])
+    def test_non_finite_range_rejected(self, spec):
+        with pytest.raises(ValueError, match="non-finite"):
+            EvalGrid.from_spec(spec)
+
     def test_refined(self):
         g = EvalGrid.from_spec("arrhenius").refined(4)
         assert len(g.x_values) == 4 * 96 + 1
@@ -61,8 +68,8 @@ class TestGrids:
 class TestDeviation:
     def test_exact_model_zero_deviation(self):
         # Gorbachev is exact at m = -2
-        assert deviation("G", EvalPoint(-2.0, 10.0)) == pytest.approx(
-            0.0, abs=1e-12)
+        rep = report("G", EvalGrid((-2.0,), (10.0,)))
+        assert rep.eps_max_abs == pytest.approx(0.0, abs=1e-12)
 
     def test_g4_worst_point(self, paper_eval_grid):
         rep = report("G4", paper_eval_grid)
