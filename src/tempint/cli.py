@@ -139,12 +139,8 @@ def cmd_list(args) -> int:
     infos = models.list_models(args.m)
     print(f"{'tag':<5} {'m-domain':<22} {'univariate':<11} citation")
     for info in infos:
-        domain = {"any": "[-4, 4]",
-                  "zero": "m = 0 only",
-                  "tabulated": str(sorted(models.X_MODEL_ROWS)),
-                  }[info.m_domain]
-        print(f"{info.tag:<5} {domain:<22} {str(info.univariate).lower():<11} "
-              f"{info.citation}")
+        print(f"{info.tag:<5} {info.label:<22} "
+              f"{str(info.univariate).lower():<11} {info.citation}")
     return EXIT_OK
 
 

@@ -18,13 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tempint import models
-from tempint.oracle import DomainError, EvalPoint, g_cf, h, h_array
+from tempint.oracle import DomainError, EvalPoint, g_cf, g_from_h, h, h_array
 # bound for perfbench/layers.py, which wraps harness.rational_eval_h_array
-from tempint.rational import (
-    PoleError,
-    RationalApproximant,
-    rational_eval_h_array,
-)
+from tempint.rational import PoleError, rational_eval_h_array
 
 GRID_PRESETS = {
     "paper-eval": "m=-4:4:0.1,x=4:100:1",
@@ -32,6 +28,9 @@ GRID_PRESETS = {
     "arrhenius": "m=0:0:1,x=4:100:1",
     "coarse": "m=-4:4:0.5,x=4:100:4",
 }
+# Points allowed on one axis and on a whole grid spec: 8 times the 4x
+# refined paper-eval grid (123,585 points) that verifies every fit.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
@@ -41,6 +40,10 @@ def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    count = (hi - lo) / step + 1.0
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid range {lo}:{hi}:{step} has {count:.3g} "
+                         f"points, above the limit of {MAX_GRID_POINTS}")
     values = []
     k = 0
     while True:
@@ -79,16 +82,15 @@ class EvalGrid:
             axes[name] = _axis_values(lo, hi, step)
         if set(axes) != {"m", "x"}:
             raise ValueError(f"grid spec {spec!r} must define both m and x")
-        return cls(axes["m"], axes["x"], spec)
+        grid = cls(axes["m"], axes["x"], spec)
+        if grid.size > MAX_GRID_POINTS:
+            raise ValueError(f"grid spec {spec!r} has {grid.size} points, "
+                             f"above the limit of {MAX_GRID_POINTS}")
+        return grid
 
     @property
     def size(self) -> int:
         return len(self.m_values) * len(self.x_values)
-
-    def points(self):
-        for m in self.m_values:
-            for x in self.x_values:
-                yield EvalPoint(m, x)
 
     def refined(self, factor: int) -> "EvalGrid":
         """Same ranges with each axis step divided by ``factor``."""
@@ -123,12 +125,6 @@ def oracle_h_row(m_values: tuple, x_values: tuple) -> np.ndarray:
     return hv
 
 
-def _model_label(model) -> str:
-    if isinstance(model, RationalApproximant):
-        return f"fit-n{model.degree}"
-    return str(model)
-
-
 @dataclass
 class DeviationReport:
     model: str
@@ -141,11 +137,14 @@ class DeviationReport:
     footnote: str = ""
 
     def per_point_rows(self):
-        """Rows for the per-point CSV: model,m,x,g_oracle,g_model,eps."""
+        """Rows for the per-point CSV: model,m,x,g_oracle,g_model,eps.
+
+        g_oracle is ``g_from_h`` of the cached oracle h that eps divided
+        by: within the oracle's ``REL_TOL`` of ``g_cf``."""
+        h_oracle = oracle_h_row(self.m_lines, self.grid.x_values)
         for i, m in enumerate(self.m_lines):
             for k, x in enumerate(self.grid.x_values):
-                point = EvalPoint(m, x)
-                g_oracle = g_cf(point)
+                g_oracle = g_from_h(m, x, h_oracle[i, k])
                 eps = float(self.eps[i, k])
                 yield (self.model, m, x, g_oracle, g_oracle * (1.0 + eps),
                        eps)
@@ -156,20 +155,15 @@ def report(model, grid: EvalGrid) -> DeviationReport:
 
     Models must cover the whole grid; points outside a model's m-domain
     are a hard error rather than silently skipped.  The X model is the
-    published exception: it is evaluated over its tabulated m lines
-    only, and the report carries a footnote saying so.
+    published exception: it is evaluated over the rows its record's
+    ``lines`` keeps, and the report carries a footnote saying so.
     """
-    label = _model_label(model)
-    footnote = ""
-    m_lines = grid.m_values
-    if isinstance(model, str) and model == "X":
-        m_lines = tuple(m for m in grid.m_values if models.admits_m("X", m))
-        if not m_lines:
-            raise models.ModelDomainError("X", grid.m_values[0],
-                                          f"m in {sorted(models.X_MODEL_ROWS)}")
-        if m_lines != grid.m_values:
-            footnote = ("evaluated over tabulated m lines "
-                        f"{list(m_lines)} only")
+    if isinstance(model, str):
+        label, m_lines = model, models.model_info(model).lines(grid.m_values)
+    else:
+        label, m_lines = f"fit-n{model.degree}", grid.m_values
+    footnote = ("" if m_lines == grid.m_values else
+                f"evaluated over tabulated m lines {list(m_lines)} only")
     try:
         h_model = models.model_h(model, np.array(m_lines)[:, None],
                                  np.array(grid.x_values, dtype=float))
@@ -194,14 +188,8 @@ def report(model, grid: EvalGrid) -> DeviationReport:
 def resolve_model_list(spec, grid: EvalGrid) -> list[str]:
     """Expand a model list; ``all`` means every model defined on the grid."""
     if spec == "all" or spec == ["all"]:
-        out = []
-        for info in models.list_models():
-            if info.tag == "X":
-                if any(models.admits_m("X", m) for m in grid.m_values):
-                    out.append("X")
-            elif all(models.admits_m(info.tag, m) for m in grid.m_values):
-                out.append(info.tag)
-        return out
+        return [info.tag for info in models.list_models()
+                if info.defined_on(grid.m_values)]
     tags = spec if isinstance(spec, (list, tuple)) else spec.split(",")
     return [t.strip() for t in tags if t.strip()]
 

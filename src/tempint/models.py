@@ -7,6 +7,7 @@ every model computes the bounded bracket h = g * exp(x) * x**(m+2)
 factors span ~90 orders of magnitude over the domain), so deviations
 against the oracle stay well scaled.
 
+Each tag is one ``ModelInfo`` record, with its h and its m-domain rule.
 ``model_h(model, m, x)`` is the one way to evaluate any model, at one
 point, along one m row, or over a whole grid at once (m a column of
 shape (M, 1) broadcast against an x row).  The model is a registry tag
@@ -27,10 +28,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from tempint.oracle import EvalPoint, g_from_h
+from tempint.oracle import M_MAX, M_MIN, EvalPoint, g_from_h
 from tempint.rational import paper_approximant, rational_eval_h_array
 
 _SQRT2 = math.sqrt(2.0)
@@ -165,55 +167,90 @@ def _h_L(m, x):
 
 
 def _x_model_key(m):
-    for key in X_MODEL_ROWS:
-        if abs(m - key) < 1e-12:
-            return key
-    return None
+    return next((key for key in X_MODEL_ROWS if abs(m - key) < 1e-12), None)
+
+
+_TABULATED = str(sorted(X_MODEL_ROWS))
 
 
 @dataclass(frozen=True)
 class ModelInfo:
+    """A registry record: a model's h function and its m-domain rule."""
+
     tag: str
     citation: str
-    m_domain: str          # "any", "zero", or "tabulated"
-    univariate: bool
+    h: Callable            # h(m, x), m a scalar or an (M, 1) column
+    m_domain: str = "any"  # "any", "zero", or "tabulated"
     variant: bool = False  # demonstration-only alternates, excluded from "all"
 
+    @property
+    def univariate(self) -> bool:
+        return self.m_domain == "zero"
 
-_REGISTRY = {
-    "J": ModelInfo("J", "Ji", "zero", True),
-    "O": ModelInfo("O", "Orfao", "zero", True),
-    "SY": ModelInfo("SY", "Senum & Yang (corrected)", "zero", True),
-    "SY88": ModelInfo("SY88", "Senum & Yang (miscopied 88 coefficient)",
-                      "zero", True, variant=True),
-    "G": ModelInfo("G", "Gorbachev", "any", False),
-    "W1": ModelInfo("W1", "Wanjun 2005", "any", False),
-    "W2": ModelInfo("W2", "Wanjun 2009", "any", False),
-    "C1": ModelInfo("C1", "Cai 2007a", "any", False),
-    "C2": ModelInfo("C2", "Cai 2007b", "any", False),
-    "C3": ModelInfo("C3", "Cai 2008", "any", False),
-    "Ch1": ModelInfo("Ch1", "Chen 2007 (4th degree)", "any", False),
-    "Ch2": ModelInfo("Ch2", "Chen 2009a", "any", False),
-    "Ch3": ModelInfo("Ch3", "Chen 2009b", "any", False),
-    "Ch4": ModelInfo("Ch4", "Chen 2009b", "any", False),
-    "Cp": ModelInfo("Cp", "Capela", "any", False),
-    "X": ModelInfo("X", "Xia", "tabulated", False),
-    "Cs": ModelInfo("Cs", "Casal & Marban", "any", False),
-    "L": ModelInfo("L", "Lei", "any", False),
-    "G1": ModelInfo("G1", "this work, degree 1", "any", False),
-    "G2": ModelInfo("G2", "this work, degree 2", "any", False),
-    "G3": ModelInfo("G3", "this work, degree 3", "any", False),
-    "G4": ModelInfo("G4", "this work, degree 4", "any", False),
-}
+    @property
+    def label(self) -> str:
+        """The m-domain as ``tempint list`` prints it."""
+        return {"any": "[-4, 4]", "zero": "m = 0 only",
+                "tabulated": _TABULATED}[self.m_domain]
 
-_H_FUNCS = {
-    "J": _h_J, "O": _h_O, "SY": functools.partial(_h_SY, c2=86.0),
-    "SY88": functools.partial(_h_SY, c2=88.0),
-    "G": _h_G, "W1": _h_W1, "W2": _h_W2,
-    "C1": _h_C1, "C2": _h_C2, "C3": _h_C3,
-    "Ch1": _h_Ch1, "Ch2": _h_Ch2, "Ch3": _h_Ch3, "Ch4": _h_Ch4,
-    "Cp": _h_Cp, "X": _h_X, "Cs": _h_Cs, "L": _h_L,
-}
+    @property
+    def allowed(self) -> str:
+        """The m-domain as a ``ModelDomainError`` names it."""
+        return "m = 0" if self.univariate else f"m in {self.label}"
+
+    def admits(self, m: float) -> bool:
+        if self.m_domain == "zero":
+            return m == 0.0
+        if self.m_domain == "tabulated":
+            return _x_model_key(m) is not None
+        return True
+
+    def lines(self, m_values: tuple) -> tuple:
+        """The m rows of a grid the model is evaluated on: all of them,
+        but a tabulated model needs one tabulated row and skips the other
+        rows inside the working domain (rows outside it fail as usual)."""
+        if self.m_domain != "tabulated":
+            return m_values
+        if not any(map(self.admits, m_values)):
+            raise ModelDomainError(self.tag, m_values[0], self.allowed)
+        return tuple(m for m in m_values
+                     if self.admits(m) or not M_MIN <= m <= M_MAX)
+
+    def defined_on(self, m_values: tuple) -> bool:
+        """Whether every row the model is evaluated on is admitted."""
+        return (any(map(self.admits, m_values))
+                and all(map(self.admits, self.lines(m_values))))
+
+
+def _bundled(n: int) -> Callable:
+    """h of the bundled degree-n approximant, looked up at call time."""
+    return lambda m, x: rational_eval_h_array(paper_approximant(n), m, x)
+
+
+_REGISTRY = {info.tag: info for info in (
+    ModelInfo("J", "Ji", _h_J, "zero"),
+    ModelInfo("O", "Orfao", _h_O, "zero"),
+    ModelInfo("SY", "Senum & Yang (corrected)",
+              functools.partial(_h_SY, c2=86.0), "zero"),
+    ModelInfo("SY88", "Senum & Yang (miscopied 88 coefficient)",
+              functools.partial(_h_SY, c2=88.0), "zero", variant=True),
+    ModelInfo("G", "Gorbachev", _h_G),
+    ModelInfo("W1", "Wanjun 2005", _h_W1),
+    ModelInfo("W2", "Wanjun 2009", _h_W2),
+    ModelInfo("C1", "Cai 2007a", _h_C1),
+    ModelInfo("C2", "Cai 2007b", _h_C2),
+    ModelInfo("C3", "Cai 2008", _h_C3),
+    ModelInfo("Ch1", "Chen 2007 (4th degree)", _h_Ch1),
+    ModelInfo("Ch2", "Chen 2009a", _h_Ch2),
+    ModelInfo("Ch3", "Chen 2009b", _h_Ch3),
+    ModelInfo("Ch4", "Chen 2009b", _h_Ch4),
+    ModelInfo("Cp", "Capela", _h_Cp),
+    ModelInfo("X", "Xia", _h_X, "tabulated"),
+    ModelInfo("Cs", "Casal & Marban", _h_Cs),
+    ModelInfo("L", "Lei", _h_L),
+    *(ModelInfo(f"G{n}", f"this work, degree {n}", _bundled(n))
+      for n in (1, 2, 3, 4)),
+)}
 
 ALL_TAGS = tuple(info.tag for info in _REGISTRY.values() if not info.variant)
 
@@ -227,28 +264,6 @@ def model_info(tag: str) -> ModelInfo:
         ) from None
 
 
-def admits_m(tag: str, m: float) -> bool:
-    info = model_info(tag)
-    if info.m_domain == "zero":
-        return m == 0.0
-    if info.m_domain == "tabulated":
-        return _x_model_key(m) is not None
-    return True
-
-
-def _check_domain(tag: str, m) -> None:
-    """Raise ``ModelDomainError`` for the first m the model does not admit."""
-    if isinstance(m, np.ndarray):
-        if model_info(tag).m_domain != "any":
-            for mi in m[:, 0].tolist():
-                _check_domain(tag, mi)
-    elif not admits_m(tag, m):
-        info = model_info(tag)
-        allowed = ("m = 0" if info.m_domain == "zero"
-                   else f"m in {sorted(X_MODEL_ROWS)}")
-        raise ModelDomainError(tag, m, allowed)
-
-
 def model_h(model, m, x):
     """The model's bracket h = g_model * exp(x) * x**(m+2).
 
@@ -259,12 +274,14 @@ def model_h(model, m, x):
     the whole grid; an error names a point of the first m row that
     fails.
     """
-    if isinstance(model, str):
-        _check_domain(model, m)
-        if model in _H_FUNCS:
-            return _H_FUNCS[model](m, x)
-        model = paper_approximant(int(model[1]))
-    return rational_eval_h_array(model, m, x)
+    if not isinstance(model, str):
+        return rational_eval_h_array(model, m, x)
+    info = model_info(model)
+    if info.m_domain != "any":
+        for mi in m[:, 0].tolist() if isinstance(m, np.ndarray) else (m,):
+            if not info.admits(mi):
+                raise ModelDomainError(model, mi, info.allowed)
+    return info.h(m, x)
 
 
 def eval_model(model, point: EvalPoint) -> float:
@@ -274,11 +291,5 @@ def eval_model(model, point: EvalPoint) -> float:
 
 def list_models(m_filter: float | None = None) -> list[ModelInfo]:
     """Registry entries, optionally restricted to models defined at m."""
-    out = []
-    for info in _REGISTRY.values():
-        if info.variant:
-            continue
-        if m_filter is not None and not admits_m(info.tag, m_filter):
-            continue
-        out.append(info)
-    return out
+    return [info for info in _REGISTRY.values() if not info.variant
+            and (m_filter is None or info.admits(m_filter))]

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 M_MIN, M_MAX = -4.0, 4.0
 X_MIN, X_MAX = 4.0, 100.0
@@ -172,6 +171,10 @@ def _lentz_cf_array(a: np.ndarray, x: np.ndarray):
 
 def _h_quad(point: EvalPoint) -> float:
     """h(m, x) = int_0^inf exp(-u) (1 + u/x)**-(m+2) du by quadrature."""
+    # imported on first use: h_array falls back to quadrature at no point
+    # of the working domain, and scipy.integrate is most of the import time
+    from scipy.integrate import quad
+
     m, x = point.m, point.x
     p = m + 2.0
     upper = 60.0 + 5.0 * abs(p) * math.log(x)

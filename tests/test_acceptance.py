@@ -42,9 +42,10 @@ def _announce(num, ok, detail=""):
 
 def test_criterion_1_oracle_cross_validation(paper_eval_grid):
     worst = 0.0
-    for point in paper_eval_grid.points():
-        rel = abs(g_cf(point) / g_quad(point) - 1.0)
-        worst = max(worst, rel)
+    for m in paper_eval_grid.m_values:
+        for x in paper_eval_grid.x_values:
+            point = EvalPoint(m, x)
+            worst = max(worst, abs(g_cf(point) / g_quad(point) - 1.0))
     closed = {
         -2.0: lambda x: 1.0,
         -3.0: lambda x: (1.0 + x) / x,

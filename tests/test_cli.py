@@ -252,6 +252,28 @@ class TestEval:
         assert out == ""
         assert "non-finite grid range" in err
 
+    def test_oversized_grid_exit_2(self, capsys):
+        # a billion-point axis is rejected before any value is built
+        code, out, err = run(capsys, "eval", "--model", "G",
+                             "--grid", "m=0:1e9:1,x=4:100:1")
+        assert code == 2
+        assert out == ""
+        assert "above the limit of 1000000" in err
+
+    def test_x_out_of_domain_rows_exit_2(self, capsys):
+        # untabulated rows inside [-4, 4] are skipped, the rows below -4
+        # fail as they do for G
+        for tag in ("X", "G"):
+            code, out, err = run(capsys, "eval", "--model", tag,
+                                 "--grid", "m=-9:0:0.5,x=4:100:4")
+            assert code == 2, tag
+            assert out == ""
+            assert "m=-9.0" in err
+        code, _, err = run(capsys, "eval", "--model", "X",
+                           "--grid", "m=-1:5:0.5,x=4:100:4")
+        assert code == 2
+        assert "model X is not defined at m=4.5" in err
+
     def test_missing_coeff_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing.coeff"
         code, out, err = run(capsys, "eval", "--coeffs", str(path),

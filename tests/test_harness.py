@@ -1,7 +1,11 @@
 import csv
 import io
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +25,10 @@ from tempint.harness import (
     vyazovkin_segment,
 )
 from tempint.models import ModelDomainError
-from tempint.oracle import DomainError
+from tempint.oracle import DomainError, EvalPoint, g_cf
 from tempint.rational import load_coeffs, paper_approximant, save_coeffs
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # Frozen regression constant: direct adaptive quadrature at rel_tol
 # 1e-14 of the exp(-E/RT) dT segment for E/R = 10000 K, T in [500, 520].
@@ -58,6 +64,14 @@ class TestGrids:
     def test_non_finite_range_rejected(self, spec):
         with pytest.raises(ValueError, match="non-finite"):
             EvalGrid.from_spec(spec)
+
+    def test_oversized_rejected(self):
+        # one axis of a billion points, and a grid whose two axes each
+        # pass but whose product does not
+        for spec in ("m=0:1e9:1,x=4:100:1", "m=-4:4:0.001,x=4:100:0.001"):
+            with pytest.raises(ValueError, match="above the limit"):
+                EvalGrid.from_spec(spec)
+        assert EvalGrid.from_spec("paper-eval").refined(4).size == 123585
 
     def test_refined(self):
         g = EvalGrid.from_spec("arrhenius").refined(4)
@@ -113,6 +127,20 @@ class TestReport:
         with pytest.raises(ModelDomainError):
             report("J", EvalGrid.from_spec("paper-eval"))
 
+    def test_x_out_of_domain_rows_kept(self):
+        info = models.model_info("X")
+        assert info.lines((-4.5, -1.0, 0.3, 2.0)) == (-4.5, -1.0, 2.0)
+        with pytest.raises(ModelDomainError, match="m=-4.5"):
+            report("X", EvalGrid((-4.5, -1.0, 0.3), (10.0,)))
+        with pytest.raises(ModelDomainError, match="m=3.0"):
+            report("X", EvalGrid((3.0, 4.5), (10.0,)))
+
+    def test_per_point_rows_within_oracle_tolerance(self):
+        rep = report("G4", EvalGrid.from_spec("coarse"))
+        for _, m, x, g_oracle, g_model, eps in rep.per_point_rows():
+            assert abs(g_oracle / g_cf(EvalPoint(m, x)) - 1.0) <= 1e-13
+            assert g_model == g_oracle * (1.0 + eps)
+
     def test_x_restricted_with_footnote(self):
         rep = report("X", EvalGrid.from_spec("paper-narrow"))
         assert rep.footnote
@@ -127,8 +155,7 @@ class TestReport:
         path = tmp_path / "g3.coeff"
         save_coeffs(paper_approximant(3), path)
         tags = [tag for tag in (*models.ALL_TAGS, "SY88")
-                if (any if tag == "X" else all)(
-                    models.admits_m(tag, m) for m in grid.m_values)]
+                if models.model_info(tag).defined_on(grid.m_values)]
         assert "Cp" in tags and "G4" in tags
         xs = np.array(grid.x_values)
         for model in (*tags, load_coeffs(path)):
@@ -182,6 +209,15 @@ class TestCompare:
         for row in rows:
             assert len(row) == 7
         assert [row[1] for row in rows[1:]] == [spec, spec]
+
+
+def test_import_leaves_quadrature_unloaded():
+    # quadrature is the oracle's fallback only; importing the harness
+    # must not pay for scipy.integrate
+    code = ("import sys, tempint.harness; "
+            "assert 'scipy.integrate' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestVyazovkin:

@@ -7,7 +7,6 @@ from tempint.models import (
     ALL_TAGS,
     ModelDomainError,
     X_MODEL_ROWS,
-    admits_m,
     eval_model,
     list_models,
     model_h,
@@ -93,7 +92,7 @@ def test_univariate_domain_errors():
     for tag in ("J", "O", "SY"):
         with pytest.raises(ModelDomainError):
             eval_model(tag, EvalPoint(0.5, 10.0))
-        assert admits_m(tag, 0.0)
+        assert model_info(tag).admits(0.0)
 
 
 def test_x_model_domain():
@@ -101,6 +100,15 @@ def test_x_model_domain():
     with pytest.raises(ModelDomainError):
         eval_model("X", EvalPoint(0.3, 10.0))
     assert set(X_MODEL_ROWS) == {-1.0, -0.5, 0.0, 0.5, 1.0, 2.0}
+
+
+def test_domain_rule_records():
+    assert model_info("J").univariate and not model_info("X").univariate
+    assert model_info("G").lines((-4.0, 0.3)) == (-4.0, 0.3)
+    assert model_info("SY").label == "m = 0 only"
+    # a column is checked row by row; the error names the first bad m
+    with pytest.raises(ModelDomainError, match="m=0.5; allowed: m = 0$"):
+        model_h("SY", np.array([[0.0], [0.5]]), np.array([10.0]))
 
 
 def test_unknown_tag():
