@@ -32,26 +32,27 @@ outside S.  Every witness is checked on the whole grid with numpy, so
 ``u_plus`` always rests on the whole grid, and full-grid LPs confirm
 ``u_minus`` (see ``bisect_fit``).
 
-HiGHS releases the GIL, so on two or more CPUs each bisection level is a
-pair step: a worker thread solves the LP at the level u while the
-calling thread solves the level the bisection visits next if u is
-feasible.  A verdict depends only on the level and S, so the fit is
-byte-identical to sequential bisection; the guess is wasted when u turns
-out infeasible, and a solver failure at a guessed level is raised only
-if the bisection reaches that level.
+Consecutive LPs differ only in the (1 +- u) * h coefficients and in the
+points of S, so every LP of a fit goes through one HiGHS instance with
+presolve off, started from the optimal basis of the last LP solved
+(``WarmStart``).  A warm solve that does not end optimal falls back to a
+cold ``linprog`` solve.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
+# the HiGHS binding that linprog(method="highs") itself loads
+from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus,
+                                           HighsLp, HighsModelStatus,
+                                           MatrixFormat, _Highs)
+from scipy.sparse import csc_array
 
 from tempint.harness import EvalGrid, oracle_h_row
 from tempint.rational import BivariatePoly, RationalApproximant, index_pairs
@@ -65,6 +66,9 @@ DENOM_FLOOR = 1.0          # Q >= DENOM_FLOOR at every grid point
 BISECTION_TOL_ABS = 1e-12  # the bracket closes within this, or tol_rel * u
 MAX_BISECTIONS = 60        # most levels per bisection pass on S
 FEASIBILITY_TOL = 1e-9     # phase-1 slack, and row excess, of a feasible u
+# HiGHS primal and dual feasibility tolerances of the first solve of an LP
+TIGHT_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
+                 "dual_feasibility_tolerance": 1e-9}
 
 
 class FitError(Exception):
@@ -125,6 +129,7 @@ class FeasibilitySystem:
     a_ub: np.ndarray
     b_ub: np.ndarray
     col_scale: np.ndarray   # per-coefficient rescale applied to the columns
+    points: np.ndarray | None = None   # flat grid indices of the rows; None: all
 
     @property
     def n_coeffs(self) -> int:
@@ -163,63 +168,114 @@ def build_feasibility(problem: FitProblem, u: float,
         -DENOM_FLOOR * np.ones(len(h)),
     ])
     return FeasibilitySystem(u=u, a_ub=a_ub, b_ub=b_ub,
-                             col_scale=np.concatenate([scale, scale]))
+                             col_scale=np.concatenate([scale, scale]),
+                             points=points)
 
 
-def check_feasible(system: FeasibilitySystem):
-    """Witness coefficient vector if the system is feasible, else None.
+class WarmStart:
+    """One HiGHS instance for the LPs of a fit, and the optimal basis of
+    its last solve.
 
-    Phase-1 LP: minimize t subject to A @ c - t <= b, t >= 0.  Always
-    solvable; the original system is feasible iff the optimum t is
-    within ``FEASIBILITY_TOL``.
+    The row statuses are kept per grid point: three rows each, in
+    ``build_feasibility`` order.  An LP on more points than the last one
+    starts from that basis, with the rows of its new points basic (their
+    slacks enter the basis), so the basis stays valid.  Points that no
+    stored solve covered are basic too.
     """
-    n = system.n_coeffs
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
+
+    def __init__(self, grid_size: int):
+        self.highs = _Highs()
+        for key, value in {"output_flag": False, "presolve": "off",
+                           **TIGHT_OPTIONS}.items():
+            self.highs.setOptionValue(key, value)
+        self.col_status = None
+        self.row_status = np.full((3, grid_size), HighsBasisStatus.kBasic,
+                                  dtype=object)
+
+    def solve(self, a: np.ndarray, b_ub: np.ndarray,
+              points) -> OptimizeResult | None:
+        """The phase-1 LP min t, a @ (c, t) <= b_ub, t >= 0, seeded from the
+        last basis, or None if HiGHS does not end optimal.  ``points`` are
+        the grid indices of the rows (None: all)."""
+        n_rows, n_cols = a.shape
+        sparse = csc_array(a)
+        lp = HighsLp()
+        lp.num_col_, lp.num_row_ = n_cols, n_rows
+        lp.col_cost_ = np.eye(n_cols)[-1]
+        lp.col_lower_ = np.r_[np.full(n_cols - 1, -np.inf), 0.0]
+        lp.col_upper_ = np.full(n_cols, np.inf)
+        lp.row_lower_ = np.full(n_rows, -np.inf)
+        lp.row_upper_ = b_ub
+        matrix = lp.a_matrix_
+        matrix.format_ = MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = n_cols, n_rows
+        matrix.start_, matrix.index_ = sparse.indptr, sparse.indices
+        matrix.value_ = sparse.data
+        highs = self.highs
+        highs.passModel(lp)
+        if self.col_status is not None:
+            rows = self.row_status if points is None else (
+                self.row_status[:, points])
+            basis = HighsBasis()
+            basis.valid = True
+            basis.col_status = self.col_status
+            basis.row_status = rows.ravel().tolist()
+            highs.setBasis(basis)
+        highs.run()
+        if highs.getModelStatus() != HighsModelStatus.kOptimal:
+            return None
+        basis = highs.getBasis()
+        self.col_status = basis.col_status
+        rows = np.array(basis.row_status, dtype=object).reshape(3, -1)
+        if points is not None:
+            # a new array, so a copy of this object keeps its own basis
+            full = self.row_status.copy()
+            full[:, points] = rows
+            rows = full
+        self.row_status = rows
+        return OptimizeResult(status=0,
+                              fun=highs.getInfo().objective_function_value,
+                              x=np.array(highs.getSolution().col_value))
+
+
+def _solve_phase1(system: FeasibilitySystem,
+                  warm: WarmStart | None) -> OptimizeResult:
+    """Every LP of the fitter: minimize t subject to A @ c - t <= b, t >= 0.
+
+    A warm solve comes first if there is warm state; if it does not end
+    optimal, or with no warm state, ``linprog`` solves the LP cold.
+    """
     a = np.hstack([system.a_ub, -np.ones((system.a_ub.shape[0], 1))])
-    bounds = [(None, None)] * n + [(0.0, None)]
-    res = linprog(
-        c, A_ub=a, b_ub=system.b_ub, bounds=bounds, method="highs",
-        options={"primal_feasibility_tolerance": 1e-9,
-                 "dual_feasibility_tolerance": 1e-9})
+    res = None if warm is None else warm.solve(a, system.b_ub, system.points)
+    if res is not None:
+        return res
+    c = np.eye(a.shape[1])[-1]
+    bounds = [(None, None)] * system.n_coeffs + [(0.0, None)]
+    res = linprog(c, A_ub=a, b_ub=system.b_ub, bounds=bounds, method="highs",
+                  options=TIGHT_OPTIONS)
     if res.status != 0:
         # tightened tolerances can break down near degeneracy (degree 4 at
         # u ~ 1e-8); the default-accuracy solve still separates the slack
         # optimum from the 1e-9 verdict threshold
         res = linprog(c, A_ub=a, b_ub=system.b_ub, bounds=bounds,
                       method="highs")
+    return res
+
+
+def check_feasible(system: FeasibilitySystem, warm: WarmStart | None = None):
+    """Witness coefficient vector if the system is feasible, else None.
+
+    Phase-1 LP: minimize t subject to A @ c - t <= b, t >= 0.  Always
+    solvable; the original system is feasible iff the optimum t is
+    within ``FEASIBILITY_TOL``.  With ``warm``, HiGHS starts from its
+    last basis (see ``WarmStart``).
+    """
+    res = _solve_phase1(system, warm)
     if res.status != 0:
         raise FitError(f"LP solver failed (status {res.status}): {res.message}")
     if res.fun > FEASIBILITY_TOL:
         return None
-    return res.x[:n] / system.col_scale
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:     # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _verdict(problem: FitProblem, u: float, points):
-    """``check_feasible`` at u on ``points``, or the FitError it raised."""
-    try:
-        return check_feasible(build_feasibility(problem, u, points))
-    except FitError as exc:
-        return exc
-
-
-def _pair_step(pool, problem: FitProblem, u: float, guess, points):
-    """The verdict at u, and (guess, verdict) if ``guess`` is not None.
-
-    The worker solves u while this thread solves the guess.
-    """
-    if guess is None:
-        return _verdict(problem, u, points), None
-    future = pool.submit(_verdict, problem, u, points)
-    ahead = (guess, _verdict(problem, guess, points))
-    return future.result(), ahead
+    return res.x[:system.n_coeffs] / system.col_scale
 
 
 @dataclass
@@ -228,8 +284,7 @@ class FitResult:
     u_minus: float
     u_plus: float
     iterations: int            # bisection levels of all passes
-    lp_solves: int             # LPs of the levels visited, confirmations too
-    lp_speculative: int        # guessed LPs whose level was not visited
+    lp_solves: int             # LPs of the levels, confirmations too
     active_points: int         # final size of the subset S
     achieved_dev: float        # recomputed against the oracle on the fit grid
     achieved_dev_fine: float   # same on the 4x-refined verification grid
@@ -341,8 +396,8 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     ``u_plus`` then pass without an LP, and the LPs below it are exactly
     plain bisection's.
 
-    On two or more CPUs the levels of a pass on S run as pair steps (see
-    the module docstring); the confirmations run alone.
+    All LPs share one ``WarmStart``.  A confirmation starts from the
+    basis on S but leaves it stored, so the next pass on S extends it.
 
     A posteriori verification recomputes the deviation against the
     oracle on the fit grid and on a 4x-refined grid, recording the
@@ -356,66 +411,52 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     in_s[np.arange(n_start) * g.size // n_start] = True
     u_minus, u_plus, u_hi = 0.0, u_start, u_start
     confirmed = 0.0           # the highest u_minus a full-grid LP confirmed
-    iterations, lp_solves, lp_speculative = 0, 0, 0
+    iterations, lp_solves = 0, 0
+    warm = WarmStart(g.size)
 
     def closed(u_hi):
         return u_hi - u_minus <= max(BISECTION_TOL_ABS,
                                      problem.bisection_tol_rel * u_hi)
 
-    pool = ThreadPoolExecutor(max_workers=1) if _usable_cpus() > 1 else None
-    with pool or nullcontext():
-        while True:
-            # one bisection pass on S, between u_minus and u_hi
-            points = None if in_s.all() else np.flatnonzero(in_s)
-            worst, levels = np.empty(0, dtype=int), 0
-            ahead = None      # (level, verdict) solved one level ahead
-            while not (closed(u_hi) or levels == MAX_BISECTIONS):
-                u = 0.5 * (u_minus + u_hi)
-                levels += 1
-                if u >= u_plus:
-                    # only after a restart: the witness holds at u_plus <= u
-                    u_hi = u
-                    continue
-                if ahead is not None and ahead[0] == u:
-                    vec, ahead = ahead[1], None
-                else:
-                    lp_speculative += ahead is not None
-                    # guess the level visited next if u is feasible, when
-                    # that level needs an LP
-                    guess = 0.5 * (u_minus + u)
-                    if (pool is None or closed(u) or levels == MAX_BISECTIONS
-                            or guess >= u_plus):
-                        guess = None
-                    vec, ahead = _pair_step(pool, problem, u, guess, points)
-                lp_solves += 1
-                if isinstance(vec, FitError):
-                    raise vec
-                if vec is None:
-                    u_minus = u
-                    continue
+    while True:
+        # one bisection pass on S, between u_minus and u_hi
+        points = None if in_s.all() else np.flatnonzero(in_s)
+        worst, levels = np.empty(0, dtype=int), 0
+        while not (closed(u_hi) or levels == MAX_BISECTIONS):
+            u = 0.5 * (u_minus + u_hi)
+            levels += 1
+            if u >= u_plus:
+                # only after a restart: the witness holds at u_plus <= u
                 u_hi = u
-                worst, level = _check_on_grid(problem, vec, u, in_s)
-                if level < u_plus:
-                    u_plus, witness = level, vec
-            lp_speculative += ahead is not None
-            iterations += levels
-            exchange = bool(worst.size) and closed(u_hi)
-            if points is not None and u_minus > confirmed and (
-                    confirmed == 0.0 or not exchange):
-                vec = check_feasible(build_feasibility(problem, u_minus))
-                lp_solves += 1
-                if vec is not None:
-                    # a subset verdict was wrong: plain bisection from the
-                    # start
-                    in_s[:] = True
-                    u_minus, u_plus, u_hi = 0.0, u_minus, u_start
-                    witness = vec
-                    continue
-                confirmed = u_minus
-            if not exchange:
-                break
-            in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
-            u_hi = u_plus
+                continue
+            vec = check_feasible(build_feasibility(problem, u, points), warm)
+            lp_solves += 1
+            if vec is None:
+                u_minus = u
+                continue
+            u_hi = u
+            worst, level = _check_on_grid(problem, vec, u, in_s)
+            if level < u_plus:
+                u_plus, witness = level, vec
+        iterations += levels
+        exchange = bool(worst.size) and closed(u_hi)
+        if points is not None and u_minus > confirmed and (
+                confirmed == 0.0 or not exchange):
+            # on a copy, so the basis on S stays stored
+            vec = check_feasible(build_feasibility(problem, u_minus),
+                                 copy.copy(warm))
+            lp_solves += 1
+            if vec is not None:
+                # a subset verdict was wrong: plain bisection from the start
+                in_s[:] = True
+                u_minus, u_plus, u_hi = 0.0, u_minus, u_start
+                witness = vec
+                continue
+            confirmed = u_minus
+        if not exchange:
+            break
+        in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
+        u_hi = u_plus
     converged = closed(u_plus)
     approx = _coeffs_to_approximant(witness, problem.degree)
     achieved = float(_deviation_on(approx, g)[0].max())
@@ -424,7 +465,6 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
         iterations=iterations, lp_solves=lp_solves,
-        lp_speculative=lp_speculative,
         active_points=int(in_s.sum()), achieved_dev=achieved,
         achieved_dev_fine=float(fine_dev.max()), denom_min=denom_min,
         converged=converged, pole_warning=denom_min <= 0.0, grid=g.grid)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from tempint import models
-from tempint.oracle import DomainError, EvalPoint, g_cf, g_from_h, h, h_array
+from tempint.oracle import (DomainError, EvalPoint, OracleError, g_cf,
+                            g_from_h, h, h_array)
 # bound for perfbench/layers.py, which wraps harness.rational_eval_h_array
 from tempint.rational import PoleError, rational_eval_h_array
 
@@ -150,6 +151,20 @@ class DeviationReport:
                        eps)
 
 
+def _model_h_rows(model, m_lines: tuple, x_values: tuple) -> np.ndarray:
+    """The model's h on the rows ``m_lines``, or its error."""
+    try:
+        return models.model_h(model, np.array(m_lines)[:, None],
+                              np.array(x_values, dtype=float))
+    except (models.ModelDomainError, PoleError) as exc:
+        # the first failing m row wins, and within a row the model is
+        # checked before the oracle: an oracle failure on an earlier row
+        # takes precedence
+        m_bad = exc.point.m if isinstance(exc, PoleError) else exc.m
+        oracle_h_row(m_lines[:m_lines.index(m_bad)], x_values)
+        raise
+
+
 def report(model, grid: EvalGrid) -> DeviationReport:
     """Full per-point sweep with aggregates.
 
@@ -165,16 +180,16 @@ def report(model, grid: EvalGrid) -> DeviationReport:
     footnote = ("" if m_lines == grid.m_values else
                 f"evaluated over tabulated m lines {list(m_lines)} only")
     try:
-        h_model = models.model_h(model, np.array(m_lines)[:, None],
-                                 np.array(grid.x_values, dtype=float))
-    except (models.ModelDomainError, PoleError) as exc:
-        # the first failing m row wins, and within a row the model is
-        # checked before the oracle: an oracle failure on an earlier row
-        # takes precedence
-        m_bad = exc.point.m if isinstance(exc, PoleError) else exc.m
-        oracle_h_row(m_lines[:m_lines.index(m_bad)], grid.x_values)
+        h_oracle = oracle_h_row(m_lines, grid.x_values)
+    except OracleError:
+        # the report fails, but a model error on an earlier row, or the
+        # same one, wins; the model's values are never used, so the
+        # warnings of its formula outside the domain (a division by zero)
+        # say nothing
+        with np.errstate(all="ignore"):
+            _model_h_rows(model, m_lines, grid.x_values)
         raise
-    eps = h_model / oracle_h_row(m_lines, grid.x_values) - 1.0
+    eps = _model_h_rows(model, m_lines, grid.x_values) / h_oracle - 1.0
     abs_eps = np.abs(eps)
     flat = int(np.argmax(abs_eps))
     i, k = divmod(flat, len(grid.x_values))

@@ -290,6 +290,10 @@ def eval_model(model, point: EvalPoint) -> float:
 
 
 def list_models(m_filter: float | None = None) -> list[ModelInfo]:
-    """Registry entries, optionally restricted to models defined at m."""
+    """Registry entries, optionally restricted to models defined at m.
+
+    No model is defined at an m outside the oracle's working domain.
+    """
     return [info for info in _REGISTRY.values() if not info.variant
-            and (m_filter is None or info.admits(m_filter))]
+            and (m_filter is None or (M_MIN <= m_filter <= M_MAX
+                                      and info.admits(m_filter)))]

@@ -111,65 +111,16 @@ class TestFit:
 
         from tempint import fitter
 
-        def failing_linprog(*args, **kwargs):
+        def failing_solve(system, warm):
             return OptimizeResult(status=4, message="numerical difficulties")
 
-        monkeypatch.setattr(fitter, "linprog", failing_linprog)
+        monkeypatch.setattr(fitter, "_solve_phase1", failing_solve)
         out_file = tmp_path / "fail.fit"
         code, _, err = run(capsys, "fit", "--degree", "1", "--grid", "coarse",
                            "--out", str(out_file))
         assert code == 3
         assert err.startswith("error: LP solver failed (status 4)")
         assert not out_file.exists()
-
-    def test_lp_failure_at_unreached_guess_ignored(self, capsys, tmp_path,
-                                                   monkeypatch):
-        # the LP of a guessed level that the bisection never visits fails;
-        # the fit goes on and writes the sequential fit's files
-        import threading
-
-        from scipy.optimize import OptimizeResult
-
-        from tempint import fitter
-
-        visited = set()
-        real_check = fitter.check_feasible
-
-        def recording_check(system):
-            visited.add(system.u)
-            return real_check(system)
-
-        argv = ["fit", "--degree", "1", "--grid", "coarse", "--out"]
-        with monkeypatch.context() as patch:
-            patch.setattr(fitter, "_usable_cpus", lambda: 1)
-            patch.setattr(fitter, "check_feasible", recording_check)
-            assert run(capsys, *argv, str(tmp_path / "seq.fit"))[0] == 0
-
-        level = threading.local()   # the level of this thread's LP
-        real_build = fitter.build_feasibility
-        real_linprog = fitter.linprog
-        failed = []
-
-        def build(problem, u, points=None):
-            level.u = u
-            return real_build(problem, u, points)
-
-        def failing_linprog(*args, **kwargs):
-            if level.u not in visited:
-                failed.append(level.u)
-                return OptimizeResult(status=4,
-                                      message="numerical difficulties")
-            return real_linprog(*args, **kwargs)
-
-        monkeypatch.setattr(fitter, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(fitter, "build_feasibility", build)
-        monkeypatch.setattr(fitter, "linprog", failing_linprog)
-        code, _, err = run(capsys, *argv, str(tmp_path / "pair.fit"))
-        assert code == 0 and err == ""
-        assert failed
-        for suffix in (".fit", ".fit.report"):
-            assert ((tmp_path / f"pair{suffix}").read_bytes()
-                    == (tmp_path / f"seq{suffix}").read_bytes())
 
 
 class TestCompare:
@@ -260,6 +211,7 @@ class TestEval:
         assert out == ""
         assert "above the limit of 1000000" in err
 
+    @pytest.mark.filterwarnings("error")   # no warning from G below -4
     def test_x_out_of_domain_rows_exit_2(self, capsys):
         # untabulated rows inside [-4, 4] are skipped, the rows below -4
         # fail as they do for G
@@ -316,6 +268,16 @@ class TestList:
         assert code == 0
         assert len(out.splitlines()) == 18
         assert "SY" not in out
+        assert [line.split()[0] for line in out.splitlines()[1:]] == [
+            "G", "W1", "W2", "C1", "C2", "C3", "Ch1", "Ch2", "Ch3", "Ch4",
+            "Cp", "Cs", "L", "G1", "G2", "G3", "G4"]
+
+    @pytest.mark.parametrize("m", ["-7", "4.5"])
+    def test_list_outside_working_domain_empty(self, capsys, m):
+        # models labelled [-4, 4] are not defined outside it
+        code, out, _ = run(capsys, "list", "--m", m)
+        assert code == 0
+        assert out.splitlines() == [out.splitlines()[0]]   # the header
 
 
 class TestTables:

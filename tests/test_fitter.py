@@ -1,5 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from tempint import fitter
 from tempint.fitter import (
@@ -185,7 +188,7 @@ class TestExchange:
         real_check = fitter.check_feasible
         full_grid_levels = []
 
-        def lying_check(system):
+        def lying_check(system, warm=None):
             # subset systems call every level below 2 u* infeasible,
             # though the full grid is feasible down to u*
             subset = system.a_ub.shape[0] < 3 * coarse_fit_grid.size
@@ -193,7 +196,7 @@ class TestExchange:
                 return None
             if not subset:
                 full_grid_levels.append(system.u)
-            return real_check(system)
+            return real_check(system, warm)
 
         monkeypatch.setattr(fitter, "check_feasible", lying_check)
         result = bisect_fit(problem)
@@ -209,45 +212,93 @@ class TestExchange:
 
     def test_small_grid_is_plain_bisection(self, monkeypatch):
         # 65 points are fewer than the 16 x 6 starting subset of degree 1,
-        # so every level is one full-grid LP, as in plain bisection; on
-        # two CPUs the guessed LPs of infeasible levels come on top
+        # so every level is one full-grid LP, as in plain bisection
         grid = FitGrid.from_eval_grid(
             EvalGrid.from_spec("m=-1:1:0.5,x=4:100:8"))
-        real_linprog = fitter.linprog
-        for cpus in (1, 2):
-            calls = []
+        real_solve = fitter._solve_phase1
+        calls = []
 
-            def counting_linprog(*args, **kwargs):
-                calls.append(kwargs["A_ub"].shape[0])
-                return real_linprog(*args, **kwargs)
+        def counting_solve(system, warm):
+            calls.append(system.a_ub.shape[0])
+            return real_solve(system, warm)
 
-            monkeypatch.setattr(fitter, "_usable_cpus", lambda: cpus)
-            monkeypatch.setattr(fitter, "linprog", counting_linprog)
-            result = bisect_fit(FitProblem(degree=1, grid=grid))
-            assert result.active_points == grid.size
-            assert len(calls) == result.lp_solves + result.lp_speculative
-            assert result.lp_solves == result.iterations
-            assert (result.lp_speculative == 0) == (cpus == 1)
-            assert set(calls) == {3 * grid.size}
-            assert result.u_plus - result.u_minus == pytest.approx(
-                1.0 / 2.0 ** result.iterations, rel=1e-9)
+        monkeypatch.setattr(fitter, "_solve_phase1", counting_solve)
+        result = bisect_fit(FitProblem(degree=1, grid=grid))
+        assert result.active_points == grid.size
+        assert len(calls) == result.lp_solves
+        assert result.lp_solves == result.iterations
+        assert set(calls) == {3 * grid.size}
+        assert result.u_plus - result.u_minus == pytest.approx(
+            1.0 / 2.0 ** result.iterations, rel=1e-9)
 
 
-class TestPairStep:
-    def test_same_fit_on_one_and_two_cpus(self, coarse_fit_grid,
-                                          monkeypatch):
+def _verdicts(system, warm, monkeypatch):
+    """Feasible or not, by a warm solve that may not fall back to
+    ``linprog``, and by a cold solve."""
+    def no_cold_solve(*args, **kwargs):
+        raise AssertionError("the warm solve did not end optimal")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fitter, "linprog", no_cold_solve)
+        warm_feasible = check_feasible(system, warm) is not None
+    return warm_feasible, check_feasible(system) is not None
+
+
+class TestWarmStart:
+    def test_same_verdicts_along_a_bisection(self, coarse_fit_grid,
+                                             monkeypatch):
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
-        results = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(fitter, "_usable_cpus", lambda: cpus)
-            results.append(bisect_fit(problem))
-        one, two = results
-        assert one.lp_speculative == 0 < two.lp_speculative
-        assert (two.u_minus, two.u_plus, two.iterations, two.lp_solves,
-                two.active_points) == (one.u_minus, one.u_plus,
-                                       one.iterations, one.lp_solves,
-                                       one.active_points)
-        assert two.approximant == one.approximant
+        warm = fitter.WarmStart(coarse_fit_grid.size)
+        lo, hi, seen = 0.0, 1.0, set()
+        for _ in range(40):
+            u = 0.5 * (lo + hi)
+            warm_feasible, feasible = _verdicts(
+                build_feasibility(problem, u), warm, monkeypatch)
+            assert warm_feasible == feasible, u
+            seen.add(feasible)
+            lo, hi = (lo, u) if feasible else (u, hi)
+        assert seen == {True, False}
+
+    def test_same_verdicts_as_the_subset_grows(self, coarse_fit_grid,
+                                               monkeypatch):
+        # LPs on S plus new points start from the basis on S, with the
+        # rows of the new points basic; a copy's solve leaves that basis
+        problem = FitProblem(degree=2, grid=coarse_fit_grid)
+        size = coarse_fit_grid.size
+        subset = np.arange(0, size, 4)
+        grown = np.union1d(subset, np.arange(1, size, 8))
+        u_star = bisect_fit(problem).u_plus
+        for u in (0.9 * u_star, 1.1 * u_star):
+            warm = fitter.WarmStart(size)
+            check_feasible(build_feasibility(problem, u, subset), warm)
+            stored = warm.row_status
+            assert np.all(np.delete(stored, subset, axis=1)
+                          == fitter.HighsBasisStatus.kBasic)
+            assert _verdicts(build_feasibility(problem, u), copy.copy(warm),
+                             monkeypatch) == (u > u_star, u > u_star)
+            assert warm.row_status is stored
+            warm_feasible, feasible = _verdicts(
+                build_feasibility(problem, u, grown), warm, monkeypatch)
+            assert warm_feasible == feasible, u
+
+    def test_failed_warm_solve_falls_back(self, coarse_fit_grid,
+                                          monkeypatch):
+        # an LP the warm solve does not end optimal goes to linprog: tight
+        # tolerances first, then the defaults
+        system = build_feasibility(
+            FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
+        options = []
+
+        def failing_linprog(*args, **kwargs):
+            options.append(kwargs.get("options"))
+            return OptimizeResult(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(fitter.WarmStart, "solve",
+                            lambda self, a, b_ub, points: None)
+        monkeypatch.setattr(fitter, "linprog", failing_linprog)
+        with pytest.raises(fitter.FitError, match="status 4"):
+            check_feasible(system, fitter.WarmStart(coarse_fit_grid.size))
+        assert options == [fitter.TIGHT_OPTIONS, None]
 
 
 class TestVerifyFit:
