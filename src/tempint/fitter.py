@@ -50,8 +50,8 @@ import numpy as np
 from scipy.optimize import OptimizeResult, linprog
 # the HiGHS binding that linprog(method="highs") itself loads
 from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus,
-                                           HighsLp, HighsModelStatus,
-                                           MatrixFormat, _Highs)
+                                           HighsModelStatus, HighsStatus,
+                                           MatrixFormat, ObjSense, _Highs)
 from scipy.sparse import csc_array
 
 from tempint.harness import EvalGrid, oracle_h_row
@@ -176,21 +176,44 @@ class WarmStart:
     """One HiGHS instance for the LPs of a fit, and the optimal basis of
     its last solve.
 
-    The row statuses are kept per grid point: three rows each, in
-    ``build_feasibility`` order.  An LP on more points than the last one
-    starts from that basis, with the rows of its new points basic (their
-    slacks enter the basis), so the basis stays valid.  Points that no
-    stored solve covered are basic too.
+    ``basis`` is the ``HighsBasis`` that HiGHS returned for the last LP,
+    whose rows belong to the grid points ``points`` (None: all).  The
+    next LP on the same points starts from that object as it is.  Only
+    when the points change (an exchange or a confirmation) is it turned
+    into row statuses per grid point, three rows each in
+    ``build_feasibility`` order, kept in ``row_status``.  The basis of an
+    LP on more points then has the rows of its new points basic (their
+    slacks enter the basis), so it stays valid.  Points that no stored
+    solve covered are basic too.
     """
 
     def __init__(self, grid_size: int):
         self.highs = _Highs()
-        for key, value in {"output_flag": False, "presolve": "off",
-                           **TIGHT_OPTIONS}.items():
-            self.highs.setOptionValue(key, value)
-        self.col_status = None
+        _set_options(self.highs, TIGHT_OPTIONS)
+        self.basis, self.points = None, None
         self.row_status = np.full((3, grid_size), HighsBasisStatus.kBasic,
                                   dtype=object)
+
+    def _same_points(self, points) -> bool:
+        if points is None or self.points is None:
+            return points is self.points
+        return np.array_equal(points, self.points)
+
+    def _rebase(self, points) -> None:
+        """Store the statuses of ``basis`` per point and build the basis of
+        an LP on ``points`` from them."""
+        rows = np.array(self.basis.row_status, dtype=object).reshape(3, -1)
+        if self.points is not None:
+            # a new array, so a copy of this object keeps its own statuses
+            full = self.row_status.copy()
+            full[:, self.points] = rows
+            rows = full
+        basis = HighsBasis()
+        basis.valid = True
+        basis.col_status = self.basis.col_status
+        basis.row_status = (rows if points is None
+                            else rows[:, points]).ravel().tolist()
+        self.row_status, self.basis, self.points = rows, basis, points
 
     def solve(self, a: np.ndarray, b_ub: np.ndarray,
               points) -> OptimizeResult | None:
@@ -199,43 +222,37 @@ class WarmStart:
         the grid indices of the rows (None: all)."""
         n_rows, n_cols = a.shape
         sparse = csc_array(a)
-        lp = HighsLp()
-        lp.num_col_, lp.num_row_ = n_cols, n_rows
-        lp.col_cost_ = np.eye(n_cols)[-1]
-        lp.col_lower_ = np.r_[np.full(n_cols - 1, -np.inf), 0.0]
-        lp.col_upper_ = np.full(n_cols, np.inf)
-        lp.row_lower_ = np.full(n_rows, -np.inf)
-        lp.row_upper_ = b_ub
-        matrix = lp.a_matrix_
-        matrix.format_ = MatrixFormat.kColwise
-        matrix.num_col_, matrix.num_row_ = n_cols, n_rows
-        matrix.start_, matrix.index_ = sparse.indptr, sparse.indices
-        matrix.value_ = sparse.data
         highs = self.highs
-        highs.passModel(lp)
-        if self.col_status is not None:
-            rows = self.row_status if points is None else (
-                self.row_status[:, points])
-            basis = HighsBasis()
-            basis.valid = True
-            basis.col_status = self.col_status
-            basis.row_status = rows.ravel().tolist()
-            highs.setBasis(basis)
+        _check_status(highs.passModel(
+            n_cols, n_rows, sparse.nnz, MatrixFormat.kColwise,
+            ObjSense.kMinimize, 0.0, np.eye(n_cols)[-1],
+            np.r_[np.full(n_cols - 1, -np.inf), 0.0], np.full(n_cols, np.inf),
+            np.full(n_rows, -np.inf), b_ub,
+            sparse.indptr, sparse.indices, sparse.data,
+            np.zeros(n_cols, dtype=np.int32)), "passModel")
+        if self.basis is not None:
+            if not self._same_points(points):
+                self._rebase(points)
+            _check_status(highs.setBasis(self.basis), "setBasis")
         highs.run()
         if highs.getModelStatus() != HighsModelStatus.kOptimal:
             return None
-        basis = highs.getBasis()
-        self.col_status = basis.col_status
-        rows = np.array(basis.row_status, dtype=object).reshape(3, -1)
-        if points is not None:
-            # a new array, so a copy of this object keeps its own basis
-            full = self.row_status.copy()
-            full[:, points] = rows
-            rows = full
-        self.row_status = rows
+        self.basis, self.points = highs.getBasis(), points
         return OptimizeResult(status=0,
                               fun=highs.getInfo().objective_function_value,
                               x=np.array(highs.getSolution().col_value))
+
+
+def _set_options(highs: _Highs, options: dict) -> None:
+    for key, value in {"output_flag": False, "presolve": "off",
+                       **options}.items():
+        highs.setOptionValue(key, value)
+
+
+def _check_status(status: HighsStatus, call: str) -> None:
+    """A HiGHS call that fails is an error, not a silent cold solve."""
+    if status == HighsStatus.kError:
+        raise FitError(f"HiGHS {call} failed")
 
 
 def _solve_phase1(system: FeasibilitySystem,

@@ -263,6 +263,7 @@ class TestWarmStart:
                                                monkeypatch):
         # LPs on S plus new points start from the basis on S, with the
         # rows of the new points basic; a copy's solve leaves that basis
+        # stored, as the HiGHS basis object of the LP on S
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         size = coarse_fit_grid.size
         subset = np.arange(0, size, 4)
@@ -271,15 +272,57 @@ class TestWarmStart:
         for u in (0.9 * u_star, 1.1 * u_star):
             warm = fitter.WarmStart(size)
             check_feasible(build_feasibility(problem, u, subset), warm)
-            stored = warm.row_status
-            assert np.all(np.delete(stored, subset, axis=1)
-                          == fitter.HighsBasisStatus.kBasic)
+            basis, stored = warm.basis, warm.row_status
+            assert np.array_equal(warm.points, subset)
+            assert len(basis.row_status) == 3 * len(subset)
             assert _verdicts(build_feasibility(problem, u), copy.copy(warm),
                              monkeypatch) == (u > u_star, u > u_star)
-            assert warm.row_status is stored
+            assert warm.basis is basis and warm.row_status is stored
             warm_feasible, feasible = _verdicts(
                 build_feasibility(problem, u, grown), warm, monkeypatch)
             assert warm_feasible == feasible, u
+            # the statuses on S are now kept per point, the others basic
+            assert np.all(np.delete(warm.row_status, subset, axis=1)
+                          == fitter.HighsBasisStatus.kBasic)
+
+    @pytest.mark.parametrize("u", [1e-6, 0.01])
+    def test_resolve_starts_optimal(self, coarse_fit_grid, monkeypatch, u):
+        # the LP just solved, solved again, starts from its optimal basis:
+        # no simplex iteration and no cold solve
+        system = build_feasibility(
+            FitProblem(degree=2, grid=coarse_fit_grid), u)
+        warm = fitter.WarmStart(coarse_fit_grid.size)
+        feasible = check_feasible(system, warm) is not None
+        assert warm.highs.getInfo().simplex_iteration_count > 0
+        assert _verdicts(system, warm, monkeypatch) == (feasible, feasible)
+        assert warm.highs.getInfo().simplex_iteration_count == 0
+
+    @pytest.mark.parametrize("call", ["passModel", "setBasis"])
+    def test_highs_errors_are_not_silent(self, coarse_fit_grid, monkeypatch,
+                                         call):
+        # a model or basis HiGHS rejects raises; it never ends in a cold
+        # solve, which would give the same verdicts, only slower
+        system = build_feasibility(
+            FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
+        warm = fitter.WarmStart(coarse_fit_grid.size)
+        check_feasible(system, warm)
+
+        class Rejecting:
+            def __init__(self, highs):
+                self.highs = highs
+
+            def __getattr__(self, name):
+                if name == call:
+                    return lambda *args: fitter.HighsStatus.kError
+                return getattr(self.highs, name)
+
+        def no_cold_solve(*args, **kwargs):
+            raise AssertionError("cold solve")
+
+        warm.highs = Rejecting(warm.highs)
+        monkeypatch.setattr(fitter, "linprog", no_cold_solve)
+        with pytest.raises(fitter.FitError, match=f"HiGHS {call} failed"):
+            check_feasible(system, warm)
 
     def test_failed_warm_solve_falls_back(self, coarse_fit_grid,
                                           monkeypatch):
