@@ -377,20 +377,37 @@ def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
 def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
     """The upper end u_start of the first bracket and a witness there.
 
-    The witness P = 0, Q = DENOM_FLOOR holds at every grid point with no
-    LP at u = 1, because h > 0: -(h + u*h) * Q <= 0 always,
-    (h - u*h) * Q = 0 at u = 1, and Q meets the floor.
+    The witness is the least-squares fit, min sum (P_k/h_k - Q_k)^2 with
+    b_00 = 1, scaled so that min Q = DENOM_FLOOR on the grid; u_start is
+    its deviation there, so its rows hold at u_start with no LP.  If its
+    Q is not positive at every grid point, or its deviation is not below
+    1, the start is u = 1 with P = 0, Q = DENOM_FLOOR, which holds there
+    because h > 0: -(h + u*h) * Q <= 0 always, (h - u*h) * Q = 0 at
+    u = 1, and Q meets the floor.
     """
-    vec = np.zeros(2 * len(index_pairs(problem.degree)))
-    vec[len(vec) // 2] = DENOM_FLOOR   # b_00, the constant of Q
+    phi_s, scale = problem.basis
+    h = problem.grid.h
+    half = len(scale)
+    # b_00 = 1 moves the constant column of Q to the right-hand side
+    fit = np.linalg.lstsq(np.hstack([phi_s / h[:, None], -phi_s[:, 1:]]),
+                          phi_s[:, 0], rcond=None)[0]
+    coeffs = np.concatenate([fit[:half], [1.0], fit[half:]])
+    p, q = phi_s @ coeffs[:half], phi_s @ coeffs[half:]
+    if q.min() > 0.0:
+        factor = DENOM_FLOOR / q.min()
+        u_start = float(np.max(np.abs(p - h * q) / (h * q)))
+        if u_start < 1.0:
+            return u_start, factor * coeffs / np.concatenate([scale, scale])
+    vec = np.zeros(2 * half)
+    vec[half] = DENOM_FLOOR   # b_00, the constant of Q
     return 1.0, vec
 
 
 def bisect_fit(problem: FitProblem) -> FitResult:
     """Bisection on the deviation level u over a growing subset S.
 
-    Starts from [0, 1], where P = 0, Q = DENOM_FLOOR holds with no LP
-    (``_initial_level``).  Every level solves the LP on the rows of S
+    Starts from [0, u_start], where a least-squares witness holds with
+    no LP (``_initial_level``).  Every level solves the LP on the rows of S
     only.  An infeasible S raises ``u_minus``; a feasible witness lowers
     the upper end ``u_hi`` of the bisection on S.  It moves ``u_plus``
     to u if its rows also hold within ``FEASIBILITY_TOL`` at every grid

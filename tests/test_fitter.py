@@ -75,13 +75,38 @@ class TestCheckFeasible:
         rows = (system.a_ub * system.col_scale) @ vec
         assert np.all(rows <= system.b_ub + 1e-7)
 
-    def test_initial_witness_feasible(self, coarse_fit_grid, monkeypatch):
-        # the first bracket needs no LP: P = 0, Q = DENOM_FLOOR satisfies
-        # every row at its upper end, exactly
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_initial_witness_feasible(self, coarse_fit_grid, monkeypatch,
+                                      degree):
+        # the first bracket needs no LP: the least-squares witness holds
+        # every row at its upper end, Q >= DENOM_FLOOR included, at every
+        # grid point
         monkeypatch.setattr(fitter, "DENOM_FLOOR", 0.5)
+        problem = FitProblem(degree=degree, grid=coarse_fit_grid)
+        u_start, witness = fitter._initial_level(problem)
+        assert type(u_start) is float and 0.0 < u_start < 1e-1
+        system = build_feasibility(problem, u_start)
+        assert np.all(system.a_ub @ (witness * system.col_scale)
+                      <= system.b_ub + fitter.FEASIBILITY_TOL)
+        approx = fitter._coeffs_to_approximant(witness, degree)
+        dev, _ = fitter._deviation_on(approx, coarse_fit_grid)
+        assert dev.max() == pytest.approx(u_start, rel=1e-9)
+
+    def test_initial_level_falls_back(self, coarse_fit_grid, monkeypatch):
+        # a least-squares Q that is not positive on the grid gives the
+        # start u = 1, P = 0, Q = DENOM_FLOOR, which holds there exactly
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
+        n_coeffs = 2 * len(problem.basis[1])
+        # P = 0 and Q = 1 - 2 * (the scaled x column) is negative at x = 100
+        negative_q = np.zeros(n_coeffs - 1)
+        negative_q[n_coeffs // 2] = 2.0
+        monkeypatch.setattr(fitter.np.linalg, "lstsq",
+                            lambda *args, **kwargs: (negative_q,))
         u_start, witness = fitter._initial_level(problem)
         assert u_start == 1.0
+        expected = np.zeros(n_coeffs)
+        expected[n_coeffs // 2] = fitter.DENOM_FLOOR
+        np.testing.assert_array_equal(witness, expected)
         system = build_feasibility(problem, u_start)
         assert np.all(system.a_ub @ (witness * system.col_scale)
                       <= system.b_ub)
@@ -184,12 +209,14 @@ class TestExchange:
             # a starting subset larger than the grid: plain bisection
             patch.setattr(fitter, "SUBSET_PER_COEFF", coarse_fit_grid.size)
             plain = bisect_fit(problem)
-        false_below = 2.0 * plain.u_plus
+        # below u_start / 4, so that a restart skips two levels
+        false_below = 1.25 * plain.u_plus
+        assert false_below < fitter._initial_level(problem)[0] / 4.0
         real_check = fitter.check_feasible
         full_grid_levels = []
 
         def lying_check(system, warm=None):
-            # subset systems call every level below 2 u* infeasible,
+            # subset systems call every level below 1.25 u* infeasible,
             # though the full grid is feasible down to u*
             subset = system.a_ub.shape[0] < 3 * coarse_fit_grid.size
             if subset and system.u < false_below:
@@ -208,6 +235,7 @@ class TestExchange:
         assert result.iterations > plain.iterations
         # levels above the confirming witness's need no LP
         assert min(full_grid_levels) < false_below
+        assert max(full_grid_levels[1:]) < full_grid_levels[0]
         assert len(full_grid_levels) < plain.lp_solves
 
     def test_small_grid_is_plain_bisection(self, monkeypatch):
@@ -228,8 +256,9 @@ class TestExchange:
         assert len(calls) == result.lp_solves
         assert result.lp_solves == result.iterations
         assert set(calls) == {3 * grid.size}
+        u_start = fitter._initial_level(FitProblem(degree=1, grid=grid))[0]
         assert result.u_plus - result.u_minus == pytest.approx(
-            1.0 / 2.0 ** result.iterations, rel=1e-9)
+            u_start / 2.0 ** result.iterations, rel=1e-9)
 
 
 def _verdicts(system, warm, monkeypatch):
