@@ -35,8 +35,9 @@ outside S.  Every witness is checked on the whole grid with numpy, so
 Consecutive LPs differ only in the (1 +- u) * h coefficients and in the
 points of S, so every LP of a fit goes through one HiGHS instance with
 presolve off, started from the optimal basis of the last LP solved
-(``WarmStart``).  A warm solve that does not end optimal falls back to a
-cold ``linprog`` solve.
+(``WarmStart``).  A warm solve that does not end optimal runs again from
+the same basis at HiGHS's default tolerances; only if that does not end
+optimal either does ``linprog`` solve the LP cold.
 """
 
 from __future__ import annotations
@@ -235,6 +236,16 @@ class WarmStart:
                 self._rebase(points)
             _check_status(highs.setBasis(self.basis), "setBasis")
         highs.run()
+        if (highs.getModelStatus() != HighsModelStatus.kOptimal
+                and self.basis is not None):
+            # tight tolerances can break down near degeneracy (degree 4 at
+            # u ~ 1e-9); the same start at HiGHS's default tolerances, those
+            # of the cold ladder's last rung, is far cheaper than that ladder
+            highs.resetOptions()
+            _set_options(highs, {})
+            _check_status(highs.setBasis(self.basis), "setBasis")
+            highs.run()
+            _set_options(highs, TIGHT_OPTIONS)
         if highs.getModelStatus() != HighsModelStatus.kOptimal:
             return None
         self.basis, self.points = highs.getBasis(), points

@@ -353,6 +353,38 @@ class TestWarmStart:
         with pytest.raises(fitter.FitError, match=f"HiGHS {call} failed"):
             check_feasible(system, warm)
 
+    def test_failed_tight_solve_reruns_at_default_tolerances(
+            self, coarse_fit_grid, monkeypatch):
+        # a warm solve that does not end optimal at the tight tolerances is
+        # run again from the same basis at HiGHS's defaults, not cold
+        system = build_feasibility(
+            FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
+        warm = fitter.WarmStart(coarse_fit_grid.size)
+        check_feasible(system, warm)
+        basis = warm.basis
+        calls = []
+
+        class FailingTight:
+            def __init__(self, highs):
+                self.highs = highs
+
+            def __getattr__(self, name):
+                if name in ("run", "resetOptions", "setBasis"):
+                    calls.append(name)
+                return getattr(self.highs, name)
+
+            def getModelStatus(self):
+                if calls == ["setBasis", "run"]:
+                    return fitter.HighsModelStatus.kNotset
+                return self.highs.getModelStatus()
+
+        warm.highs = FailingTight(warm.highs)
+        assert _verdicts(system, warm, monkeypatch) == (True, True)
+        assert calls == ["setBasis", "run", "resetOptions", "setBasis", "run"]
+        assert warm.basis is not basis
+        for key, value in fitter.TIGHT_OPTIONS.items():
+            assert warm.highs.getOptionValue(key)[1] == value
+
     def test_failed_warm_solve_falls_back(self, coarse_fit_grid,
                                           monkeypatch):
         # an LP the warm solve does not end optimal goes to linprog: tight
