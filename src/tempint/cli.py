@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+import tempfile
 
 from tempint import harness, models, tables
 from tempint.fitter import FitError, FitGrid, FitProblem, bisect_fit
@@ -38,6 +40,18 @@ def _write_output(text: str, path) -> None:
             fh.write(text)
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, without
+    creating or truncating it."""
+    try:
+        if os.path.lexists(path):
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        else:
+            tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def cmd_oracle(args) -> int:
     point = EvalPoint(args.m, args.x)
     g_val = g_cf(point)
@@ -58,6 +72,9 @@ def cmd_fit(args) -> int:
     fit_grid = FitGrid.from_eval_grid(grid)
     problem = FitProblem(degree=args.degree, grid=fit_grid,
                          bisection_tol_rel=args.tol)
+    # a fit can take seconds; find a bad output path before it
+    for path in (args.out, args.out + ".report"):
+        _check_writable(path)
     result = bisect_fit(problem)
     save_coeffs(result.approximant, args.out)
     _write_output(result.report_text(), args.out + ".report")

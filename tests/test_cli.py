@@ -106,6 +106,34 @@ class TestFit:
         assert "bisection_tol_rel" in err
         assert not out_file.exists()
 
+    def test_bad_out_path_exit_2_before_fitting(self, capsys, tmp_path,
+                                                monkeypatch):
+        from tempint import cli
+
+        def no_fit(problem):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli, "bisect_fit", no_fit)
+        out_file = tmp_path / "missing_dir" / "x.coeff"
+        code, out, err = run(capsys, "fit", "--degree", "1", "--grid",
+                             "coarse", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: [Errno 2] No such file or directory: "
+                       f"{str(out_file)!r}\n")
+        # an unwritable report path: the coefficient file is not touched
+        out_file = tmp_path / "x.coeff"
+        out_file.write_text("keep\n")
+        report = tmp_path / "x.coeff.report"
+        report.mkdir()
+        code, out, err = run(capsys, "fit", "--degree", "1", "--grid",
+                             "coarse", "--out", str(out_file))
+        assert code == 2
+        assert err == f"error: [Errno 21] Is a directory: {str(report)!r}\n"
+        assert out_file.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "x.coeff", "x.coeff.report"]
+
     def test_lp_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         from scipy.optimize import OptimizeResult
 
