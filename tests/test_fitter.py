@@ -75,33 +75,36 @@ class TestCheckFeasible:
         rows = (system.a_ub * system.col_scale) @ vec
         assert np.all(rows <= system.b_ub + 1e-7)
 
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    def test_initial_witness_feasible(self, coarse_fit_grid, monkeypatch,
-                                      degree):
+    def test_initial_witness_feasible(self, coarse_fit_grid, monkeypatch):
         # the first bracket needs no LP: the least-squares witness holds
         # every row at its upper end, Q >= DENOM_FLOOR included, at every
         # grid point
         monkeypatch.setattr(fitter, "DENOM_FLOOR", 0.5)
-        problem = FitProblem(degree=degree, grid=coarse_fit_grid)
-        u_start, witness = fitter._initial_level(problem)
-        assert type(u_start) is float and 0.0 < u_start < 1e-1
-        system = build_feasibility(problem, u_start)
-        assert np.all(system.a_ub @ (witness * system.col_scale)
-                      <= system.b_ub + fitter.FEASIBILITY_TOL)
-        approx = fitter._coeffs_to_approximant(witness, degree)
-        dev, _ = fitter._deviation_on(approx, coarse_fit_grid)
-        assert dev.max() == pytest.approx(u_start, rel=1e-9)
+        for degree in (1, 2, 3, 4):
+            problem = FitProblem(degree=degree, grid=coarse_fit_grid)
+            u_start, witness = fitter._initial_level(problem)
+            assert type(u_start) is float and 0.0 < u_start < 1e-1, degree
+            system = build_feasibility(problem, u_start)
+            assert np.all(system.a_ub @ (witness * system.col_scale)
+                          <= system.b_ub + fitter.FEASIBILITY_TOL), degree
+            approx = fitter._coeffs_to_approximant(witness, degree)
+            dev, _ = fitter._deviation_on(approx, coarse_fit_grid)
+            assert dev.max() == pytest.approx(u_start, rel=1e-9), degree
 
-    def test_initial_level_falls_back(self, coarse_fit_grid, monkeypatch):
-        # a least-squares Q that is not positive on the grid gives the
-        # start u = 1, P = 0, Q = DENOM_FLOOR, which holds there exactly
+    @pytest.mark.parametrize("b_10", [-2.0, 2.0])
+    def test_initial_level_falls_back(self, coarse_fit_grid, monkeypatch,
+                                      b_10):
+        # a least-squares witness whose Q is not positive on the grid
+        # (Q = 1 - 2 x / 100 at x = 100), or whose deviation is not below
+        # 1 (P = 0), gives the start u = 1, P = 0, Q = DENOM_FLOOR, which
+        # holds there exactly
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         n_coeffs = 2 * len(problem.basis[1])
-        # P = 0 and Q = 1 - 2 * (the scaled x column) is negative at x = 100
-        negative_q = np.zeros(n_coeffs - 1)
-        negative_q[n_coeffs // 2] = 2.0
+        # the solution vector lacks b_00; its x column of Q follows P's
+        fit = np.zeros(n_coeffs - 1)
+        fit[n_coeffs // 2] = b_10
         monkeypatch.setattr(fitter.np.linalg, "lstsq",
-                            lambda *args, **kwargs: (negative_q,))
+                            lambda *args, **kwargs: (fit,))
         u_start, witness = fitter._initial_level(problem)
         assert u_start == 1.0
         expected = np.zeros(n_coeffs)
