@@ -19,7 +19,8 @@ import sys
 import tempfile
 
 from tempint import harness, models, tables
-from tempint.fitter import FitError, FitGrid, FitProblem, bisect_fit
+from tempint.fitter import (MAX_DEGREE, FitError, FitGrid, FitProblem,
+                            bisect_fit)
 from tempint.harness import EvalGrid
 from tempint.models import ModelDomainError
 from tempint.oracle import DomainError, EvalPoint, OracleError, g_cf, h, h_series
@@ -178,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fit", help="fit a minimax rational approximant")
-    p.add_argument("--degree", type=int, required=True, choices=range(1, 7))
+    p.add_argument("--degree", type=int, required=True,
+                   choices=range(1, MAX_DEGREE + 1))
     p.add_argument("--grid", default="paper-eval",
                    help="preset name or m=lo:hi:step,x=lo:hi:step")
     p.add_argument("--tol", type=float, default=1e-4,

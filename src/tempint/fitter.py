@@ -35,9 +35,10 @@ outside S.  Every witness is checked on the whole grid with numpy, so
 Consecutive LPs differ only in the (1 +- u) * h coefficients and in the
 points of S, so every LP of a fit goes through one HiGHS instance with
 presolve off, started from the optimal basis of the last LP solved
-(``WarmStart``).  A warm solve that does not end optimal runs again from
-the same basis at HiGHS's default tolerances; only if that does not end
-optimal either does ``linprog`` solve the LP cold.
+(``WarmStart``), the fitter's only LP solver.  A solve that does not end
+optimal runs again from the same basis at HiGHS's default tolerances;
+only if that does not end optimal either does one cold ``linprog`` call
+solve the LP.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import OptimizeResult, linprog
-# the HiGHS binding that linprog(method="highs") itself loads
+from scipy.optimize import linprog
+# the HiGHS binding that scipy's linprog loads for method="highs"
 from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus,
                                            HighsModelStatus, HighsStatus,
                                            MatrixFormat, ObjSense, _Highs)
@@ -63,13 +64,21 @@ from tempint.rational import BivariatePoly, RationalApproximant, index_pairs
 SUBSET_PER_COEFF = 16     # starting size of S
 EXCHANGE_PER_COEFF = 4    # most violators added to S per exchange
 
+# Above degree 4 the bracket a fit returns is refuted on `coarse`: at
+# degree 5 u_plus is 61x below its own witness's deviation, and at degree
+# 6 u_minus is above a degree-4 witness's, a family degree 6 contains
+MAX_DEGREE = 4
+
 DENOM_FLOOR = 1.0          # Q >= DENOM_FLOOR at every grid point
 BISECTION_TOL_ABS = 1e-12  # the bracket closes within this, or tol_rel * u
 MAX_BISECTIONS = 60        # most levels per bisection pass on S
 FEASIBILITY_TOL = 1e-9     # phase-1 slack, and row excess, of a feasible u
-# HiGHS primal and dual feasibility tolerances of the first solve of an LP
+# HiGHS primal and dual feasibility tolerances of the first solve of an
+# LP, and HiGHS's defaults, those of the second
 TIGHT_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
                  "dual_feasibility_tolerance": 1e-9}
+DEFAULT_OPTIONS = {"primal_feasibility_tolerance": 1e-7,
+                   "dual_feasibility_tolerance": 1e-7}
 
 
 class FitError(Exception):
@@ -106,8 +115,10 @@ class FitProblem:
     bisection_tol_rel: float = 1e-4
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        if not 1 <= self.degree <= MAX_DEGREE:
+            raise ValueError(
+                f"degree must be in 1..{MAX_DEGREE}, got {self.degree}: above "
+                f"{MAX_DEGREE} the bisection bracket is not sound")
         if not 0.0 <= self.bisection_tol_rel < 1.0:
             raise ValueError("bisection_tol_rel must be finite and in [0, 1), "
                              f"got {self.bisection_tol_rel}")
@@ -174,8 +185,8 @@ def build_feasibility(problem: FitProblem, u: float,
 
 
 class WarmStart:
-    """One HiGHS instance for the LPs of a fit, and the optimal basis of
-    its last solve.
+    """The fitter's LP solver: one HiGHS instance for the LPs of a fit,
+    and the optimal basis of its last warm solve (see ``solve``).
 
     ``basis`` is the ``HighsBasis`` that HiGHS returned for the last LP,
     whose rows belong to the grid points ``points`` (None: all).  The
@@ -185,12 +196,14 @@ class WarmStart:
     ``build_feasibility`` order, kept in ``row_status``.  The basis of an
     LP on more points then has the rows of its new points basic (their
     slacks enter the basis), so it stays valid.  Points that no stored
-    solve covered are basic too.
+    solve covered are basic too.  An LP only the cold ``linprog`` rung
+    ends leaves the stored basis as it was.
     """
 
     def __init__(self, grid_size: int):
         self.highs = _Highs()
-        _set_options(self.highs, TIGHT_OPTIONS)
+        self.highs.setOptionValue("output_flag", False)
+        self.highs.setOptionValue("presolve", "off")
         self.basis, self.points = None, None
         self.row_status = np.full((3, grid_size), HighsBasisStatus.kBasic,
                                   dtype=object)
@@ -216,48 +229,53 @@ class WarmStart:
                             else rows[:, points]).ravel().tolist()
         self.row_status, self.basis, self.points = rows, basis, points
 
-    def solve(self, a: np.ndarray, b_ub: np.ndarray,
-              points) -> OptimizeResult | None:
-        """The phase-1 LP min t, a @ (c, t) <= b_ub, t >= 0, seeded from the
-        last basis, or None if HiGHS does not end optimal.  ``points`` are
-        the grid indices of the rows (None: all)."""
+    def solve(self, system: FeasibilitySystem) -> tuple[float, np.ndarray]:
+        """The optimum slack t and solution (c, t) of the phase-1 LP
+        min t subject to A @ c - t <= b, t >= 0, on the rows of ``system``.
+
+        A ladder of at most three solves: HiGHS at ``TIGHT_OPTIONS`` from
+        the stored basis, if there is one; if that does not end optimal,
+        HiGHS again from the same basis at its default tolerances; if that
+        does not either, one cold ``linprog`` at the defaults.  Raises
+        ``FitError`` if that fails too.
+        """
+        a = np.hstack([system.a_ub, -np.ones((system.a_ub.shape[0], 1))])
         n_rows, n_cols = a.shape
+        cost = np.eye(n_cols)[-1]
         sparse = csc_array(a)
         highs = self.highs
         _check_status(highs.passModel(
             n_cols, n_rows, sparse.nnz, MatrixFormat.kColwise,
-            ObjSense.kMinimize, 0.0, np.eye(n_cols)[-1],
+            ObjSense.kMinimize, 0.0, cost,
             np.r_[np.full(n_cols - 1, -np.inf), 0.0], np.full(n_cols, np.inf),
-            np.full(n_rows, -np.inf), b_ub,
+            np.full(n_rows, -np.inf), system.b_ub,
             sparse.indptr, sparse.indices, sparse.data,
             np.zeros(n_cols, dtype=np.int32)), "passModel")
-        if self.basis is not None:
-            if not self._same_points(points):
-                self._rebase(points)
-            _check_status(highs.setBasis(self.basis), "setBasis")
-        highs.run()
-        if (highs.getModelStatus() != HighsModelStatus.kOptimal
-                and self.basis is not None):
+        if self.basis is not None and not self._same_points(system.points):
+            self._rebase(system.points)
+        for options in (TIGHT_OPTIONS, DEFAULT_OPTIONS):
             # tight tolerances can break down near degeneracy (degree 4 at
-            # u ~ 1e-9); the same start at HiGHS's default tolerances, those
-            # of the cold ladder's last rung, is far cheaper than that ladder
-            highs.resetOptions()
-            _set_options(highs, {})
-            _check_status(highs.setBasis(self.basis), "setBasis")
-            highs.run()
-            _set_options(highs, TIGHT_OPTIONS)
-        if highs.getModelStatus() != HighsModelStatus.kOptimal:
-            return None
-        self.basis, self.points = highs.getBasis(), points
-        return OptimizeResult(status=0,
-                              fun=highs.getInfo().objective_function_value,
-                              x=np.array(highs.getSolution().col_value))
-
-
-def _set_options(highs: _Highs, options: dict) -> None:
-    for key, value in {"output_flag": False, "presolve": "off",
-                       **options}.items():
-        highs.setOptionValue(key, value)
+            # u ~ 1e-9); the same start at the defaults mends those LPs
+            for key, value in options.items():
+                highs.setOptionValue(key, value)
+            if self.basis is not None:
+                _check_status(highs.setBasis(self.basis), "setBasis")
+            # a run that returns kError is a failed rung, not an error
+            run_status = highs.run()
+            model_status = highs.getModelStatus()
+            if model_status == HighsModelStatus.kOptimal:
+                self.basis, self.points = highs.getBasis(), system.points
+                return (highs.getInfo().objective_function_value,
+                        np.array(highs.getSolution().col_value))
+        res = linprog(cost, A_ub=a, b_ub=system.b_ub,
+                      bounds=[(None, None)] * system.n_coeffs + [(0.0, None)],
+                      method="highs")
+        if res.status != 0:
+            raise FitError(
+                f"LP solver failed (status {res.status}): {res.message} "
+                f"(warm solve: run status {run_status.name}, model status "
+                f"{highs.modelStatusToString(model_status)})")
+        return res.fun, res.x
 
 
 def _check_status(status: HighsStatus, call: str) -> None:
@@ -266,44 +284,16 @@ def _check_status(status: HighsStatus, call: str) -> None:
         raise FitError(f"HiGHS {call} failed")
 
 
-def _solve_phase1(system: FeasibilitySystem,
-                  warm: WarmStart | None) -> OptimizeResult:
-    """Every LP of the fitter: minimize t subject to A @ c - t <= b, t >= 0.
-
-    A warm solve comes first if there is warm state; if it does not end
-    optimal, or with no warm state, ``linprog`` solves the LP cold.
-    """
-    a = np.hstack([system.a_ub, -np.ones((system.a_ub.shape[0], 1))])
-    res = None if warm is None else warm.solve(a, system.b_ub, system.points)
-    if res is not None:
-        return res
-    c = np.eye(a.shape[1])[-1]
-    bounds = [(None, None)] * system.n_coeffs + [(0.0, None)]
-    res = linprog(c, A_ub=a, b_ub=system.b_ub, bounds=bounds, method="highs",
-                  options=TIGHT_OPTIONS)
-    if res.status != 0:
-        # tightened tolerances can break down near degeneracy (degree 4 at
-        # u ~ 1e-8); the default-accuracy solve still separates the slack
-        # optimum from the 1e-9 verdict threshold
-        res = linprog(c, A_ub=a, b_ub=system.b_ub, bounds=bounds,
-                      method="highs")
-    return res
-
-
-def check_feasible(system: FeasibilitySystem, warm: WarmStart | None = None):
+def check_feasible(system: FeasibilitySystem, warm: WarmStart):
     """Witness coefficient vector if the system is feasible, else None.
 
-    Phase-1 LP: minimize t subject to A @ c - t <= b, t >= 0.  Always
-    solvable; the original system is feasible iff the optimum t is
-    within ``FEASIBILITY_TOL``.  With ``warm``, HiGHS starts from its
-    last basis (see ``WarmStart``).
+    The phase-1 LP (``WarmStart.solve``) is always solvable; the system
+    is feasible iff its optimum slack t is within ``FEASIBILITY_TOL``.
     """
-    res = _solve_phase1(system, warm)
-    if res.status != 0:
-        raise FitError(f"LP solver failed (status {res.status}): {res.message}")
-    if res.fun > FEASIBILITY_TOL:
+    slack, x = warm.solve(system)
+    if slack > FEASIBILITY_TOL:
         return None
-    return res.x[:system.n_coeffs] / system.col_scale
+    return x[:system.n_coeffs] / system.col_scale
 
 
 @dataclass

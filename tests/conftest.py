@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from tempint import fitter
 from tempint.harness import EvalGrid
 
 
@@ -11,3 +14,22 @@ def paper_eval_grid():
 @pytest.fixture(scope="session")
 def arrhenius_grid():
     return EvalGrid.from_spec("arrhenius")
+
+
+@pytest.fixture(scope="session")
+def cold_feasible():
+    """A referee for the fitter's verdicts that shares none of its solve
+    path: the phase-1 LP of a ``FeasibilitySystem`` solved cold by scipy's
+    ``linprog``, at the tight tolerances and, if that fails, at the
+    defaults.  True if the system is feasible."""
+    def verdict(system):
+        a = np.hstack([system.a_ub, -np.ones((len(system.b_ub), 1))])
+        cost = np.eye(a.shape[1])[-1]
+        bounds = [(None, None)] * system.n_coeffs + [(0.0, None)]
+        for options in (fitter.TIGHT_OPTIONS, None):
+            res = linprog(cost, A_ub=a, b_ub=system.b_ub, bounds=bounds,
+                          method="highs", options=options)
+            if res.status == 0:
+                return res.fun <= fitter.FEASIBILITY_TOL
+        raise AssertionError(f"cold solve failed: {res.message}")
+    return verdict

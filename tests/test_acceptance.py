@@ -17,6 +17,7 @@ from tempint.fitter import (
     BISECTION_TOL_ABS,
     FitGrid,
     FitProblem,
+    WarmStart,
     bisect_fit,
     build_feasibility,
     check_feasible,
@@ -124,22 +125,21 @@ def test_criterion_5_exploratory_degrees(degree):
               f"(bound {bound:.3e}, published {target:.2e})")
 
 
-def test_criterion_6_bisection_properties():
+def test_criterion_6_bisection_properties(cold_feasible):
     grid = FitGrid.from_eval_grid(EvalGrid.from_spec("coarse"))
     problem = FitProblem(degree=1, grid=grid)
     # feasibility monotone in u on sampled pairs
     monotone = True
-    verdicts = {u: check_feasible(build_feasibility(problem, u)) is not None
+    verdicts = {u: check_feasible(build_feasibility(problem, u),
+                                  WarmStart(grid.size)) is not None
                 for u in (1e-4, 5e-4, 2e-3, 8e-3, 5e-2, 1.0)}
     us = sorted(verdicts)
     for lo, hi in zip(us, us[1:]):
         if verdicts[lo] and not verdicts[hi]:
             monotone = False
     result = bisect_fit(problem)
-    cert_plus = check_feasible(
-        build_feasibility(problem, result.u_plus)) is not None
-    cert_minus = check_feasible(
-        build_feasibility(problem, result.u_minus)) is None
+    cert_plus = cold_feasible(build_feasibility(problem, result.u_plus))
+    cert_minus = not cold_feasible(build_feasibility(problem, result.u_minus))
     # the exchange moves u_plus to witness deviations, so the bracket is
     # checked against the stopping tolerance instead of 2**-iterations
     width = result.u_plus - result.u_minus <= max(

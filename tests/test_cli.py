@@ -86,8 +86,16 @@ class TestFit:
         assert r.degree == 1
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    def test_coarse_fit_golden_bytes(self, capsys, tmp_path, degree):
-        # the coefficient and report files of a fit are deterministic
+    def test_coarse_fit_golden_bytes(self, capsys, tmp_path, monkeypatch,
+                                     degree):
+        # the coefficient and report files of a fit are deterministic, and
+        # every LP of the fit ends in a warm rung, never in the cold one
+        from tempint import fitter
+
+        def no_cold_solve(*args, **kwargs):
+            raise AssertionError("an LP reached the cold linprog rung")
+
+        monkeypatch.setattr(fitter, "linprog", no_cold_solve)
         out_file = tmp_path / "c.coeff"
         code, _, _ = run(capsys, "fit", "--degree", str(degree),
                          "--grid", "coarse", "--out", str(out_file))
@@ -134,15 +142,30 @@ class TestFit:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "x.coeff", "x.coeff.report"]
 
+    def test_degree_above_4_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "n5.coeff"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--degree", "5", "--grid", "coarse",
+                  "--out", str(out_file)])
+        assert exc.value.code == 2
+        assert "--degree: invalid choice: 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_lp_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         from scipy.optimize import OptimizeResult
 
         from tempint import fitter
 
-        def failing_solve(system, warm):
+        def failing_linprog(*args, **kwargs):
             return OptimizeResult(status=4, message="numerical difficulties")
 
-        monkeypatch.setattr(fitter, "_solve_phase1", failing_solve)
+        class NeverRuns(fitter._Highs):
+            def run(self):
+                return fitter.HighsStatus.kError
+
+        # no warm run ends optimal, so the first LP reaches the cold rung
+        monkeypatch.setattr(fitter, "_Highs", NeverRuns)
+        monkeypatch.setattr(fitter, "linprog", failing_linprog)
         out_file = tmp_path / "fail.fit"
         code, _, err = run(capsys, "fit", "--degree", "1", "--grid", "coarse",
                            "--out", str(out_file))

@@ -59,19 +59,21 @@ class TestBuildFeasibility:
 class TestCheckFeasible:
     def test_u_1_relative_feasible(self, coarse_fit_grid):
         problem = FitProblem(degree=1, grid=coarse_fit_grid)
-        vec = check_feasible(build_feasibility(problem, 1.0))
+        vec = check_feasible(build_feasibility(problem, 1.0),
+                             fitter.WarmStart(coarse_fit_grid.size))
         assert vec is not None and len(vec) == 6
 
     def test_u_0_two_targets_infeasible(self):
         # a degree-1 ratio cannot interpolate 97 distinct targets exactly
         grid = FitGrid.from_eval_grid(EvalGrid.from_spec("arrhenius"))
         problem = FitProblem(degree=1, grid=grid)
-        assert check_feasible(build_feasibility(problem, 0.0)) is None
+        assert check_feasible(build_feasibility(problem, 0.0),
+                              fitter.WarmStart(grid.size)) is None
 
     def test_witness_satisfies_rows(self, coarse_fit_grid):
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         system = build_feasibility(problem, 0.01)
-        vec = check_feasible(system)
+        vec = check_feasible(system, fitter.WarmStart(coarse_fit_grid.size))
         rows = (system.a_ub * system.col_scale) @ vec
         assert np.all(rows <= system.b_ub + 1e-7)
 
@@ -119,7 +121,8 @@ class TestCheckFeasible:
         feasible_at = {}
         for u in (1e-4, 1e-3, 1e-2, 1e-1):
             feasible_at[u] = check_feasible(
-                build_feasibility(problem, u)) is not None
+                build_feasibility(problem, u),
+                fitter.WarmStart(coarse_fit_grid.size)) is not None
         # once feasible, stays feasible at every larger u
         us = sorted(feasible_at)
         seen_feasible = False
@@ -148,13 +151,11 @@ class TestBisectFit:
         assert result.u_plus <= 1.1 * 1.12e-2
         assert result.achieved_dev <= result.u_plus + 1e-7
 
-    def test_certificate(self, coarse_fit_grid):
+    def test_certificate(self, coarse_fit_grid, cold_feasible):
         problem = FitProblem(degree=1, grid=coarse_fit_grid)
         result = bisect_fit(problem)
-        assert check_feasible(
-            build_feasibility(problem, result.u_plus)) is not None
-        assert check_feasible(
-            build_feasibility(problem, result.u_minus)) is None
+        assert cold_feasible(build_feasibility(problem, result.u_plus))
+        assert not cold_feasible(build_feasibility(problem, result.u_minus))
 
     def test_bracket_width(self, coarse_fit_grid):
         problem = FitProblem(degree=1, grid=coarse_fit_grid)
@@ -185,28 +186,28 @@ class TestBisectFit:
         {"bisection_tol_rel": float("inf")},
         {"bisection_tol_rel": 1.0},
         {"bisection_tol_rel": -1e-4},
+        {"degree": 0},
+        {"degree": 5},
     ])
     def test_bad_settings_rejected(self, coarse_fit_grid, settings):
         with pytest.raises(ValueError):
-            FitProblem(degree=1, grid=coarse_fit_grid, **settings)
+            FitProblem(grid=coarse_fit_grid, **{"degree": 1, **settings})
 
 
 class TestExchange:
-    def test_paper_eval_degree2_certified(self):
+    def test_paper_eval_degree2_certified(self, cold_feasible):
         grid = FitGrid.from_eval_grid(EvalGrid.from_spec("paper-eval"))
         problem = FitProblem(degree=2, grid=grid)
         result = bisect_fit(problem)
         assert result.converged
         assert result.active_points < grid.size
-        assert check_feasible(
-            build_feasibility(problem, result.u_plus)) is not None
-        assert check_feasible(
-            build_feasibility(problem, result.u_minus)) is None
+        assert cold_feasible(build_feasibility(problem, result.u_plus))
+        assert not cold_feasible(build_feasibility(problem, result.u_minus))
         assert result.u_minus <= result.achieved_dev
         assert result.achieved_dev <= 1.1 * 3.7095e-5
 
     def test_wrong_subset_verdicts_fall_back(self, coarse_fit_grid,
-                                             monkeypatch):
+                                             monkeypatch, cold_feasible):
         problem = FitProblem(degree=1, grid=coarse_fit_grid)
         with monkeypatch.context() as patch:
             # a starting subset larger than the grid: plain bisection
@@ -218,7 +219,7 @@ class TestExchange:
         real_check = fitter.check_feasible
         full_grid_levels = []
 
-        def lying_check(system, warm=None):
+        def lying_check(system, warm):
             # subset systems call every level below 1.25 u* infeasible,
             # though the full grid is feasible down to u*
             subset = system.a_ub.shape[0] < 3 * coarse_fit_grid.size
@@ -230,7 +231,7 @@ class TestExchange:
 
         monkeypatch.setattr(fitter, "check_feasible", lying_check)
         result = bisect_fit(problem)
-        assert real_check(build_feasibility(problem, result.u_minus)) is None
+        assert not cold_feasible(build_feasibility(problem, result.u_minus))
         # the contradiction restarts plain bisection on the whole grid
         assert result.active_points == coarse_fit_grid.size
         assert (result.u_minus, result.u_plus) == (plain.u_minus,
@@ -246,14 +247,14 @@ class TestExchange:
         # so every level is one full-grid LP, as in plain bisection
         grid = FitGrid.from_eval_grid(
             EvalGrid.from_spec("m=-1:1:0.5,x=4:100:8"))
-        real_solve = fitter._solve_phase1
+        real_solve = fitter.WarmStart.solve
         calls = []
 
-        def counting_solve(system, warm):
+        def counting_solve(warm, system):
             calls.append(system.a_ub.shape[0])
-            return real_solve(system, warm)
+            return real_solve(warm, system)
 
-        monkeypatch.setattr(fitter, "_solve_phase1", counting_solve)
+        monkeypatch.setattr(fitter.WarmStart, "solve", counting_solve)
         result = bisect_fit(FitProblem(degree=1, grid=grid))
         assert result.active_points == grid.size
         assert len(calls) == result.lp_solves
@@ -264,35 +265,38 @@ class TestExchange:
             u_start / 2.0 ** result.iterations, rel=1e-9)
 
 
-def _verdicts(system, warm, monkeypatch):
-    """Feasible or not, by a warm solve that may not fall back to
-    ``linprog``, and by a cold solve."""
+@pytest.fixture
+def verdicts(monkeypatch, cold_feasible):
+    """Feasible or not, by a warm solve that may not reach the cold
+    ``linprog`` rung, and by the cold referee."""
     def no_cold_solve(*args, **kwargs):
         raise AssertionError("the warm solve did not end optimal")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(fitter, "linprog", no_cold_solve)
-        warm_feasible = check_feasible(system, warm) is not None
-    return warm_feasible, check_feasible(system) is not None
+    def both(system, warm):
+        with monkeypatch.context() as patch:
+            patch.setattr(fitter, "linprog", no_cold_solve)
+            warm_feasible = check_feasible(system, warm) is not None
+        return warm_feasible, cold_feasible(system)
+    return both
 
 
 class TestWarmStart:
     def test_same_verdicts_along_a_bisection(self, coarse_fit_grid,
-                                             monkeypatch):
+                                             verdicts):
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         warm = fitter.WarmStart(coarse_fit_grid.size)
         lo, hi, seen = 0.0, 1.0, set()
         for _ in range(40):
             u = 0.5 * (lo + hi)
-            warm_feasible, feasible = _verdicts(
-                build_feasibility(problem, u), warm, monkeypatch)
+            warm_feasible, feasible = verdicts(
+                build_feasibility(problem, u), warm)
             assert warm_feasible == feasible, u
             seen.add(feasible)
             lo, hi = (lo, u) if feasible else (u, hi)
         assert seen == {True, False}
 
     def test_same_verdicts_as_the_subset_grows(self, coarse_fit_grid,
-                                               monkeypatch):
+                                               verdicts):
         # LPs on S plus new points start from the basis on S, with the
         # rows of the new points basic; a copy's solve leaves that basis
         # stored, as the HiGHS basis object of the LP on S
@@ -307,18 +311,18 @@ class TestWarmStart:
             basis, stored = warm.basis, warm.row_status
             assert np.array_equal(warm.points, subset)
             assert len(basis.row_status) == 3 * len(subset)
-            assert _verdicts(build_feasibility(problem, u), copy.copy(warm),
-                             monkeypatch) == (u > u_star, u > u_star)
+            assert verdicts(build_feasibility(problem, u),
+                            copy.copy(warm)) == (u > u_star, u > u_star)
             assert warm.basis is basis and warm.row_status is stored
-            warm_feasible, feasible = _verdicts(
-                build_feasibility(problem, u, grown), warm, monkeypatch)
+            warm_feasible, feasible = verdicts(
+                build_feasibility(problem, u, grown), warm)
             assert warm_feasible == feasible, u
             # the statuses on S are now kept per point, the others basic
             assert np.all(np.delete(warm.row_status, subset, axis=1)
                           == fitter.HighsBasisStatus.kBasic)
 
     @pytest.mark.parametrize("u", [1e-6, 0.01])
-    def test_resolve_starts_optimal(self, coarse_fit_grid, monkeypatch, u):
+    def test_resolve_starts_optimal(self, coarse_fit_grid, verdicts, u):
         # the LP just solved, solved again, starts from its optimal basis:
         # no simplex iteration and no cold solve
         system = build_feasibility(
@@ -326,7 +330,7 @@ class TestWarmStart:
         warm = fitter.WarmStart(coarse_fit_grid.size)
         feasible = check_feasible(system, warm) is not None
         assert warm.highs.getInfo().simplex_iteration_count > 0
-        assert _verdicts(system, warm, monkeypatch) == (feasible, feasible)
+        assert verdicts(system, warm) == (feasible, feasible)
         assert warm.highs.getInfo().simplex_iteration_count == 0
 
     @pytest.mark.parametrize("call", ["passModel", "setBasis"])
@@ -356,56 +360,80 @@ class TestWarmStart:
         with pytest.raises(fitter.FitError, match=f"HiGHS {call} failed"):
             check_feasible(system, warm)
 
-    def test_failed_tight_solve_reruns_at_default_tolerances(
-            self, coarse_fit_grid, monkeypatch):
-        # a warm solve that does not end optimal at the tight tolerances is
-        # run again from the same basis at HiGHS's defaults, not cold
+    def test_solve_ladder(self, coarse_fit_grid, monkeypatch):
+        # an LP that does not end optimal at the tight tolerances runs
+        # again from the same basis at HiGHS's defaults; only if that does
+        # not end optimal either does one cold linprog at the defaults
+        # solve it.  A run that returns kError is a failed rung, not an
+        # error, and its status goes into the FitError of a failed linprog.
         system = build_feasibility(
             FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
         warm = fitter.WarmStart(coarse_fit_grid.size)
         check_feasible(system, warm)
         basis = warm.basis
-        calls = []
+        calls, fail = [], []
 
-        class FailingTight:
+        class FailingRuns:
             def __init__(self, highs):
-                self.highs = highs
+                self.highs, self.failed = highs, False
 
             def __getattr__(self, name):
-                if name in ("run", "resetOptions", "setBasis"):
-                    calls.append(name)
                 return getattr(self.highs, name)
 
+            def setBasis(self, start):
+                calls.append(("setBasis", start))
+                return self.highs.setBasis(start)
+
+            def run(self):
+                tolerance = self.highs.getOptionValue(
+                    "primal_feasibility_tolerance")[1]
+                calls.append(("run", tolerance))
+                self.failed = bool(fail) and fail.pop()
+                if self.failed:
+                    return fitter.HighsStatus.kError
+                return self.highs.run()
+
             def getModelStatus(self):
-                if calls == ["setBasis", "run"]:
+                if self.failed:
                     return fitter.HighsModelStatus.kNotset
                 return self.highs.getModelStatus()
 
-        warm.highs = FailingTight(warm.highs)
-        assert _verdicts(system, warm, monkeypatch) == (True, True)
-        assert calls == ["setBasis", "run", "resetOptions", "setBasis", "run"]
-        assert warm.basis is not basis
-        for key, value in fitter.TIGHT_OPTIONS.items():
-            assert warm.highs.getOptionValue(key)[1] == value
-
-    def test_failed_warm_solve_falls_back(self, coarse_fit_grid,
-                                          monkeypatch):
-        # an LP the warm solve does not end optimal goes to linprog: tight
-        # tolerances first, then the defaults
-        system = build_feasibility(
-            FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
-        options = []
-
         def failing_linprog(*args, **kwargs):
-            options.append(kwargs.get("options"))
+            calls.append(("linprog", kwargs.get("options"),
+                          kwargs["A_ub"].shape))
             return OptimizeResult(status=4, message="numerical difficulties")
 
-        monkeypatch.setattr(fitter.WarmStart, "solve",
-                            lambda self, a, b_ub, points: None)
+        warm.highs = FailingRuns(warm.highs)
         monkeypatch.setattr(fitter, "linprog", failing_linprog)
-        with pytest.raises(fitter.FitError, match="status 4"):
-            check_feasible(system, fitter.WarmStart(coarse_fit_grid.size))
-        assert options == [fitter.TIGHT_OPTIONS, None]
+        fresh = fitter._Highs()
+        assert fitter.DEFAULT_OPTIONS == {
+            key: fresh.getOptionValue(key)[1] for key in fitter.DEFAULT_OPTIONS}
+        key = "primal_feasibility_tolerance"
+
+        def warm_rungs(start):
+            return [("setBasis", start), ("run", fitter.TIGHT_OPTIONS[key]),
+                    ("setBasis", start), ("run", fitter.DEFAULT_OPTIONS[key])]
+
+        # the tight run fails, the default run ends the LP
+        fail[:] = [True]
+        assert check_feasible(system, warm) is not None
+        assert calls == warm_rungs(basis)
+        assert warm.basis is not basis
+        # both warm runs fail, and so does the cold solve
+        basis = warm.basis
+        calls.clear()
+        fail[:] = [True, True]
+        with pytest.raises(fitter.FitError,
+                           match=r"^LP solver failed \(status 4\).*run status "
+                                 r"kError, model status Not Set"):
+            check_feasible(system, warm)
+        assert calls == warm_rungs(basis) + [
+            ("linprog", None, (system.a_ub.shape[0], system.n_coeffs + 1))]
+        assert warm.basis is basis
+        # the next LP starts at the tight tolerances again
+        calls.clear()
+        assert check_feasible(system, warm) is not None
+        assert calls == warm_rungs(basis)[:2]
 
 
 class TestVerifyFit:
