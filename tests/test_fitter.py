@@ -1,4 +1,5 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -280,6 +281,57 @@ def verdicts(monkeypatch, cold_feasible):
     return both
 
 
+@pytest.fixture
+def failing_runs(coarse_fit_grid, monkeypatch):
+    """A WarmStart that has solved one LP, whose next HiGHS runs return
+    kError while ``fail`` pops True, and a ``linprog`` that fails; every
+    setBasis (with its basis), run (with its tolerance) and linprog call
+    goes into ``calls``."""
+    system = build_feasibility(
+        FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
+    warm = fitter.WarmStart(coarse_fit_grid.size)
+    check_feasible(system, warm)
+    calls, fail = [], []
+    key = "primal_feasibility_tolerance"
+
+    class FailingRuns:
+        def __init__(self, highs):
+            self.highs, self.failed = highs, False
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def setBasis(self, start):
+            calls.append(("setBasis", start))
+            return self.highs.setBasis(start)
+
+        def run(self):
+            calls.append(("run", self.highs.getOptionValue(key)[1]))
+            self.failed = bool(fail) and fail.pop()
+            if self.failed:
+                return fitter.HighsStatus.kError
+            return self.highs.run()
+
+        def getModelStatus(self):
+            if self.failed:
+                return fitter.HighsModelStatus.kNotset
+            return self.highs.getModelStatus()
+
+    def failing_linprog(*args, **kwargs):
+        calls.append(("linprog", kwargs.get("options"),
+                      kwargs["A_ub"].shape))
+        return OptimizeResult(status=4, message="numerical difficulties")
+
+    def warm_rungs(start):
+        return [("setBasis", start), ("run", fitter.TIGHT_OPTIONS[key]),
+                ("setBasis", start), ("run", fitter.DEFAULT_OPTIONS[key])]
+
+    warm.highs = FailingRuns(warm.highs)
+    monkeypatch.setattr(fitter, "linprog", failing_linprog)
+    return SimpleNamespace(system=system, warm=warm, calls=calls, fail=fail,
+                           warm_rungs=warm_rungs)
+
+
 class TestWarmStart:
     def test_same_verdicts_along_a_bisection(self, coarse_fit_grid,
                                              verdicts):
@@ -360,80 +412,44 @@ class TestWarmStart:
         with pytest.raises(fitter.FitError, match=f"HiGHS {call} failed"):
             check_feasible(system, warm)
 
-    def test_solve_ladder(self, coarse_fit_grid, monkeypatch):
+    def test_failed_tight_solve_reruns_at_default_tolerances(
+            self, failing_runs):
         # an LP that does not end optimal at the tight tolerances runs
-        # again from the same basis at HiGHS's defaults; only if that does
-        # not end optimal either does one cold linprog at the defaults
-        # solve it.  A run that returns kError is a failed rung, not an
-        # error, and its status goes into the FitError of a failed linprog.
-        system = build_feasibility(
-            FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
-        warm = fitter.WarmStart(coarse_fit_grid.size)
-        check_feasible(system, warm)
-        basis = warm.basis
-        calls, fail = [], []
-
-        class FailingRuns:
-            def __init__(self, highs):
-                self.highs, self.failed = highs, False
-
-            def __getattr__(self, name):
-                return getattr(self.highs, name)
-
-            def setBasis(self, start):
-                calls.append(("setBasis", start))
-                return self.highs.setBasis(start)
-
-            def run(self):
-                tolerance = self.highs.getOptionValue(
-                    "primal_feasibility_tolerance")[1]
-                calls.append(("run", tolerance))
-                self.failed = bool(fail) and fail.pop()
-                if self.failed:
-                    return fitter.HighsStatus.kError
-                return self.highs.run()
-
-            def getModelStatus(self):
-                if self.failed:
-                    return fitter.HighsModelStatus.kNotset
-                return self.highs.getModelStatus()
-
-        def failing_linprog(*args, **kwargs):
-            calls.append(("linprog", kwargs.get("options"),
-                          kwargs["A_ub"].shape))
-            return OptimizeResult(status=4, message="numerical difficulties")
-
-        warm.highs = FailingRuns(warm.highs)
-        monkeypatch.setattr(fitter, "linprog", failing_linprog)
+        # again from the same basis at HiGHS's defaults, not cold
+        ladder = failing_runs
         fresh = fitter._Highs()
         assert fitter.DEFAULT_OPTIONS == {
             key: fresh.getOptionValue(key)[1] for key in fitter.DEFAULT_OPTIONS}
-        key = "primal_feasibility_tolerance"
+        basis = ladder.warm.basis
+        ladder.fail[:] = [True]
+        assert check_feasible(ladder.system, ladder.warm) is not None
+        assert ladder.calls == ladder.warm_rungs(basis)
+        assert ladder.warm.basis is not basis
+        # the next LP starts at the tight tolerances again
+        basis = ladder.warm.basis
+        ladder.calls.clear()
+        assert check_feasible(ladder.system, ladder.warm) is not None
+        assert ladder.calls == ladder.warm_rungs(basis)[:2]
 
-        def warm_rungs(start):
-            return [("setBasis", start), ("run", fitter.TIGHT_OPTIONS[key]),
-                    ("setBasis", start), ("run", fitter.DEFAULT_OPTIONS[key])]
-
-        # the tight run fails, the default run ends the LP
-        fail[:] = [True]
-        assert check_feasible(system, warm) is not None
-        assert calls == warm_rungs(basis)
-        assert warm.basis is not basis
-        # both warm runs fail, and so does the cold solve
-        basis = warm.basis
-        calls.clear()
-        fail[:] = [True, True]
+    def test_failed_warm_solve_falls_back(self, failing_runs):
+        # only if the default rung does not end the LP either does one cold
+        # linprog at the defaults solve it.  A run that returns kError is a
+        # failed rung, not an error, and its status goes into the FitError
+        # of a failed linprog.
+        ladder = failing_runs
+        system, basis = ladder.system, ladder.warm.basis
+        ladder.fail[:] = [True, True]
         with pytest.raises(fitter.FitError,
                            match=r"^LP solver failed \(status 4\).*run status "
                                  r"kError, model status Not Set"):
-            check_feasible(system, warm)
-        assert calls == warm_rungs(basis) + [
+            check_feasible(system, ladder.warm)
+        assert ladder.calls == ladder.warm_rungs(basis) + [
             ("linprog", None, (system.a_ub.shape[0], system.n_coeffs + 1))]
-        assert warm.basis is basis
+        assert ladder.warm.basis is basis
         # the next LP starts at the tight tolerances again
-        calls.clear()
-        assert check_feasible(system, warm) is not None
-        assert calls == warm_rungs(basis)[:2]
+        ladder.calls.clear()
+        assert check_feasible(system, ladder.warm) is not None
+        assert ladder.calls == ladder.warm_rungs(basis)[:2]
 
 
 class TestVerifyFit:
