@@ -29,8 +29,10 @@ bisection runs on a subset S of the grid and exchanges points into it
 ``SUBSET_PER_COEFF * n_coeffs`` evenly strided points, and each exchange
 adds at most ``EXCHANGE_PER_COEFF * n_coeffs`` of the worst violators
 outside S.  Every witness is checked on the whole grid with numpy, so
-``u_plus`` always rests on the whole grid, and full-grid LPs confirm
-``u_minus`` (see ``bisect_fit``).
+``u_plus`` always rests on the whole grid.  ``u_minus`` is confirmed on
+the whole grid too, by row generation from S: LPs at that level on S
+and the points its solutions violate, until none does (see
+``bisect_fit``).
 
 Consecutive LPs differ only in the (1 +- u) * h coefficients and in the
 points of S, so every LP of a fit goes through one HiGHS instance with
@@ -230,7 +232,7 @@ class WarmStart:
         self.row_status, self.basis, self.points = rows, basis, points
 
     def solve(self, system: FeasibilitySystem) -> tuple[float, np.ndarray]:
-        """The optimum slack t and solution (c, t) of the phase-1 LP
+        """The optimum slack t >= 0 and solution (c, t) of the phase-1 LP
         min t subject to A @ c - t <= b, t >= 0, on the rows of ``system``.
 
         A ladder of at most three solves: HiGHS at ``TIGHT_OPTIONS`` from
@@ -265,17 +267,22 @@ class WarmStart:
             model_status = highs.getModelStatus()
             if model_status == HighsModelStatus.kOptimal:
                 self.basis, self.points = highs.getBasis(), system.points
-                return (highs.getInfo().objective_function_value,
-                        np.array(highs.getSolution().col_value))
-        res = linprog(cost, A_ub=a, b_ub=system.b_ub,
-                      bounds=[(None, None)] * system.n_coeffs + [(0.0, None)],
-                      method="highs")
-        if res.status != 0:
-            raise FitError(
-                f"LP solver failed (status {res.status}): {res.message} "
-                f"(warm solve: run status {run_status.name}, model status "
-                f"{highs.modelStatusToString(model_status)})")
-        return res.fun, res.x
+                slack = highs.getInfo().objective_function_value
+                x = np.array(highs.getSolution().col_value)
+                break
+        else:
+            bounds = [(None, None)] * system.n_coeffs + [(0.0, None)]
+            res = linprog(cost, A_ub=a, b_ub=system.b_ub, bounds=bounds,
+                          method="highs")
+            if res.status != 0:
+                raise FitError(
+                    f"LP solver failed (status {res.status}): {res.message} "
+                    f"(warm solve: run status {run_status.name}, model status "
+                    f"{highs.modelStatusToString(model_status)})")
+            slack, x = res.fun, res.x
+        # t >= 0 is the LP's own bound, which HiGHS meets only within its
+        # primal tolerance (-6.8e-10 at the default one)
+        return max(slack, 0.0), x
 
 
 def _check_status(status: HighsStatus, call: str) -> None:
@@ -290,7 +297,11 @@ def check_feasible(system: FeasibilitySystem, warm: WarmStart):
     The phase-1 LP (``WarmStart.solve``) is always solvable; the system
     is feasible iff its optimum slack t is within ``FEASIBILITY_TOL``.
     """
-    slack, x = warm.solve(system)
+    return _witness(system, *warm.solve(system))
+
+
+def _witness(system: FeasibilitySystem, slack: float, x: np.ndarray):
+    """``check_feasible``'s verdict on a solved phase-1 LP of ``system``."""
     if slack > FEASIBILITY_TOL:
         return None
     return x[:system.n_coeffs] / system.col_scale
@@ -302,7 +313,7 @@ class FitResult:
     u_minus: float
     u_plus: float
     iterations: int            # bisection levels of all passes
-    lp_solves: int             # LPs of the levels, confirmations too
+    lp_solves: int             # LPs of the levels and of the confirmations
     active_points: int         # final size of the subset S
     achieved_dev: float        # recomputed against the oracle on the fit grid
     achieved_dev_fine: float   # same on the 4x-refined verification grid
@@ -357,22 +368,57 @@ def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
     """
     if in_s.all():
         return np.empty(0, dtype=int), u
-    phi_s, scale = problem.basis
-    h = problem.grid.h
-    half = len(scale)
-    p = phi_s @ (vec[:half] * scale)
-    q = phi_s @ (vec[half:] * scale)
-    floor_excess = DENOM_FLOOR - q
-    excess = np.maximum.reduce([p - (h + u * h) * q, (h - u * h) * q - p,
-                                floor_excess])
+    excess, p, q = _excess(problem, vec * np.tile(problem.basis[1], 2), u)
     excess[in_s] = -np.inf
     bad = np.flatnonzero(excess > FEASIBILITY_TOL)
     if not bad.size:
         return bad, u
     level = math.inf
-    if np.all(q > 0.0) and floor_excess.max() <= FEASIBILITY_TOL:
+    if np.all(q > 0.0) and DENOM_FLOOR - q.min() <= FEASIBILITY_TOL:
+        h = problem.grid.h
         level = float(np.max(np.abs(p - h * q) / (h * q)))
     return bad[np.argsort(-excess[bad], kind="stable")], level
+
+
+def _excess(problem: FitProblem, coeffs: np.ndarray,
+            u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest excess A @ c - b of each grid point's three rows at level
+    u, for the scaled coefficients c of the LP; and P and Q there."""
+    phi_s, _ = problem.basis
+    h = problem.grid.h
+    half = phi_s.shape[1]
+    p, q = phi_s @ coeffs[:half], phi_s @ coeffs[half:2 * half]
+    excess = np.maximum.reduce([p - (h + u * h) * q, (h - u * h) * q - p,
+                                DENOM_FLOOR - q])
+    return excess, p, q
+
+
+def _confirm(problem: FitProblem, u: float, in_s: np.ndarray,
+             warm: WarmStart) -> tuple[np.ndarray | None, int]:
+    """``check_feasible`` on the whole grid at level u, by row generation
+    from the points of S; and the number of LPs it solved.
+
+    When no row outside an LP's points exceeds its optimum slack t by
+    more than ``FEASIBILITY_TOL``, its solution (c, t) is the full-grid
+    LP's optimum too (by LP duality, the rows left out get zero duals).
+    Until then the ``EXCHANGE_PER_COEFF * n_coeffs`` worst points join.
+    An infeasible first round is not enough: it is the subset verdict
+    being confirmed.
+    """
+    in_lp = in_s.copy()
+    n_add = EXCHANGE_PER_COEFF * 2 * len(problem.basis[1])
+    solves = 0
+    while True:
+        points = None if in_lp.all() else np.flatnonzero(in_lp)
+        system = build_feasibility(problem, u, points)
+        slack, x = warm.solve(system)
+        solves += 1
+        excess = _excess(problem, x, u)[0]
+        excess[in_lp] = -np.inf
+        bad = np.flatnonzero(excess > slack + FEASIBILITY_TOL)
+        if not bad.size:
+            return _witness(system, slack, x), solves
+        in_lp[bad[np.argsort(-excess[bad], kind="stable")[:n_add]]] = True
 
 
 def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
@@ -423,13 +469,15 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     ``EXCHANGE_PER_COEFF * n_coeffs`` points per exchange.
 
     A subset verdict "infeasible" is not proof for the whole grid (HiGHS
-    returns wrong ones at degree 4), so ``u_minus`` is confirmed by a
-    full-grid LP before the first exchange builds on it, and again
-    before returning if it rose since.  If the full grid is feasible
-    there, that witness becomes ``u_plus``, S becomes the whole grid and
-    the bisection restarts from the initial bracket.  Levels at or above
-    ``u_plus`` then pass without an LP, and the LPs below it are exactly
-    plain bisection's.
+    returns wrong ones at degree 4), so ``u_minus`` is confirmed on the
+    whole grid before the first exchange builds on it, and again before
+    returning if it rose since.  The confirmation (``_confirm``) adds
+    the points that violate its solution to the LP on S until none does,
+    which gives the full-grid LP's optimum without passing its rows.  If
+    the full grid is feasible there, that witness becomes ``u_plus``, S
+    becomes the whole grid and the bisection restarts from the initial
+    bracket.  Levels at or above ``u_plus`` then pass without an LP, and
+    the LPs below it are exactly plain bisection's.
 
     All LPs share one ``WarmStart``.  A confirmation starts from the
     basis on S but leaves it stored, so the next pass on S extends it.
@@ -478,9 +526,8 @@ def bisect_fit(problem: FitProblem) -> FitResult:
         if points is not None and u_minus > confirmed and (
                 confirmed == 0.0 or not exchange):
             # on a copy, so the basis on S stays stored
-            vec = check_feasible(build_feasibility(problem, u_minus),
-                                 copy.copy(warm))
-            lp_solves += 1
+            vec, solves = _confirm(problem, u_minus, in_s, copy.copy(warm))
+            lp_solves += solves
             if vec is not None:
                 # a subset verdict was wrong: plain bisection from the start
                 in_s[:] = True

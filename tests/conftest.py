@@ -33,3 +33,17 @@ def cold_feasible():
                 return res.fun <= fitter.FEASIBILITY_TOL
         raise AssertionError(f"cold solve failed: {res.message}")
     return verdict
+
+
+@pytest.fixture
+def solve_rows(monkeypatch):
+    """The row count of every ``WarmStart.solve`` call, in call order."""
+    real_solve = fitter.WarmStart.solve
+    rows = []
+
+    def counting_solve(warm, system):
+        rows.append(system.a_ub.shape[0])
+        return real_solve(warm, system)
+
+    monkeypatch.setattr(fitter.WarmStart, "solve", counting_solve)
+    return rows

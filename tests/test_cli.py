@@ -31,6 +31,25 @@ def _oracle_transcript(capsys):
     return "".join(chunks)
 
 
+def _assert_fit_golden(capsys, tmp_path, monkeypatch, degree, grid):
+    # the coefficient and report files of a fit are deterministic, and
+    # every LP of the fit ends in a warm rung, never in the cold one
+    from tempint import fitter
+
+    def no_cold_solve(*args, **kwargs):
+        raise AssertionError("an LP reached the cold linprog rung")
+
+    monkeypatch.setattr(fitter, "linprog", no_cold_solve)
+    out_file = tmp_path / "c.coeff"
+    code, _, _ = run(capsys, "fit", "--degree", str(degree),
+                     "--grid", grid, "--out", str(out_file))
+    assert code == 0
+    golden = GOLDEN / f"fit-n{degree}-{grid}"
+    assert out_file.read_bytes() == golden.with_suffix(".coeff").read_bytes()
+    assert ((tmp_path / "c.coeff.report").read_bytes()
+            == golden.with_suffix(".report").read_bytes())
+
+
 class TestOracle:
     def test_closed_form(self, capsys):
         code, out, _ = run(capsys, "oracle", "-m", "-2", "-x", "10")
@@ -88,22 +107,11 @@ class TestFit:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_coarse_fit_golden_bytes(self, capsys, tmp_path, monkeypatch,
                                      degree):
-        # the coefficient and report files of a fit are deterministic, and
-        # every LP of the fit ends in a warm rung, never in the cold one
-        from tempint import fitter
+        _assert_fit_golden(capsys, tmp_path, monkeypatch, degree, "coarse")
 
-        def no_cold_solve(*args, **kwargs):
-            raise AssertionError("an LP reached the cold linprog rung")
-
-        monkeypatch.setattr(fitter, "linprog", no_cold_solve)
-        out_file = tmp_path / "c.coeff"
-        code, _, _ = run(capsys, "fit", "--degree", str(degree),
-                         "--grid", "coarse", "--out", str(out_file))
-        assert code == 0
-        golden = GOLDEN / f"fit-n{degree}-coarse"
-        assert out_file.read_bytes() == golden.with_suffix(".coeff").read_bytes()
-        assert ((tmp_path / "c.coeff.report").read_bytes()
-                == golden.with_suffix(".report").read_bytes())
+    def test_paper_eval_fit_golden_bytes(self, capsys, tmp_path, monkeypatch):
+        # the benchmark's own fit
+        _assert_fit_golden(capsys, tmp_path, monkeypatch, 2, "paper-eval")
 
     @pytest.mark.parametrize("tol", ["nan", "2"])
     def test_bad_tol_exit_2(self, capsys, tmp_path, tol):

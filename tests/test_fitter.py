@@ -230,7 +230,17 @@ class TestExchange:
                 full_grid_levels.append(system.u)
             return real_check(system, warm)
 
+        # the confirmation calls WarmStart.solve, not check_feasible, so
+        # it tells the truth, as the full-grid LP it replaces did
+        real_confirm = fitter._confirm
+        confirm_levels = []
+
+        def recording_confirm(problem, u, in_s, warm):
+            confirm_levels.append(u)
+            return real_confirm(problem, u, in_s, warm)
+
         monkeypatch.setattr(fitter, "check_feasible", lying_check)
+        monkeypatch.setattr(fitter, "_confirm", recording_confirm)
         result = bisect_fit(problem)
         assert not cold_feasible(build_feasibility(problem, result.u_minus))
         # the contradiction restarts plain bisection on the whole grid
@@ -238,32 +248,74 @@ class TestExchange:
         assert (result.u_minus, result.u_plus) == (plain.u_minus,
                                                    plain.u_plus)
         assert result.iterations > plain.iterations
-        # levels above the confirming witness's need no LP
+        # levels above the confirming witness's need no LP: every full-grid
+        # LP comes after the restart, below the confirmation level
+        assert len(confirm_levels) == 1
         assert min(full_grid_levels) < false_below
-        assert max(full_grid_levels[1:]) < full_grid_levels[0]
+        assert max(full_grid_levels) < confirm_levels[0]
         assert len(full_grid_levels) < plain.lp_solves
 
-    def test_small_grid_is_plain_bisection(self, monkeypatch):
+    def test_small_grid_is_plain_bisection(self, solve_rows):
         # 65 points are fewer than the 16 x 6 starting subset of degree 1,
         # so every level is one full-grid LP, as in plain bisection
         grid = FitGrid.from_eval_grid(
             EvalGrid.from_spec("m=-1:1:0.5,x=4:100:8"))
-        real_solve = fitter.WarmStart.solve
-        calls = []
-
-        def counting_solve(warm, system):
-            calls.append(system.a_ub.shape[0])
-            return real_solve(warm, system)
-
-        monkeypatch.setattr(fitter.WarmStart, "solve", counting_solve)
         result = bisect_fit(FitProblem(degree=1, grid=grid))
         assert result.active_points == grid.size
-        assert len(calls) == result.lp_solves
+        assert len(solve_rows) == result.lp_solves
         assert result.lp_solves == result.iterations
-        assert set(calls) == {3 * grid.size}
+        assert set(solve_rows) == {3 * grid.size}
         u_start = fitter._initial_level(FitProblem(degree=1, grid=grid))[0]
         assert result.u_plus - result.u_minus == pytest.approx(
             u_start / 2.0 ** result.iterations, rel=1e-9)
+
+    def test_confirmations_solve_no_full_grid_lp(self, paper_eval_grid,
+                                                 solve_rows):
+        grid = FitGrid.from_eval_grid(paper_eval_grid)
+        result = bisect_fit(FitProblem(degree=2, grid=grid))
+        assert len(solve_rows) == result.lp_solves > result.iterations
+        assert max(solve_rows) < 3 * grid.size
+
+    def test_confirm_by_row_generation(self, coarse_fit_grid, solve_rows,
+                                       cold_feasible):
+        problem = FitProblem(degree=2, grid=coarse_fit_grid)
+        size = coarse_fit_grid.size
+        u_star = bisect_fit(problem).u_plus
+        in_s = np.zeros(size, dtype=bool)
+        in_s[::8] = True
+        for u in (0.9 * u_star, 1.1 * u_star):
+            solve_rows.clear()
+            warm = fitter.WarmStart(size)
+            vec, solves = fitter._confirm(problem, u, in_s, warm)
+            full = build_feasibility(problem, u)
+            assert (vec is not None) == (u > u_star) == cold_feasible(full)
+            assert solves == len(solve_rows) > 1
+            assert solve_rows[0] == 3 * in_s.sum()
+            assert max(solve_rows) < 3 * size
+            if vec is not None:
+                # the witness holds on every grid row
+                rows = (full.a_ub * full.col_scale) @ vec
+                assert np.all(rows <= full.b_ub + fitter.FEASIBILITY_TOL)
+            else:
+                # the last LP's solution holds every row left out of it
+                # within its slack, so it is the full-grid LP's optimum
+                slack = warm.highs.getInfo().objective_function_value
+                x = np.array(warm.highs.getSolution().col_value)
+                excess = fitter._excess(problem, x, u)[0]
+                outside = np.ones(size, dtype=bool)
+                outside[warm.points] = False
+                assert np.all(excess[outside]
+                              <= slack + fitter.FEASIBILITY_TOL)
+                # though not all within FEASIBILITY_TOL: at an infeasible
+                # level the rows left out need only meet the slack
+                assert excess[outside].max() > fitter.FEASIBILITY_TOL
+        # with S the whole grid, the confirmation is one full-grid LP
+        solve_rows.clear()
+        vec, solves = fitter._confirm(problem, 0.9 * u_star,
+                                      np.ones(size, dtype=bool),
+                                      fitter.WarmStart(size))
+        assert vec is None
+        assert solves == 1 and solve_rows == [3 * size]
 
 
 @pytest.fixture
@@ -384,6 +436,29 @@ class TestWarmStart:
         assert warm.highs.getInfo().simplex_iteration_count > 0
         assert verdicts(system, warm) == (feasible, feasible)
         assert warm.highs.getInfo().simplex_iteration_count == 0
+
+    def test_slack_is_never_negative(self, coarse_fit_grid):
+        # t >= 0 is a bound of the LP, which HiGHS meets only within its
+        # primal tolerance: a default-tolerance rung returned -6.8e-10
+        system = build_feasibility(
+            FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
+        warm = fitter.WarmStart(coarse_fit_grid.size)
+
+        class NegativeObjective:
+            def __init__(self, highs):
+                self.highs = highs
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def getInfo(self):
+                return SimpleNamespace(objective_function_value=-6.8e-10)
+
+        warm.highs = NegativeObjective(warm.highs)
+        slack, x = warm.solve(system)
+        assert slack == 0.0
+        assert len(x) == system.n_coeffs + 1
+        assert check_feasible(system, warm) is not None
 
     @pytest.mark.parametrize("call", ["passModel", "setBasis"])
     def test_highs_errors_are_not_silent(self, coarse_fit_grid, monkeypatch,
