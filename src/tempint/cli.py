@@ -19,12 +19,11 @@ import sys
 import tempfile
 
 from tempint import harness, models, tables
-from tempint.fitter import (MAX_DEGREE, FitError, FitGrid, FitProblem,
-                            bisect_fit)
 from tempint.harness import EvalGrid
 from tempint.models import ModelDomainError
 from tempint.oracle import DomainError, EvalPoint, OracleError, g_cf, h, h_series
-from tempint.rational import ParseError, PoleError, load_coeffs, save_coeffs
+from tempint.rational import (MAX_DEGREE, ParseError, PoleError, load_coeffs,
+                              save_coeffs)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -54,29 +53,38 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_oracle(args) -> int:
+    # every value first, so a rejected input prints nothing to stdout
     point = EvalPoint(args.m, args.x)
-    g_val = g_cf(point)
-    h_val = h(point)
-    print(f"g({args.m:g}, {args.x:g}) = {g_val!r}")
-    print(f"h({args.m:g}, {args.x:g}) = {h_val!r}")
+    lines = [f"g({args.m:g}, {args.x:g}) = {g_cf(point)!r}",
+             f"h({args.m:g}, {args.x:g}) = {h(point)!r}"]
     if args.series_terms is not None:
         k = args.series_terms
-        lo = h_series(point, k)
-        hi = h_series(point, k + 1)
-        print(f"series[{k}] = {lo!r}")
-        print(f"series[{k + 1}] = {hi!r}")
+        lines += [f"series[{n}] = {h_series(point, n)!r}" for n in (k, k + 1)]
+    print("\n".join(lines))
     return EXIT_OK
 
 
+def bisect_fit(problem):
+    """``fitter.bisect_fit``.  Only ``fit`` imports the fitter, and with
+    it scipy's LP stack; every other command starts without them."""
+    from tempint import fitter
+    return fitter.bisect_fit(problem)
+
+
 def cmd_fit(args) -> int:
+    from tempint.fitter import FitError, FitGrid, FitProblem
     grid = EvalGrid.from_spec(args.grid)
-    fit_grid = FitGrid.from_eval_grid(grid)
-    problem = FitProblem(degree=args.degree, grid=fit_grid,
-                         bisection_tol_rel=args.tol)
-    # a fit can take seconds; find a bad output path before it
-    for path in (args.out, args.out + ".report"):
-        _check_writable(path)
-    result = bisect_fit(problem)
+    try:
+        fit_grid = FitGrid.from_eval_grid(grid)
+        problem = FitProblem(degree=args.degree, grid=fit_grid,
+                             bisection_tol_rel=args.tol)
+        # a fit can take seconds; find a bad output path before it
+        for path in (args.out, args.out + ".report"):
+            _check_writable(path)
+        result = bisect_fit(problem)
+    except FitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     save_coeffs(result.approximant, args.out)
     _write_output(result.report_text(), args.out + ".report")
     print(f"wrote {args.out} (u* in [{result.u_minus:.6E}, "
@@ -232,9 +240,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
 
 
 def entry() -> None:

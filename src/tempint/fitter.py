@@ -59,17 +59,13 @@ from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus,
 from scipy.sparse import csc_array
 
 from tempint.harness import EvalGrid, oracle_h_row
-from tempint.rational import BivariatePoly, RationalApproximant, index_pairs
+from tempint.rational import (MAX_DEGREE, BivariatePoly, RationalApproximant,
+                              index_pairs)
 
 
 # Exchange sizing, in multiples of the coefficient count n_coeffs
 SUBSET_PER_COEFF = 16     # starting size of S
 EXCHANGE_PER_COEFF = 4    # most violators added to S per exchange
-
-# Above degree 4 the bracket a fit returns is refuted on `coarse`: at
-# degree 5 u_plus is 61x below its own witness's deviation, and at degree
-# 6 u_minus is above a degree-4 witness's, a family degree 6 contains
-MAX_DEGREE = 4
 
 DENOM_FLOOR = 1.0          # Q >= DENOM_FLOOR at every grid point
 BISECTION_TOL_ABS = 1e-12  # the bracket closes within this, or tol_rel * u

@@ -31,6 +31,13 @@ class ParseError(Exception):
     """Malformed coefficient file."""
 
 
+# The highest degree the fitter takes.  Above degree 4 the bracket a fit
+# returns is refuted on `coarse`: at degree 5 u_plus is 61x below its own
+# witness's deviation, and at degree 6 u_minus is above a degree-4
+# witness's, a family degree 6 contains
+MAX_DEGREE = 4
+
+
 def index_pairs(degree: int) -> list[tuple[int, int]]:
     """All (i, j) with i + j <= degree in graded lexicographic order."""
     pairs = []

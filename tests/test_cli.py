@@ -1,11 +1,17 @@
+import argparse
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from tempint import cli
 from tempint.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -76,6 +82,14 @@ class TestOracle:
         assert code == 0
         assert "series[2] = 0.96" in out
 
+    @pytest.mark.parametrize("terms", [0, -3])
+    def test_series_terms_below_1_exit_2_before_output(self, capsys, terms):
+        code, out, err = run(capsys, "oracle", "-m", "0", "-x", "50",
+                             "--series-terms", str(terms))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: terms must be >= 1, got {terms}\n"
+
     def test_golden_bytes(self, capsys):
         # stdout, stderr and exit code at the closed-form line m = -2, at
         # both ends of x with their adjacent floats, and out of the domain
@@ -124,8 +138,6 @@ class TestFit:
 
     def test_bad_out_path_exit_2_before_fitting(self, capsys, tmp_path,
                                                 monkeypatch):
-        from tempint import cli
-
         def no_fit(problem):
             raise AssertionError("the fit ran")
 
@@ -159,6 +171,31 @@ class TestFit:
         assert "--degree: invalid choice: 5" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_degree_choices_follow_max_degree(self):
+        from tempint import fitter
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        degree = next(a for a in sub.choices["fit"]._actions
+                      if a.dest == "degree")
+        assert degree.choices == range(1, fitter.MAX_DEGREE + 1)
+
+    def test_fit_error_before_any_lp_exit_3(self, capsys, tmp_path,
+                                            monkeypatch):
+        from tempint import fitter
+
+        def no_target(cls, grid):
+            raise fitter.FitError("non-finite or non-positive oracle target")
+
+        monkeypatch.setattr(fitter.FitGrid, "from_eval_grid",
+                            classmethod(no_target))
+        out_file = tmp_path / "x.coeff"
+        code, out, err = run(capsys, "fit", "--degree", "1", "--grid",
+                             "coarse", "--out", str(out_file))
+        assert code == 3
+        assert out == ""
+        assert err == "error: non-finite or non-positive oracle target\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_lp_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         from scipy.optimize import OptimizeResult
 
@@ -180,6 +217,42 @@ class TestFit:
         assert code == 3
         assert err.startswith("error: LP solver failed (status 4)")
         assert not out_file.exists()
+
+
+LP_STACK = ("scipy.optimize", "scipy.sparse")
+SMALL_GRID = "m=0:1:1,x=4:100:8"
+
+
+def _lp_stack_loaded(argv):
+    """The modules of LP_STACK that a fresh process has loaded after
+    ``import tempint.cli`` and, if argv is not empty, ``cli.main(argv)``."""
+    script = (f"import sys\nfrom tempint import cli\nargv = {argv!r}\n"
+              "assert not argv or cli.main(argv) == 0\n"
+              f"print([m for m in {LP_STACK!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          env=env, capture_output=True, text=True)
+    return done.stdout.splitlines()[-1]
+
+
+class TestLpStackLoading:
+    # scipy.optimize is most of a fresh process's start-up, and only
+    # `fit` needs it
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["list"],
+        ["oracle", "-m", "0", "-x", "50", "--series-terms", "2"],
+        ["eval", "--model", "G4", "--grid", SMALL_GRID, "--format", "csv"],
+        ["compare", "--grid", SMALL_GRID],
+        ["tables", "--format", "csv"],
+    ], ids=["import", "list", "oracle", "eval", "compare", "tables"])
+    def test_unloaded(self, argv):
+        assert _lp_stack_loaded(argv) == "[]"
+
+    def test_fit_loads_it(self, tmp_path):
+        argv = ["fit", "--degree", "1", "--grid", "coarse",
+                "--out", str(tmp_path / "c.coeff")]
+        assert _lp_stack_loaded(argv) == str(list(LP_STACK))
 
 
 class TestCompare:
