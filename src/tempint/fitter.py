@@ -30,9 +30,9 @@ bisection runs on a subset S of the grid and exchanges points into it
 adds at most ``EXCHANGE_PER_COEFF * n_coeffs`` of the worst violators
 outside S.  Every witness is checked on the whole grid with numpy, so
 ``u_plus`` always rests on the whole grid.  ``u_minus`` is confirmed on
-the whole grid too, by row generation from S: LPs at that level on S
-and the points its solutions violate, until none does (see
-``bisect_fit``).
+the whole grid too, once, after the last pass on S, by row generation
+from S: LPs at that level on S and the points its solutions violate,
+until none does (see ``bisect_fit``).
 
 Consecutive LPs differ only in the (1 +- u) * h coefficients and in the
 points of S, so every LP of a fit goes through one HiGHS instance with
@@ -45,7 +45,6 @@ solve the LP.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -139,7 +138,7 @@ class FeasibilitySystem:
     a_ub: np.ndarray
     b_ub: np.ndarray
     col_scale: np.ndarray   # per-coefficient rescale applied to the columns
-    points: np.ndarray | None = None   # flat grid indices of the rows; None: all
+    points: np.ndarray      # flat grid indices of the rows
 
     @property
     def n_coeffs(self) -> int:
@@ -155,16 +154,17 @@ def build_feasibility(problem: FitProblem, u: float,
                       points: np.ndarray | None = None) -> FeasibilitySystem:
     """Three rows per grid point: two deviation bounds and the Q floor.
 
-    ``points`` (flat grid indices) restricts the rows to those points.
-    The column scale always comes from the whole grid, so each subset
-    row is bit-identical to its row in the full system.
+    ``points`` (flat grid indices) restricts the rows to those points;
+    by default they are the whole grid.  The column scale always comes
+    from the whole grid, so each subset row is bit-identical to its row
+    in the full system.
     """
     if u < 0.0:
         raise ValueError(f"u must be >= 0, got {u}")
+    if points is None:
+        points = np.arange(problem.grid.size)
     phi_s, scale = problem.basis
-    h = problem.grid.h
-    if points is not None:
-        phi_s, h = phi_s[points], h[points]
+    phi_s, h = phi_s[points], problem.grid.h[points]
     zeros = np.zeros_like(phi_s)
     upper = (h + u * h)[:, None] * phi_s
     lower = (h - u * h)[:, None] * phi_s
@@ -187,9 +187,9 @@ class WarmStart:
     and the optimal basis of its last warm solve (see ``solve``).
 
     ``basis`` is the ``HighsBasis`` that HiGHS returned for the last LP,
-    whose rows belong to the grid points ``points`` (None: all).  The
-    next LP on the same points starts from that object as it is.  Only
-    when the points change (an exchange or a confirmation) is it turned
+    whose rows belong to the grid points ``points``.  The next LP on the
+    same points starts from that object as it is.  Only when the points
+    change (an exchange, or a round of the confirmation) is it turned
     into row statuses per grid point, three rows each in
     ``build_feasibility`` order, kept in ``row_status``.  The basis of an
     LP on more points then has the rows of its new points basic (their
@@ -206,26 +206,16 @@ class WarmStart:
         self.row_status = np.full((3, grid_size), HighsBasisStatus.kBasic,
                                   dtype=object)
 
-    def _same_points(self, points) -> bool:
-        if points is None or self.points is None:
-            return points is self.points
-        return np.array_equal(points, self.points)
-
-    def _rebase(self, points) -> None:
+    def _rebase(self, points: np.ndarray) -> None:
         """Store the statuses of ``basis`` per point and build the basis of
         an LP on ``points`` from them."""
-        rows = np.array(self.basis.row_status, dtype=object).reshape(3, -1)
-        if self.points is not None:
-            # a new array, so a copy of this object keeps its own statuses
-            full = self.row_status.copy()
-            full[:, self.points] = rows
-            rows = full
+        self.row_status[:, self.points] = np.array(
+            self.basis.row_status, dtype=object).reshape(3, -1)
         basis = HighsBasis()
         basis.valid = True
         basis.col_status = self.basis.col_status
-        basis.row_status = (rows if points is None
-                            else rows[:, points]).ravel().tolist()
-        self.row_status, self.basis, self.points = rows, basis, points
+        basis.row_status = self.row_status[:, points].ravel().tolist()
+        self.basis, self.points = basis, points
 
     def solve(self, system: FeasibilitySystem) -> tuple[float, np.ndarray]:
         """The optimum slack t >= 0 and solution (c, t) of the phase-1 LP
@@ -249,7 +239,8 @@ class WarmStart:
             np.full(n_rows, -np.inf), system.b_ub,
             sparse.indptr, sparse.indices, sparse.data,
             np.zeros(n_cols, dtype=np.int32)), "passModel")
-        if self.basis is not None and not self._same_points(system.points):
+        if self.basis is not None and not np.array_equal(system.points,
+                                                         self.points):
             self._rebase(system.points)
         for options in (TIGHT_OPTIONS, DEFAULT_OPTIONS):
             # tight tolerances can break down near degeneracy (degree 4 at
@@ -309,7 +300,7 @@ class FitResult:
     u_minus: float
     u_plus: float
     iterations: int            # bisection levels of all passes
-    lp_solves: int             # LPs of the levels and of the confirmations
+    lp_solves: int             # LPs of the levels and of the confirmation
     active_points: int         # final size of the subset S
     achieved_dev: float        # recomputed against the oracle on the fit grid
     achieved_dev_fine: float   # same on the 4x-refined verification grid
@@ -362,31 +353,32 @@ def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
     at u.  Otherwise it holds at its deviation over the whole grid, if
     its denominator keeps the floor there, and at no level if not.
     """
-    if in_s.all():
-        return np.empty(0, dtype=int), u
-    excess, p, q = _excess(problem, vec * np.tile(problem.basis[1], 2), u)
-    excess[in_s] = -np.inf
-    bad = np.flatnonzero(excess > FEASIBILITY_TOL)
+    bad, p, q = _violators(problem, vec * np.tile(problem.basis[1], 2), u,
+                           in_s, FEASIBILITY_TOL)
     if not bad.size:
         return bad, u
     level = math.inf
     if np.all(q > 0.0) and DENOM_FLOOR - q.min() <= FEASIBILITY_TOL:
         h = problem.grid.h
         level = float(np.max(np.abs(p - h * q) / (h * q)))
-    return bad[np.argsort(-excess[bad], kind="stable")], level
+    return bad, level
 
 
-def _excess(problem: FitProblem, coeffs: np.ndarray,
-            u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Largest excess A @ c - b of each grid point's three rows at level
-    u, for the scaled coefficients c of the LP; and P and Q there."""
+def _violators(problem: FitProblem, coeffs: np.ndarray, u: float,
+               members: np.ndarray, above: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid points outside ``members`` whose largest row excess A @ c - b
+    at level u exceeds ``above``, worst first, for the scaled LP
+    coefficients c; and P and Q at every grid point."""
     phi_s, _ = problem.basis
     h = problem.grid.h
     half = phi_s.shape[1]
     p, q = phi_s @ coeffs[:half], phi_s @ coeffs[half:2 * half]
     excess = np.maximum.reduce([p - (h + u * h) * q, (h - u * h) * q - p,
                                 DENOM_FLOOR - q])
-    return excess, p, q
+    excess[members] = -np.inf
+    bad = np.flatnonzero(excess > above)
+    return bad[np.argsort(-excess[bad], kind="stable")], p, q
 
 
 def _confirm(problem: FitProblem, u: float, in_s: np.ndarray,
@@ -405,16 +397,13 @@ def _confirm(problem: FitProblem, u: float, in_s: np.ndarray,
     n_add = EXCHANGE_PER_COEFF * 2 * len(problem.basis[1])
     solves = 0
     while True:
-        points = None if in_lp.all() else np.flatnonzero(in_lp)
-        system = build_feasibility(problem, u, points)
+        system = build_feasibility(problem, u, np.flatnonzero(in_lp))
         slack, x = warm.solve(system)
         solves += 1
-        excess = _excess(problem, x, u)[0]
-        excess[in_lp] = -np.inf
-        bad = np.flatnonzero(excess > slack + FEASIBILITY_TOL)
+        bad = _violators(problem, x, u, in_lp, slack + FEASIBILITY_TOL)[0]
         if not bad.size:
             return _witness(system, slack, x), solves
-        in_lp[bad[np.argsort(-excess[bad], kind="stable")[:n_add]]] = True
+        in_lp[bad[:n_add]] = True
 
 
 def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
@@ -465,18 +454,20 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     ``EXCHANGE_PER_COEFF * n_coeffs`` points per exchange.
 
     A subset verdict "infeasible" is not proof for the whole grid (HiGHS
-    returns wrong ones at degree 4), so ``u_minus`` is confirmed on the
-    whole grid before the first exchange builds on it, and again before
-    returning if it rose since.  The confirmation (``_confirm``) adds
-    the points that violate its solution to the LP on S until none does,
-    which gives the full-grid LP's optimum without passing its rows.  If
-    the full grid is feasible there, that witness becomes ``u_plus``, S
+    returns wrong ones at degree 4), so after the last pass on S, if S is
+    not the whole grid, ``u_minus`` is confirmed on the whole grid once.
+    Feasibility is monotone in u and ``u_minus`` only rises, so if any
+    subset verdict was wrong, the whole grid is feasible at the final
+    ``u_minus`` too.  The confirmation (``_confirm``) adds the points
+    that violate its solution to the LP on S until none does, which
+    gives the full-grid LP's optimum without passing its rows.  If the
+    full grid is feasible there, that witness becomes ``u_plus``, S
     becomes the whole grid and the bisection restarts from the initial
     bracket.  Levels at or above ``u_plus`` then pass without an LP, and
     the LPs below it are exactly plain bisection's.
 
-    All LPs share one ``WarmStart``.  A confirmation starts from the
-    basis on S but leaves it stored, so the next pass on S extends it.
+    All LPs share one ``WarmStart``; a restart goes on from the basis
+    that the confirmation left.
 
     A posteriori verification recomputes the deviation against the
     oracle on the fit grid and on a 4x-refined grid, recording the
@@ -489,7 +480,6 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     n_start = min(SUBSET_PER_COEFF * n_coeffs, g.size)
     in_s[np.arange(n_start) * g.size // n_start] = True
     u_minus, u_plus, u_hi = 0.0, u_start, u_start
-    confirmed = 0.0           # the highest u_minus a full-grid LP confirmed
     iterations, lp_solves = 0, 0
     warm = WarmStart(g.size)
 
@@ -499,7 +489,7 @@ def bisect_fit(problem: FitProblem) -> FitResult:
 
     while True:
         # one bisection pass on S, between u_minus and u_hi
-        points = None if in_s.all() else np.flatnonzero(in_s)
+        points = np.flatnonzero(in_s)
         worst, levels = np.empty(0, dtype=int), 0
         while not (closed(u_hi) or levels == MAX_BISECTIONS):
             u = 0.5 * (u_minus + u_hi)
@@ -518,23 +508,20 @@ def bisect_fit(problem: FitProblem) -> FitResult:
             if level < u_plus:
                 u_plus, witness = level, vec
         iterations += levels
-        exchange = bool(worst.size) and closed(u_hi)
-        if points is not None and u_minus > confirmed and (
-                confirmed == 0.0 or not exchange):
-            # on a copy, so the basis on S stays stored
-            vec, solves = _confirm(problem, u_minus, in_s, copy.copy(warm))
-            lp_solves += solves
-            if vec is not None:
-                # a subset verdict was wrong: plain bisection from the start
-                in_s[:] = True
-                u_minus, u_plus, u_hi = 0.0, u_minus, u_start
-                witness = vec
-                continue
-            confirmed = u_minus
-        if not exchange:
+        if worst.size and closed(u_hi):
+            in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
+            u_hi = u_plus
+            continue
+        if in_s.all() or u_minus == 0.0:
             break
-        in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
-        u_hi = u_plus
+        vec, solves = _confirm(problem, u_minus, in_s, warm)
+        lp_solves += solves
+        if vec is None:
+            break
+        # a subset verdict was wrong: plain bisection from the start
+        in_s[:] = True
+        u_minus, u_plus, u_hi = 0.0, u_minus, u_start
+        witness = vec
     converged = closed(u_plus)
     approx = _coeffs_to_approximant(witness, problem.degree)
     achieved = float(_deviation_on(approx, g)[0].max())

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from tempint import models
-from tempint.oracle import (DomainError, EvalPoint, OracleError, g_cf,
-                            g_from_h, h, h_array)
+from tempint.oracle import (X_MAX, X_MIN, DomainError, EvalPoint,
+                            OracleError, g_cf, g_from_h, h, h_array)
 # bound for perfbench/layers.py, which wraps harness.rational_eval_h_array
 from tempint.rational import PoleError, rational_eval_h_array
 
@@ -200,13 +200,13 @@ def report(model, grid: EvalGrid) -> DeviationReport:
         footnote=footnote)
 
 
-def resolve_model_list(spec, grid: EvalGrid) -> list[str]:
-    """Expand a model list; ``all`` means every model defined on the grid."""
-    if spec == "all" or spec == ["all"]:
+def resolve_model_list(spec: str, grid: EvalGrid) -> list[str]:
+    """Expand a comma-separated model list; ``all`` means every model
+    defined on the grid."""
+    if spec == "all":
         return [info.tag for info in models.list_models()
                 if info.defined_on(grid.m_values)]
-    tags = spec if isinstance(spec, (list, tuple)) else spec.split(",")
-    return [t.strip() for t in tags if t.strip()]
+    return [t.strip() for t in spec.split(",") if t.strip()]
 
 
 def compare(model_list, grid: EvalGrid) -> list[DeviationReport]:
@@ -270,10 +270,11 @@ def vyazovkin_segment(e_over_r: float, t_lo: float, t_hi: float,
     x_at_hi = e_over_r / t_hi
     x_at_lo = e_over_r / t_lo
     for xv in (x_at_hi, x_at_lo):
-        if not 4.0 <= xv <= 100.0:
+        if not X_MIN <= xv <= X_MAX:
             raise DomainError(
-                f"x = {xv:g} outside the approximation domain [4, 100]; "
-                "use oracle mode with in-range temperatures")
+                f"x = {xv:g} outside the approximation domain "
+                f"[{X_MIN:g}, {X_MAX:g}]; use oracle mode with in-range "
+                "temperatures")
 
     def g0(x):
         point = EvalPoint(0.0, x)

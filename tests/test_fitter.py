@@ -1,4 +1,3 @@
-import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -255,6 +254,36 @@ class TestExchange:
         assert max(full_grid_levels) < confirm_levels[0]
         assert len(full_grid_levels) < plain.lp_solves
 
+    def test_one_confirmation_per_fit(self, coarse_fit_grid, monkeypatch):
+        # S (204 of 425 points at the end) is not the whole grid, so the
+        # fit confirms its lower end once, after the last pass on S
+        real_confirm = fitter._confirm
+        calls = []
+
+        def recording_confirm(problem, u, in_s, warm):
+            vec, solves = real_confirm(problem, u, in_s, warm)
+            calls.append((u, vec, solves))
+            return vec, solves
+
+        monkeypatch.setattr(fitter, "_confirm", recording_confirm)
+        result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
+        assert result.active_points < coarse_fit_grid.size
+        [(u, vec, solves)] = calls
+        assert u == result.u_minus and vec is None
+        assert result.lp_solves == result.iterations + solves == 51
+
+    def test_whole_grid_subset_needs_no_confirmation(self, coarse_fit_grid,
+                                                     monkeypatch):
+        # degree 4 has 30 coefficients: the starting S of 480 points is
+        # the whole coarse grid, whose LPs need no confirmation
+        def no_confirm(*args):
+            raise AssertionError("confirmation on the whole grid")
+
+        monkeypatch.setattr(fitter, "_confirm", no_confirm)
+        result = bisect_fit(FitProblem(degree=4, grid=coarse_fit_grid))
+        assert result.active_points == coarse_fit_grid.size
+        assert result.lp_solves == result.iterations
+
     def test_small_grid_is_plain_bisection(self, solve_rows):
         # 65 points are fewer than the 16 x 6 starting subset of degree 1,
         # so every level is one full-grid LP, as in plain bisection
@@ -301,14 +330,13 @@ class TestExchange:
                 # within its slack, so it is the full-grid LP's optimum
                 slack = warm.highs.getInfo().objective_function_value
                 x = np.array(warm.highs.getSolution().col_value)
-                excess = fitter._excess(problem, x, u)[0]
-                outside = np.ones(size, dtype=bool)
-                outside[warm.points] = False
-                assert np.all(excess[outside]
-                              <= slack + fitter.FEASIBILITY_TOL)
+                assert not fitter._violators(
+                    problem, x, u, warm.points,
+                    slack + fitter.FEASIBILITY_TOL)[0].size
                 # though not all within FEASIBILITY_TOL: at an infeasible
                 # level the rows left out need only meet the slack
-                assert excess[outside].max() > fitter.FEASIBILITY_TOL
+                assert fitter._violators(problem, x, u, warm.points,
+                                         fitter.FEASIBILITY_TOL)[0].size
         # with S the whole grid, the confirmation is one full-grid LP
         solve_rows.clear()
         vec, solves = fitter._confirm(problem, 0.9 * u_star,
@@ -402,8 +430,8 @@ class TestWarmStart:
     def test_same_verdicts_as_the_subset_grows(self, coarse_fit_grid,
                                                verdicts):
         # LPs on S plus new points start from the basis on S, with the
-        # rows of the new points basic; a copy's solve leaves that basis
-        # stored, as the HiGHS basis object of the LP on S
+        # rows of the new points basic: an exchange, then the whole grid,
+        # as in a confirmation's last round
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         size = coarse_fit_grid.size
         subset = np.arange(0, size, 4)
@@ -412,18 +440,17 @@ class TestWarmStart:
         for u in (0.9 * u_star, 1.1 * u_star):
             warm = fitter.WarmStart(size)
             check_feasible(build_feasibility(problem, u, subset), warm)
-            basis, stored = warm.basis, warm.row_status
             assert np.array_equal(warm.points, subset)
-            assert len(basis.row_status) == 3 * len(subset)
-            assert verdicts(build_feasibility(problem, u),
-                            copy.copy(warm)) == (u > u_star, u > u_star)
-            assert warm.basis is basis and warm.row_status is stored
+            assert len(warm.basis.row_status) == 3 * len(subset)
             warm_feasible, feasible = verdicts(
                 build_feasibility(problem, u, grown), warm)
             assert warm_feasible == feasible, u
             # the statuses on S are now kept per point, the others basic
             assert np.all(np.delete(warm.row_status, subset, axis=1)
                           == fitter.HighsBasisStatus.kBasic)
+            assert verdicts(build_feasibility(problem, u),
+                            warm) == (u > u_star, u > u_star)
+            assert np.array_equal(warm.points, np.arange(size))
 
     @pytest.mark.parametrize("u", [1e-6, 0.01])
     def test_resolve_starts_optimal(self, coarse_fit_grid, verdicts, u):

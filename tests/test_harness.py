@@ -239,8 +239,11 @@ class TestVyazovkin:
         assert vyazovkin_segment(8000.0, 400.0, 450.0) > 0.0
 
     def test_out_of_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             vyazovkin_segment(10000.0, 50.0, 60.0)   # x far above 100
+        assert str(info.value) == (
+            "x = 166.667 outside the approximation domain [4, 100]; use "
+            "oracle mode with in-range temperatures")
         with pytest.raises(DomainError):
             vyazovkin_segment(10000.0, 0.0, 500.0)
 
