@@ -21,7 +21,7 @@ import tempfile
 from tempint import harness, models, tables
 from tempint.harness import EvalGrid
 from tempint.models import ModelDomainError
-from tempint.oracle import DomainError, EvalPoint, OracleError, g_cf, h, h_series
+from tempint.oracle import EvalPoint, OracleError, g_cf, h, h_series
 from tempint.rational import (MAX_DEGREE, ParseError, PoleError, load_coeffs,
                               save_coeffs)
 
@@ -232,8 +232,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ModelDomainError, ParseError, PoleError,
-            OracleError, KeyError, ValueError) as exc:
+    except (ModelDomainError, ParseError, PoleError, OracleError, KeyError,
+            ValueError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_DOMAIN
