@@ -15,6 +15,7 @@ import sys
 
 from tempint import cli
 from tempint.harness import EvalGrid
+from tempint.oracle import DomainError
 from tempint.rational import MAX_DEGREE
 
 
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
     try:
         degrees = parse_degrees(args.degrees)
         grid = EvalGrid.from_spec(args.grid)
-    except ValueError as exc:
+    except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_DOMAIN
     args.out.mkdir(parents=True, exist_ok=True)

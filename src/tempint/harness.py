@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from tempint import models
-from tempint.oracle import (X_MAX, X_MIN, DomainError, EvalPoint,
-                            OracleError, g_cf, g_from_h, h, h_array)
+from tempint.oracle import (X_MAX, X_MIN, DomainError, EvalPoint, g_cf,
+                            g_from_h, h, h_array, require_in_domain)
 # bound for perfbench/layers.py, which wraps harness.rational_eval_h_array
-from tempint.rational import PoleError, rational_eval_h_array
+from tempint.rational import rational_eval_h_array
 
 GRID_PRESETS = {
     "paper-eval": "m=-4:4:0.1,x=4:100:1",
@@ -46,32 +46,35 @@ def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
         raise ValueError(f"grid range {lo}:{hi}:{step} has {count:.3g} "
                          f"points, above the limit of {MAX_GRID_POINTS}")
     values = []
-    k = 0
-    while True:
+    # at most round(count) values: a step too small to move lo + k * step
+    # past the tolerance below would otherwise never end the loop
+    for k in range(round(count)):
         v = lo + k * step
         if v > hi + 1e-9 * max(1.0, abs(hi)):
             break
         values.append(round(v, 12))
-        k += 1
     return tuple(values)
 
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Cartesian (m, x) evaluation grid, both endpoints inclusive."""
+    """Cartesian (m, x) evaluation grid, both endpoints inclusive, inside
+    the working domain: construction raises the oracle's ``DomainError``
+    for the first point, in C order, outside it."""
 
     m_values: tuple
     x_values: tuple
     spec: str = ""
 
+    def __post_init__(self):
+        require_in_domain(np.array(self.m_values, dtype=float)[:, None],
+                          np.array(self.x_values, dtype=float))
+
     @classmethod
     def from_spec(cls, spec: str) -> "EvalGrid":
         """Parse ``m=<lo>:<hi>:<step>,x=<lo>:<hi>:<step>`` or a preset name."""
-        if spec in GRID_PRESETS:
-            grid = cls.from_spec(GRID_PRESETS[spec])
-            return cls(grid.m_values, grid.x_values, spec)
         axes = {}
-        for part in spec.split(","):
+        for part in GRID_PRESETS.get(spec, spec).split(","):
             name, _, rng = part.partition("=")
             name = name.strip()
             if name not in ("m", "x") or name in axes:
@@ -83,11 +86,11 @@ class EvalGrid:
             axes[name] = _axis_values(lo, hi, step)
         if set(axes) != {"m", "x"}:
             raise ValueError(f"grid spec {spec!r} must define both m and x")
-        grid = cls(axes["m"], axes["x"], spec)
-        if grid.size > MAX_GRID_POINTS:
-            raise ValueError(f"grid spec {spec!r} has {grid.size} points, "
+        size = len(axes["m"]) * len(axes["x"])
+        if size > MAX_GRID_POINTS:
+            raise ValueError(f"grid spec {spec!r} has {size} points, "
                              f"above the limit of {MAX_GRID_POINTS}")
-        return grid
+        return cls(axes["m"], axes["x"], spec)
 
     @property
     def size(self) -> int:
@@ -151,20 +154,6 @@ class DeviationReport:
                        eps)
 
 
-def _model_h_rows(model, m_lines: tuple, x_values: tuple) -> np.ndarray:
-    """The model's h on the rows ``m_lines``, or its error."""
-    try:
-        return models.model_h(model, np.array(m_lines)[:, None],
-                              np.array(x_values, dtype=float))
-    except (models.ModelDomainError, PoleError) as exc:
-        # the first failing m row wins, and within a row the model is
-        # checked before the oracle: an oracle failure on an earlier row
-        # takes precedence
-        m_bad = exc.point.m if isinstance(exc, PoleError) else exc.m
-        oracle_h_row(m_lines[:m_lines.index(m_bad)], x_values)
-        raise
-
-
 def report(model, grid: EvalGrid) -> DeviationReport:
     """Full per-point sweep with aggregates.
 
@@ -179,17 +168,9 @@ def report(model, grid: EvalGrid) -> DeviationReport:
         label, m_lines = f"fit-n{model.degree}", grid.m_values
     footnote = ("" if m_lines == grid.m_values else
                 f"evaluated over tabulated m lines {list(m_lines)} only")
-    try:
-        h_oracle = oracle_h_row(m_lines, grid.x_values)
-    except OracleError:
-        # the report fails, but a model error on an earlier row, or the
-        # same one, wins; the model's values are never used, so the
-        # warnings of its formula outside the domain (a division by zero)
-        # say nothing
-        with np.errstate(all="ignore"):
-            _model_h_rows(model, m_lines, grid.x_values)
-        raise
-    eps = _model_h_rows(model, m_lines, grid.x_values) / h_oracle - 1.0
+    eps = (models.model_h(model, np.array(m_lines)[:, None],
+                          np.array(grid.x_values, dtype=float))
+           / oracle_h_row(m_lines, grid.x_values) - 1.0)
     abs_eps = np.abs(eps)
     flat = int(np.argmax(abs_eps))
     i, k = divmod(flat, len(grid.x_values))

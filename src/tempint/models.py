@@ -207,14 +207,13 @@ class ModelInfo:
 
     def lines(self, m_values: tuple) -> tuple:
         """The m rows of a grid the model is evaluated on: all of them,
-        but a tabulated model needs one tabulated row and skips the other
-        rows inside the working domain (rows outside it fail as usual)."""
+        but a tabulated model needs one tabulated row and skips the
+        others."""
         if self.m_domain != "tabulated":
             return m_values
         if not any(map(self.admits, m_values)):
             raise ModelDomainError(self.tag, m_values[0], self.allowed)
-        return tuple(m for m in m_values
-                     if self.admits(m) or not M_MIN <= m <= M_MAX)
+        return tuple(filter(self.admits, m_values))
 
     def defined_on(self, m_values: tuple) -> bool:
         """Whether every row the model is evaluated on is admitted."""
@@ -292,8 +291,11 @@ def eval_model(model, point: EvalPoint) -> float:
 def list_models(m_filter: float | None = None) -> list[ModelInfo]:
     """Registry entries, optionally restricted to models defined at m.
 
-    No model is defined at an m outside the oracle's working domain.
+    No model is defined at an m outside the oracle's working domain, and
+    a non-finite m is an error.
     """
+    if m_filter is not None and not math.isfinite(m_filter):
+        raise ValueError(f"non-finite m={m_filter}")
     return [info for info in _REGISTRY.values() if not info.variant
             and (m_filter is None or (M_MIN <= m_filter <= M_MAX
                                       and info.admits(m_filter)))]

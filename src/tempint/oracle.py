@@ -74,6 +74,17 @@ def _require_working_domain(point: EvalPoint) -> None:
             f"m in [{M_MIN}, {M_MAX}], x in [{X_MIN}, {X_MAX}]")
 
 
+def require_in_domain(m, x) -> None:
+    """Raise ``DomainError`` for the first point, in C order, of the
+    broadcast of the float arrays ``m`` and ``x`` outside the working
+    domain."""
+    inside = (M_MIN <= m) & (m <= M_MAX) & (X_MIN <= x) & (x <= X_MAX)
+    if not inside.all():
+        k = np.unravel_index(int(np.argmin(inside)), inside.shape)
+        m, x = np.broadcast_arrays(m, x)
+        _require_working_domain(EvalPoint(float(m[k]), float(x[k])))
+
+
 def _lentz_cf(a: float, x: float, start: int = 0) -> float:
     """Continued fraction F with Gamma(a, x) = exp(-x) * x**a * F.
 
@@ -236,10 +247,7 @@ def h_array(m, x) -> np.ndarray:
     shape = np.broadcast_shapes(np.shape(m), np.shape(x))
     m = np.broadcast_to(np.asarray(m, dtype=float), shape).ravel()
     x = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
-    inside = (M_MIN <= m) & (m <= M_MAX) & (X_MIN <= x) & (x <= X_MAX)
-    if not inside.all():
-        k = int(np.argmin(inside))
-        _require_working_domain(EvalPoint(float(m[k]), float(x[k])))
+    require_in_domain(m, x)
     f, converged = _lentz_cf_array(-(m + 1.0), x)
     out = x * f
     for k in np.flatnonzero(~converged):

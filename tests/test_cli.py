@@ -12,6 +12,7 @@ from tempint.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+DOMAIN = "outside working domain m in [-4.0, 4.0], x in [4.0, 100.0]"
 
 
 def run(capsys, *argv):
@@ -282,16 +283,22 @@ class TestCompare:
             "error: (m=4.5, x=4.0) outside working domain")
 
     def test_earlier_row_error_wins(self, capsys):
-        # row m=0 fails in the oracle (x=2) before row m=0.5 fails in J
+        # the grid is checked when it is made, before the model or its
+        # tag: its first point outside the working domain, in C order,
+        # names the error
+        for grid, point in (("m=0:0.5:0.5,x=2:100:4", "(m=0.0, x=2.0)"),
+                            ("m=0:4.5:4.5,x=4:100:4", "(m=4.5, x=4.0)")):
+            for tag in ("J", "BOGUS"):
+                code, out, err = run(capsys, "eval", "--model", tag,
+                                     "--grid", grid)
+                assert (code, out) == (2, "")
+                assert err == f"error: {point} {DOMAIN}\n"
+        # on a grid inside the domain the model's own rule fails
         code, _, err = run(capsys, "eval", "--model", "J",
-                           "--grid", "m=0:0.5:0.5,x=2:100:4")
+                           "--grid", "m=0:0.5:0.5,x=4:100:4")
         assert code == 2
-        assert err.startswith("error: (m=0.0, x=2.0) outside working domain")
-        # within a row the model is checked before the oracle
-        code, _, err = run(capsys, "eval", "--model", "J",
-                           "--grid", "m=0:4.5:4.5,x=4:100:4")
-        assert code == 2
-        assert "model J is not defined at m=4.5" in err
+        assert err == ("error: model J is not defined at m=0.5; "
+                       "allowed: m = 0\n")
 
     def test_x_footnoted(self, capsys):
         code, out, _ = run(capsys, "compare", "--models", "X,G",
@@ -345,18 +352,15 @@ class TestEval:
 
     @pytest.mark.filterwarnings("error")   # no warning from G below -4
     def test_x_out_of_domain_rows_exit_2(self, capsys):
-        # untabulated rows inside [-4, 4] are skipped, the rows below -4
-        # fail as they do for G
-        for tag in ("X", "G"):
-            code, out, err = run(capsys, "eval", "--model", tag,
-                                 "--grid", "m=-9:0:0.5,x=4:100:4")
-            assert code == 2, tag
-            assert out == ""
-            assert "m=-9.0" in err
-        code, _, err = run(capsys, "eval", "--model", "X",
-                           "--grid", "m=-1:5:0.5,x=4:100:4")
-        assert code == 2
-        assert "model X is not defined at m=4.5" in err
+        # X skips its untabulated rows, but a row outside [-4, 4] fails
+        # when the grid is made, as it does for G
+        for grid, point in (("m=-9:0:0.5,x=4:100:4", "(m=-9.0, x=4.0)"),
+                            ("m=-1:5:0.5,x=4:100:4", "(m=4.5, x=4.0)")):
+            for tag in ("X", "G"):
+                code, out, err = run(capsys, "eval", "--model", tag,
+                                     "--grid", grid)
+                assert (code, out) == (2, ""), tag
+                assert err == f"error: {point} {DOMAIN}\n"
 
     def test_missing_coeff_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing.coeff"
@@ -403,6 +407,12 @@ class TestList:
         assert [line.split()[0] for line in out.splitlines()[1:]] == [
             "G", "W1", "W2", "C1", "C2", "C3", "Ch1", "Ch2", "Ch3", "Ch4",
             "Cp", "Cs", "L", "G1", "G2", "G3", "G4"]
+
+    @pytest.mark.parametrize("m", ["nan", "inf", "-inf"])
+    def test_list_non_finite_m_exit_2(self, capsys, m):
+        code, out, err = run(capsys, "list", f"--m={m}")
+        assert (code, out) == (2, "")
+        assert err == f"error: non-finite m={m}\n"
 
     @pytest.mark.parametrize("m", ["-7", "4.5"])
     def test_list_outside_working_domain_empty(self, capsys, m):

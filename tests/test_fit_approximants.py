@@ -41,6 +41,8 @@ def test_coarse_fits_match_the_cli_goldens(script, tmp_path, capsys):
     ["--grid", "bogus"],
     # each axis is within the limit, the grid is not
     ["--grid", "m=-4:4:0.001,x=4:100:0.01"],
+    # a grid outside the oracle's working domain
+    ["--grid", "m=-6:0:1,x=4:100:4"],
 ])
 def test_bad_input_exits_2_before_writing(script, tmp_path, capsys, argv):
     out = tmp_path / "fits"

@@ -9,9 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tempint import models
+from tempint import harness, models
 from tempint.harness import (
     EvalGrid,
     GRID_PRESETS,
@@ -25,7 +27,7 @@ from tempint.harness import (
     vyazovkin_segment,
 )
 from tempint.models import ModelDomainError
-from tempint.oracle import DomainError, EvalPoint, g_cf
+from tempint.oracle import DomainError, EvalPoint, g_cf, h_array
 from tempint.rational import load_coeffs, paper_approximant, save_coeffs
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -33,6 +35,16 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 # Frozen regression constant: direct adaptive quadrature at rel_tol
 # 1e-14 of the exp(-E/RT) dT segment for E/R = 10000 K, T in [500, 520].
 VYAZOVKIN_10000_500_520 = 6.2372353177521454e-08
+
+
+@st.composite
+def axis_ranges(draw, lo, span):
+    """(lo, hi, step) of at most 21 values; lo may start at a domain
+    bound, and the range may cross either bound."""
+    start = draw(st.one_of(st.sampled_from(lo[:2]), st.floats(*lo[2:])))
+    width = draw(st.floats(0.0, span))
+    step = width / draw(st.integers(1, 20))
+    return start, start + width, step if step > 0.0 else 1.0
 
 
 class TestGrids:
@@ -68,7 +80,9 @@ class TestGrids:
     def test_oversized_rejected(self):
         # one axis of a billion points, and a grid whose two axes each
         # pass but whose product does not
-        for spec in ("m=0:1e9:1,x=4:100:1", "m=-4:4:0.001,x=4:100:0.001"):
+        # the size is checked before the domain, which the last one leaves
+        for spec in ("m=0:1e9:1,x=4:100:1", "m=-4:4:0.001,x=4:100:0.001",
+                     "m=-9:4:0.001,x=4:100:0.001"):
             with pytest.raises(ValueError, match="above the limit"):
                 EvalGrid.from_spec(spec)
         assert EvalGrid.from_spec("paper-eval").refined(4).size == 123585
@@ -77,6 +91,48 @@ class TestGrids:
         g = EvalGrid.from_spec("arrhenius").refined(4)
         assert len(g.x_values) == 4 * 96 + 1
         assert g.x_values[0] == 4.0 and g.x_values[-1] == 100.0
+
+    def test_step_below_float_resolution_ends(self):
+        # k * 1e-20 needs 1e11 steps to pass m's tolerance, and 100 + k *
+        # 1e-20 == 100 never passes x's: the point count bounds the values
+        grid = EvalGrid.from_spec("m=0:0:1e-20,x=100:100:1e-20")
+        assert (grid.m_values, grid.x_values) == ((0.0,), (100.0,))
+
+    @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
+    def test_presets_and_refinements_in_domain(self, preset):
+        grid = EvalGrid.from_spec(preset)
+        assert grid.refined(4).size > grid.size
+
+    @given(m=axis_ranges((-4.0, 4.0, -6.0, 6.0), 12.0),
+           x=axis_ranges((4.0, 100.0, -5.0, 110.0), 120.0))
+    @settings(max_examples=200, deadline=None)
+    def test_from_spec_rejects_what_the_oracle_rejects(self, m, x):
+        # the grid fails when made exactly where the oracle fails on all
+        # of it, with the oracle's message for the first point in C order
+        spec = "m={!r}:{!r}:{!r},x={!r}:{!r}:{!r}".format(*m, *x)
+        m_values = harness._axis_values(*m)
+        x_values = harness._axis_values(*x)
+        try:
+            h_array(np.array(m_values)[:, None], np.array(x_values))
+            expected = None
+        except DomainError as exc:
+            expected = str(exc)
+        try:
+            grid = EvalGrid.from_spec(spec)
+        except DomainError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert (grid.m_values, grid.x_values) == (m_values, x_values)
+
+    def test_direct_construction_checked(self):
+        with pytest.raises(DomainError, match=r"^\(m=0\.0, x=3\.0\)"):
+            EvalGrid((0.0, 5.0), (10.0, 3.0))
+        with pytest.raises(DomainError, match="non-finite"):
+            EvalGrid((0.0,), (float("nan"),))
+        grid = EvalGrid.from_spec("m=-4:4:4,x=4:100:96")
+        with pytest.raises(DomainError, match=r"^\(m=-4\.0, x=100\.5\)"):
+            EvalGrid(grid.m_values, grid.x_values + (100.5,))
 
 
 class TestDeviation:
@@ -127,13 +183,17 @@ class TestReport:
         with pytest.raises(ModelDomainError):
             report("J", EvalGrid.from_spec("paper-eval"))
 
-    def test_x_out_of_domain_rows_kept(self):
+    def test_x_out_of_domain_rows_rejected(self):
+        # X keeps its tabulated rows only; a row outside [-4, 4] never
+        # reaches it, as no grid holds one
         info = models.model_info("X")
-        assert info.lines((-4.5, -1.0, 0.3, 2.0)) == (-4.5, -1.0, 2.0)
-        with pytest.raises(ModelDomainError, match="m=-4.5"):
-            report("X", EvalGrid((-4.5, -1.0, 0.3), (10.0,)))
+        assert info.lines((-4.5, -1.0, 0.3, 2.0)) == (-1.0, 2.0)
+        with pytest.raises(DomainError, match=r"^\(m=-4\.5, x=10\.0\)"):
+            EvalGrid((-4.5, -1.0, 0.3), (10.0,))
+        with pytest.raises(DomainError, match=r"^\(m=4\.5, x=10\.0\)"):
+            EvalGrid((3.0, 4.5), (10.0,))
         with pytest.raises(ModelDomainError, match="m=3.0"):
-            report("X", EvalGrid((3.0, 4.5), (10.0,)))
+            report("X", EvalGrid((3.0, 3.5), (10.0,)))
 
     def test_per_point_rows_within_oracle_tolerance(self):
         rep = report("G4", EvalGrid.from_spec("coarse"))
