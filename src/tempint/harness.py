@@ -52,7 +52,14 @@ def _axis_values(lo: float, hi: float, step: float) -> tuple[float, ...]:
         v = lo + k * step
         if v > hi + 1e-9 * max(1.0, abs(hi)):
             break
-        values.append(round(v, 12))
+        v = round(v, 12)
+        # a repeated value would be evaluated and printed again, and make
+        # ``restrict``'s lookup of rows by value ambiguous
+        if values and v == values[-1]:
+            raise ValueError(f"grid range {lo}:{hi}:{step} repeats the "
+                             f"value {v!r}: grid values are rounded to 12 "
+                             "decimals")
+        values.append(v)
     return tuple(values)
 
 
@@ -171,6 +178,34 @@ def report(model, grid: EvalGrid) -> DeviationReport:
     eps = (models.model_h(model, np.array(m_lines)[:, None],
                           np.array(grid.x_values, dtype=float))
            / oracle_h_row(m_lines, grid.x_values) - 1.0)
+    return _aggregate(label, grid, m_lines, eps, footnote)
+
+
+def restrict(rep: DeviationReport, grid: EvalGrid) -> DeviationReport:
+    """``rep`` cut down to the rows of ``grid``, with nothing evaluated.
+
+    Equal field by field to ``report`` of the same model on ``grid``:
+    ``models.model_h`` and ``h_array`` give each m row the bits they give
+    it on any grid, and a fresh array of the chosen rows aggregates in
+    the order a fresh evaluation does.  ``grid`` must have the report's
+    x axis, and each of its m values must be a row of the report.
+    """
+    if grid.x_values != rep.grid.x_values:
+        raise ValueError(f"grid {grid.spec!r} and the {rep.model} report's "
+                         f"grid {rep.grid.spec!r} differ in x")
+    row_of = {m: i for i, m in enumerate(rep.m_lines)}
+    for m in grid.m_values:
+        if m not in row_of:
+            raise ValueError(f"m={m!r} of grid {grid.spec!r} is not a row "
+                             f"of the {rep.model} report on "
+                             f"{rep.grid.spec!r}")
+    eps = rep.eps[[row_of[m] for m in grid.m_values]]
+    return _aggregate(rep.model, grid, grid.m_values, eps)
+
+
+def _aggregate(label, grid, m_lines, eps, footnote="") -> DeviationReport:
+    """The report of ``eps`` on rows ``m_lines`` of ``grid``: max |eps|,
+    the point where it occurs and the SSE."""
     abs_eps = np.abs(eps)
     flat = int(np.argmax(abs_eps))
     i, k = divmod(flat, len(grid.x_values))
@@ -230,9 +265,19 @@ def render_comparison_csv(reports) -> str:
 
 
 def render_per_point_csv(report_obj: DeviationReport) -> str:
+    """``per_point_rows`` as CSV lines, with each array read once as
+    Python floats and each m and x formatted once."""
+    x_values = report_obj.grid.x_values
+    x_cells = [f"{x!r}," for x in x_values]
+    h_rows = oracle_h_row(report_obj.m_lines, x_values).tolist()
     lines = ["model,m,x,g_oracle,g_model,eps"]
-    for tag, m, x, g_o, g_m, eps in report_obj.per_point_rows():
-        lines.append(f"{tag},{m!r},{x!r},{g_o!r},{g_m!r},{eps!r}")
+    for m, h_row, eps_row in zip(report_obj.m_lines, h_rows,
+                                 report_obj.eps.tolist()):
+        head = f"{report_obj.model},{m!r},"
+        for x, x_cell, hv, eps in zip(x_values, x_cells, h_row, eps_row):
+            g_o = g_from_h(m, x, hv)
+            lines.append(f"{head}{x_cell}{g_o!r},{g_o * (1.0 + eps)!r},"
+                         f"{eps!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,13 +6,21 @@ recomputed from scratch and compared at the acceptance tolerance:
 2% for the three Arrhenius-integral baselines, 5% for every other
 max-deviation cell, 10% for the bundled approximants' SSE cells (SSE
 compounds the squared per-point differences of the underlying oracle).
+
+The tables share one x axis and their m ranges nest, so each Table 10
+model is evaluated once, on the full paper-eval grid.  Table 5's cells
+are the G1-G4 reports of that evaluation; Table 10's paper-narrow column
+and Table 7's G1-G4 cells (the m = 0 line) are row subsets of its
+reports (``harness.restrict``), bit-identical to evaluating those grids
+afresh.  Only J, O and SY, defined at m = 0 alone, and X on its
+tabulated lines are evaluated on grids of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tempint.harness import EvalGrid, report
+from tempint.harness import EvalGrid, report, restrict
 
 # the three grids of the published tables, parsed once
 PAPER_EVAL = EvalGrid.from_spec("paper-eval")
@@ -93,10 +101,19 @@ def _sse_tol(model: str) -> float:
     return TOL_SSE_BUNDLED if model in _BUNDLED else TOL_SSE_LITERATURE
 
 
-def reproduce_table5():
+def _full_reports(tags):
+    """tag -> paper-eval report, made when a table is reproduced and
+    never kept: a kept report would miss a change to the bundled
+    approximants."""
+    return {tag: report(tag, PAPER_EVAL) for tag in tags}
+
+
+def reproduce_table5(full=None):
+    """Table 5's cells from ``full``, tag -> paper-eval report."""
+    full = full or _full_reports(f"G{n}" for n in TABLE5)
     cells = []
     for n, (eps_max, sse) in TABLE5.items():
-        r = report(f"G{n}", PAPER_EVAL)
+        r = full[f"G{n}"]
         cells.append(Cell("table5", f"n={n}", "eps_max", eps_max,
                           r.eps_max_abs, TOL_EPS_MAX))
         cells.append(Cell("table5", f"n={n}", "sse", sse, r.sse,
@@ -104,11 +121,14 @@ def reproduce_table5():
     return cells
 
 
-def reproduce_table7():
+def reproduce_table7(full=None):
+    """Table 7's cells and its ordering flag; G1-G4 from ``full``."""
+    full = full or _full_reports(_BUNDLED)
     cells = []
     eps_by_model = {}
     for model, (sse, eps_max) in TABLE7.items():
-        r = report(model, ARRHENIUS)
+        r = (restrict(full[model], ARRHENIUS) if model in _BUNDLED
+             else report(model, ARRHENIUS))
         eps_by_model[model] = r.eps_max_abs
         tol = (TOL_ARRHENIUS_BASELINE if model in ("J", "O", "SY")
                else TOL_EPS_MAX)
@@ -123,12 +143,16 @@ def reproduce_table7():
     return cells, ordered
 
 
-def reproduce_table10():
+def reproduce_table10(full=None):
+    """Table 10's cells from ``full``, tag -> paper-eval report."""
+    full = full or _full_reports(TABLE10)
+    narrow = {model: restrict(full[model], PAPER_NARROW) for model in TABLE10}
     cells = []
-    for grid, col in ((PAPER_NARROW, 0), (PAPER_EVAL, 1)):
+    for grid, col, reports in ((PAPER_NARROW, 0, narrow),
+                               (PAPER_EVAL, 1, full)):
         for model, pairs in TABLE10.items():
             sse, eps_max = pairs[col]
-            r = report(model, grid)
+            r = reports[model]
             cells.append(Cell("table10", model, f"sse[{grid.spec}]",
                               sse, r.sse, _sse_tol(model)))
             cells.append(Cell("table10", model, f"eps_max[{grid.spec}]",
@@ -140,8 +164,10 @@ def reproduce_table10():
 
 
 def reproduce_all():
-    """All cells plus the Arrhenius ordering flag."""
-    t5 = reproduce_table5()
-    t7, ordered = reproduce_table7()
-    t10 = reproduce_table10()
+    """All cells plus the Arrhenius ordering flag, from one paper-eval
+    report per Table 10 model."""
+    full = _full_reports(TABLE10)
+    t5 = reproduce_table5(full)
+    t7, ordered = reproduce_table7(full)
+    t10 = reproduce_table10(full)
     return t5 + t7 + t10, ordered

@@ -350,6 +350,15 @@ class TestEval:
         assert out == ""
         assert "above the limit of 1000000" in err
 
+    def test_repeated_grid_values_exit_2(self, capsys):
+        # a step below the 12-decimal rounding of grid values would repeat
+        # m = 0.0 six times and print each row again
+        code, out, err = run(capsys, "eval", "--model", "G",
+                             "--grid", "m=0:1e-12:1e-13,x=4:100:48")
+        assert (code, out) == (2, "")
+        assert err == ("error: grid range 0.0:1e-12:1e-13 repeats the value "
+                       "0.0: grid values are rounded to 12 decimals\n")
+
     @pytest.mark.filterwarnings("error")   # no warning from G below -4
     def test_x_out_of_domain_rows_exit_2(self, capsys):
         # X skips its untabulated rows, but a row outside [-4, 4] fails
@@ -444,3 +453,32 @@ class TestTables:
         assert out.splitlines()[0] == \
             "table,row,column,expected,actual,tolerance,status"
         assert code == 0
+
+    def test_tables_text_golden(self, capsys):
+        code, out, err = run(capsys, "tables")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "tables.txt").read_text(encoding="utf-8")
+
+    def test_one_model_evaluation_per_report(self, monkeypatch):
+        # 17 paper-eval reports, J, O and SY on the m = 0 line and X on
+        # paper-narrow; every other cell is a row subset of those
+        import tempint.models as models
+        import tempint.tables as tables
+        calls = []
+        model_h = models.model_h
+
+        def counted(model, m, x):
+            calls.append(model)
+            return model_h(model, m, x)
+
+        monkeypatch.setattr(models, "model_h", counted)
+        cells, ordered = tables.reproduce_all()
+        assert len(cells) == 91 and ordered
+        assert len(calls) == 21
+        assert sorted(calls) == sorted([*tables.TABLE10, "J", "O", "SY", "X"])
+        # each table still reproduces on its own
+        calls.clear()
+        assert len(tables.reproduce_table5()) == 8
+        assert len(tables.reproduce_table7()[0]) == 14
+        assert len(tables.reproduce_table10()) == 69
+        assert len(calls) == 4 + 7 + 18

@@ -24,6 +24,7 @@ from tempint.harness import (
     render_per_point_csv,
     report,
     resolve_model_list,
+    restrict,
     vyazovkin_segment,
 )
 from tempint.models import ModelDomainError
@@ -108,10 +109,18 @@ class TestGrids:
     @settings(max_examples=200, deadline=None)
     def test_from_spec_rejects_what_the_oracle_rejects(self, m, x):
         # the grid fails when made exactly where the oracle fails on all
-        # of it, with the oracle's message for the first point in C order
+        # of it, with the oracle's message for the first point in C order;
+        # an axis whose rounded values repeat fails before that
         spec = "m={!r}:{!r}:{!r},x={!r}:{!r}:{!r}".format(*m, *x)
-        m_values = harness._axis_values(*m)
-        x_values = harness._axis_values(*x)
+        try:
+            m_values = harness._axis_values(*m)
+            x_values = harness._axis_values(*x)
+        except ValueError as exc:
+            assert "repeats the value" in str(exc)
+            with pytest.raises(ValueError) as rejected:
+                EvalGrid.from_spec(spec)
+            assert str(rejected.value) == str(exc)
+            return
         try:
             h_array(np.array(m_values)[:, None], np.array(x_values))
             expected = None
@@ -201,6 +210,14 @@ class TestReport:
             assert abs(g_oracle / g_cf(EvalPoint(m, x)) - 1.0) <= 1e-13
             assert g_model == g_oracle * (1.0 + eps)
 
+    @pytest.mark.parametrize("model, preset", [
+        ("G4", "coarse"), ("X", "paper-narrow"), ("J", "arrhenius")])
+    def test_per_point_csv_formats_per_point_rows(self, model, preset):
+        rep = report(model, EvalGrid.from_spec(preset))
+        lines = [",".join([tag, *map(repr, values)])
+                 for tag, *values in rep.per_point_rows()]
+        assert render_per_point_csv(rep).splitlines()[1:] == lines
+
     def test_x_restricted_with_footnote(self):
         rep = report("X", EvalGrid.from_spec("paper-narrow"))
         assert rep.footnote
@@ -225,6 +242,43 @@ class TestReport:
             expected = rows / oracle_h_row(rep.m_lines, grid.x_values) - 1.0
             assert np.array_equal(rep.eps.view(np.int64),
                                   expected.view(np.int64)), model
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("tag, preset", [
+        *((info.tag, "paper-narrow") for info in models.list_models()
+          if info.m_domain == "any"),
+        *((f"G{n}", "arrhenius") for n in range(1, 5)),
+    ])
+    def test_equals_report_on_the_subgrid(self, paper_eval_grid, tag,
+                                          preset):
+        grid = EvalGrid.from_spec(preset)
+        cut = restrict(report(tag, paper_eval_grid), grid)
+        fresh = report(tag, grid)
+        assert np.array_equal(cut.eps, fresh.eps)
+        assert cut.sse == fresh.sse
+        assert cut.eps_max_abs == fresh.eps_max_abs
+        assert cut.argmax_point == fresh.argmax_point
+        assert (cut.model, cut.grid, cut.m_lines, cut.footnote) == \
+            (fresh.model, fresh.grid, fresh.m_lines, fresh.footnote)
+
+    def test_x_axis_must_match(self, paper_eval_grid):
+        rep = report("G", paper_eval_grid)
+        for spec in ("m=0:0:1,x=4:100:2", "m=0:0:1,x=4:99:1"):
+            with pytest.raises(ValueError, match="differ in x"):
+                restrict(rep, EvalGrid.from_spec(spec))
+
+    def test_m_rows_must_be_in_the_report(self, paper_eval_grid):
+        rep = report("G", EvalGrid.from_spec("paper-narrow"))
+        with pytest.raises(ValueError, match=r"m=-4\.0 .* not a row"):
+            restrict(rep, paper_eval_grid)
+        # between two rows of the report
+        with pytest.raises(ValueError, match=r"m=0\.05 .* not a row"):
+            restrict(rep, EvalGrid.from_spec("m=0.05:0.05:1,x=4:100:1"))
+        # X keeps its tabulated rows only
+        x_rep = report("X", paper_eval_grid)
+        with pytest.raises(ValueError, match=r"m=-1\.5 .* not a row"):
+            restrict(x_rep, EvalGrid.from_spec("paper-narrow"))
 
 
 class TestCompare:
