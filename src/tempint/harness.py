@@ -287,12 +287,11 @@ def vyazovkin_segment(e_over_r: float, t_lo: float, t_hi: float,
 
     Equals the integral of exp(-E/(R*T)) dT over [t_lo, t_hi].  The
     ``model`` argument selects how g(0, .) is evaluated: "oracle" or any
-    model tag / fitted approximant.
+    model tag / fitted approximant.  A zero-width segment is checked like
+    any other and gives 0.0 exactly.
     """
     if not 0.0 < t_lo <= t_hi:
         raise DomainError(f"need 0 < T_lo <= T_hi, got [{t_lo}, {t_hi}]")
-    if t_lo == t_hi:
-        return 0.0
     x_at_hi = e_over_r / t_hi
     x_at_lo = e_over_r / t_lo
     for xv in (x_at_hi, x_at_lo):
@@ -301,11 +300,12 @@ def vyazovkin_segment(e_over_r: float, t_lo: float, t_hi: float,
                 f"x = {xv:g} outside the approximation domain "
                 f"[{X_MIN:g}, {X_MAX:g}]; use oracle mode with in-range "
                 "temperatures")
-
-    def g0(x):
-        point = EvalPoint(0.0, x)
-        if model == "oracle":
-            return g_cf(point)
-        return models.eval_model(model, point)
-
-    return e_over_r * (g0(x_at_hi) - g0(x_at_lo))
+    if model == "oracle":
+        return e_over_r * (g_cf(EvalPoint(0.0, x_at_hi))
+                           - g_cf(EvalPoint(0.0, x_at_lo)))
+    # models.eval_model's arithmetic, without a point per end: the x check
+    # above covers what EvalPoint checks
+    return e_over_r * (g_from_h(0.0, x_at_hi,
+                                models.model_h(model, 0.0, x_at_hi))
+                       - g_from_h(0.0, x_at_lo,
+                                  models.model_h(model, 0.0, x_at_lo)))

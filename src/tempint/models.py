@@ -134,14 +134,22 @@ def _h_Ch4(m, x):
             / ((1.00017 + 0.00013 * m) * x + (2.73166 + 0.92246 * m)))
 
 
+# Exponents at which numpy computes x ** p for a scalar p by an exact
+# operation (x, 1/x, 1, sqrt(x), x*x) rather than by pow
+_EXACT_POWERS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
 def _h_Cp(m, x):
-    if isinstance(m, np.ndarray):
-        # row by row: for a scalar p, x ** p takes numpy's exact fast
-        # paths (reciprocal at p = -1, sqrt at p = 0.5), an array p not
-        return np.vstack([_h_Cp(float(mi), x) for mi in m[:, 0]])
     p = m + 2.0
-    return ((2.0 - _SQRT2) / 4.0 * (x / (x + 2.0 + _SQRT2)) ** p
-            + (2.0 + _SQRT2) / 4.0 * (x / (x + 2.0 - _SQRT2)) ** p)
+    hv = ((2.0 - _SQRT2) / 4.0 * (x / (x + 2.0 + _SQRT2)) ** p
+          + (2.0 + _SQRT2) / 4.0 * (x / (x + 2.0 - _SQRT2)) ** p)
+    if isinstance(m, np.ndarray):
+        # an array p goes through pow on every row, so the rows whose
+        # scalar p takes an exact path (m = -3, -2, -1.5, -1, 0) are
+        # redone with it: each row keeps the bits of its scalar evaluation
+        for i in np.flatnonzero(np.isin(p[:, 0], _EXACT_POWERS)):
+            hv[i] = _h_Cp(float(m[i, 0]), x)
+    return hv
 
 
 def _h_X(m, x):

@@ -334,9 +334,57 @@ def test_import_leaves_quadrature_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def _ramp_segments(seed, count):
+    """``count`` consecutive (E/R, T_lo, T_hi) segments along seeded
+    heating ramps, with x = E/RT in [4.5, 95] at both ends."""
+    rng = random.Random(seed)
+    segments = []
+    while len(segments) < count:
+        e_over_r = rng.uniform(6000.0, 30000.0)
+        t, t_max = e_over_r / 95.0, e_over_r / 4.5
+        while len(segments) < count:
+            t_next = t + rng.uniform(0.5, 50.0)
+            if t_next > t_max:
+                break
+            segments.append((e_over_r, t, t_next))
+            t = t_next
+    return segments
+
+
 class TestVyazovkin:
     def test_zero_interval(self):
         assert vyazovkin_segment(10000.0, 500.0, 500.0) == 0.0
+
+    def test_zero_interval_is_checked(self):
+        # equal temperatures give one x; it and the model are checked as
+        # for any other segment
+        assert vyazovkin_segment(10000.0, 500.0, 500.0, "G4") == 0.0
+        with pytest.raises(KeyError, match="unknown model tag 'nope'"):
+            vyazovkin_segment(10000.0, 500.0, 500.0, "nope")
+        with pytest.raises(DomainError, match="x = 2e"):
+            vyazovkin_segment(1e9, 5.0, 5.0, "nope")
+        with pytest.raises(DomainError, match="x = nan"):
+            vyazovkin_segment(float("nan"), 500.0, 500.0)
+
+    def test_model_mode_equals_eval_model(self, tmp_path):
+        # both ends go straight to model_h and g_from_h; the result must
+        # be eval_model's, bit for bit, for every kind of model
+        path = tmp_path / "g4.coeff"
+        save_coeffs(paper_approximant(4), path)
+        tags = [info.tag for info in models.list_models(0.0)]
+        for model in (*tags, "SY88", load_coeffs(path)):
+            for e, lo, hi in _ramp_segments(20261020, 60):
+                expected = e * (
+                    models.eval_model(model, EvalPoint(0.0, e / hi))
+                    - models.eval_model(model, EvalPoint(0.0, e / lo)))
+                assert vyazovkin_segment(e, lo, hi, model) == expected, (
+                    model, e, lo, hi)
+
+    def test_oracle_mode_equals_g_cf(self):
+        for e, lo, hi in _ramp_segments(20261021, 200):
+            expected = e * (g_cf(EvalPoint(0.0, e / hi))
+                            - g_cf(EvalPoint(0.0, e / lo)))
+            assert vyazovkin_segment(e, lo, hi) == expected, (e, lo, hi)
 
     def test_frozen_constant(self):
         val = vyazovkin_segment(10000.0, 500.0, 520.0)

@@ -63,6 +63,20 @@ def test_cp_weights_and_exactness_at_m_minus2():
     assert model_h("Cp", -2.0, 33.0) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_cp_column_equals_row_stack():
+    # Cp's column is computed with an array exponent, and its rows at
+    # m = -3, -2, -1.5, -1, 0 redone with a scalar one; each row must
+    # keep the bits of its own scalar evaluation
+    xs = np.arange(4.0, 101.0)
+    rng = np.random.default_rng(20261020)
+    for ms in (np.round(np.arange(-4.0, 4.01, 0.1), 12),
+               np.array([-3.0, -2.0, -1.5, -1.0, 0.0]),
+               rng.uniform(-4.0, 4.0, 200)):
+        rows = np.vstack([model_h("Cp", float(m), xs) for m in ms])
+        column = model_h("Cp", ms[:, None], xs)
+        assert np.array_equal(column.view(np.int64), rows.view(np.int64))
+
+
 def test_ch1_reduces_at_m0():
     # at m = 0 the printed form collapses to a rational in x with
     # integer coefficients
