@@ -218,11 +218,15 @@ def _aggregate(label, grid, m_lines, eps, footnote="") -> DeviationReport:
 
 def resolve_model_list(spec: str, grid: EvalGrid) -> list[str]:
     """Expand a comma-separated model list; ``all`` means every model
-    defined on the grid."""
+    defined on the grid.  A tag listed twice raises ``ValueError``."""
     if spec == "all":
         return [info.tag for info in models.list_models()
                 if info.defined_on(grid.m_values)]
-    return [t.strip() for t in spec.split(",") if t.strip()]
+    tags = [t.strip() for t in spec.split(",") if t.strip()]
+    for k, tag in enumerate(tags):
+        if tag in tags[:k]:
+            raise ValueError(f"model {tag!r} is listed twice")
+    return tags
 
 
 def compare(model_list, grid: EvalGrid) -> list[DeviationReport]:
@@ -281,6 +285,37 @@ def render_per_point_csv(report_obj: DeviationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the last segment end evaluated, (model, x, g(0, x)): one entry
+_last_end = (None, math.nan, math.nan)
+
+
+def _g_end(model, x: float) -> float:
+    """g(0, x) by ``model``, "oracle" or a model, for one segment end.
+
+    Consecutive segments of a walk share an end, so the last end
+    evaluated is memoized.  The memo holds one entry and has no setting.
+    A hit needs the same float x and the same model object (an equal
+    object that is another instance misses), and returns the float the
+    evaluation would give, with one exception: the tags G1-G4 resolve
+    through ``rational.paper_approximant`` when evaluated, so code that
+    swaps ``rational._PAPER_CACHE`` between two calls at one x sees the
+    old value.  Nothing is stored when the evaluation raises.
+    """
+    global _last_end
+    last_model, last_x, last_g = _last_end
+    if x == last_x and model is last_model:
+        return last_g
+    if model == "oracle":
+        g = g_cf(EvalPoint(0.0, x))
+    else:
+        # models.eval_model's arithmetic, without a point: the caller's x
+        # check covers what EvalPoint checks
+        g = g_from_h(0.0, x, models.model_h(model, 0.0, x))
+    # one assignment, so another thread never reads a mixed entry
+    _last_end = (model, x, g)
+    return g
+
+
 def vyazovkin_segment(e_over_r: float, t_lo: float, t_hi: float,
                       model="oracle") -> float:
     """Segment integral (E/R) * [g(0, E/(R*T_hi)) - g(0, E/(R*T_lo))].
@@ -288,7 +323,10 @@ def vyazovkin_segment(e_over_r: float, t_lo: float, t_hi: float,
     Equals the integral of exp(-E/(R*T)) dT over [t_lo, t_hi].  The
     ``model`` argument selects how g(0, .) is evaluated: "oracle" or any
     model tag / fitted approximant.  A zero-width segment is checked like
-    any other and gives 0.0 exactly.
+    any other and gives 0.0 exactly.  The lower end is evaluated first:
+    on a walk it is the upper end of the previous segment, which
+    ``_g_end`` has just evaluated, so each temperature of a walk is
+    evaluated once.
     """
     if not 0.0 < t_lo <= t_hi:
         raise DomainError(f"need 0 < T_lo <= T_hi, got [{t_lo}, {t_hi}]")
@@ -300,12 +338,5 @@ def vyazovkin_segment(e_over_r: float, t_lo: float, t_hi: float,
                 f"x = {xv:g} outside the approximation domain "
                 f"[{X_MIN:g}, {X_MAX:g}]; use oracle mode with in-range "
                 "temperatures")
-    if model == "oracle":
-        return e_over_r * (g_cf(EvalPoint(0.0, x_at_hi))
-                           - g_cf(EvalPoint(0.0, x_at_lo)))
-    # models.eval_model's arithmetic, without a point per end: the x check
-    # above covers what EvalPoint checks
-    return e_over_r * (g_from_h(0.0, x_at_hi,
-                                models.model_h(model, 0.0, x_at_hi))
-                       - g_from_h(0.0, x_at_lo,
-                                  models.model_h(model, 0.0, x_at_lo)))
+    g_lo = _g_end(model, x_at_lo)
+    return e_over_r * (_g_end(model, x_at_hi) - g_lo)

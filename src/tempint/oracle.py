@@ -261,6 +261,12 @@ def h_series(point: EvalPoint, terms: int) -> float:
     1 - (m+2)/x + (m+2)(m+3)/x^2 - ... truncated to ``terms`` terms.
     A large-x sanity bracket only, never ground truth: consecutive
     partial sums bracket h once the term ratio (m+2+k)/x drops below 1.
+
+    The sum returns early once a term is exactly 0.0, since every later
+    term is 0.0 too: the series ends at m = -2, -3 or -4 and the terms
+    underflow at huge x.  A partial sum that is not finite raises
+    ``ValueError``.  On the working domain one of the two happens within
+    about 750 terms, whatever ``terms`` is.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
@@ -268,5 +274,11 @@ def h_series(point: EvalPoint, terms: int) -> float:
     term = 1.0
     for k in range(1, terms):
         term *= -(point.m + 1.0 + k) / point.x
+        if term == 0.0:
+            break
         total += term
+        if not math.isfinite(total):
+            raise ValueError(
+                f"series partial sum at (m={point.m}, x={point.x}) is not "
+                f"finite after {k + 1} terms: the series diverges there")
     return total

@@ -91,6 +91,14 @@ class TestOracle:
         assert out == ""
         assert err == f"error: terms must be >= 1, got {terms}\n"
 
+    @pytest.mark.parametrize("terms", [1000, 10**8])
+    def test_divergent_series_exit_2_before_output(self, capsys, terms):
+        code, out, err = run(capsys, "oracle", "-m", "0", "-x", "4",
+                             "--series-terms", str(terms))
+        assert (code, out) == (2, "")
+        assert err == ("error: series partial sum at (m=0.0, x=4.0) is not "
+                       "finite after 231 terms: the series diverges there\n")
+
     def test_golden_bytes(self, capsys):
         # stdout, stderr and exit code at the closed-form line m = -2, at
         # both ends of x with their adjacent floats, and out of the domain
@@ -268,6 +276,12 @@ class TestCompare:
                            "--grid", "arrhenius")
         assert code == 2
         assert "valid tags" in err
+
+    def test_repeated_tag_exit_2(self, capsys):
+        code, out, err = run(capsys, "compare", "--models", "G4,G4",
+                             "--grid", "coarse")
+        assert (code, out) == (2, "")
+        assert err == "error: model 'G4' is listed twice\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "compare", "--models", "J,SY",

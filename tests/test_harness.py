@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -301,6 +302,13 @@ class TestCompare:
         arrh = EvalGrid.from_spec("arrhenius")
         assert "J" in resolve_model_list("all", arrh)
 
+    def test_repeated_tag_rejected(self, arrhenius_grid):
+        for spec in ("G4,G4", "J, G4,SY,G4"):
+            with pytest.raises(ValueError, match="model 'G4' is listed twice"):
+                resolve_model_list(spec, arrhenius_grid)
+        assert resolve_model_list("J, G4,SY", arrhenius_grid) == [
+            "J", "G4", "SY"]
+
     def test_empty_list(self, arrhenius_grid):
         with pytest.raises(ValueError):
             compare([], arrhenius_grid)
@@ -349,6 +357,141 @@ def _ramp_segments(seed, count):
             segments.append((e_over_r, t, t_next))
             t = t_next
     return segments
+
+
+def _g0(model, x):
+    """g(0, x) by ``model`` with no memo: the value every end must get."""
+    if model == "oracle":
+        return g_cf(EvalPoint(0.0, x))
+    return models.eval_model(model, EvalPoint(0.0, x))
+
+
+def _segment_direct(e, lo, hi, model="oracle"):
+    return e * (_g0(model, e / hi) - _g0(model, e / lo))
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that logs each call's args."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# one heating ramp, E/R = 12000 K: 8 consecutive segments, x in [22, 30]
+WALK_E = 12000.0
+WALK_T = [400.0 + 2.5 * k + 0.125 * k * k for k in range(9)]
+
+
+class TestSegmentEndMemo:
+    """Consecutive segments of a walk share an end, evaluated once."""
+
+    def _walk(self, model):
+        # a segment ending away from the walk first, so the walk's first
+        # lower end is never in the memo
+        vyazovkin_segment(WALK_E, 300.0, 310.0, model)
+        return [(lo, hi, model) for lo, hi in zip(WALK_T, WALK_T[1:])]
+
+    @staticmethod
+    def _run(walk):
+        return [vyazovkin_segment(WALK_E, lo, hi, model)
+                for lo, hi, model in walk]
+
+    def _check(self, walk):
+        assert self._run(walk) == [_segment_direct(WALK_E, lo, hi, model)
+                                   for lo, hi, model in walk]
+
+    @pytest.mark.parametrize("model", ["G4", "J", "SY"])
+    def test_model_walk_evaluates_n_plus_1_ends(self, monkeypatch, model):
+        walk = self._walk(model)
+        calls = _counted(monkeypatch, models, "model_h")
+        got = self._run(walk)
+        assert len(calls) == len(walk) + 1
+        assert got == [_segment_direct(WALK_E, lo, hi, model)
+                       for lo, hi, model in walk]
+
+    def test_oracle_walk_evaluates_n_plus_1_ends(self, monkeypatch):
+        walk = self._walk("oracle")
+        calls = _counted(monkeypatch, harness, "g_cf")
+        self._check(walk)
+        # one call per temperature of the walk, in order; the direct
+        # values come from the g_cf this module imported, not counted
+        assert [point.x for (point,) in calls] == [WALK_E / t for t in WALK_T]
+
+    def test_model_change_at_a_shared_end(self):
+        # G2's lower end is G4's upper end: the memo must not hand G2
+        # the G4 value, nor the oracle the G2 one
+        self._check(self._walk("G4")[:1] + [
+            (WALK_T[1], WALK_T[2], "G2"), (WALK_T[2], WALK_T[3], "oracle"),
+            (WALK_T[3], WALK_T[4], "G4")])
+
+    def test_same_segment_with_two_models(self):
+        lo, hi = WALK_T[0], WALK_T[1]
+        self._check([(lo, hi, "G4"), (lo, hi, "G2"), (lo, hi, "G4")])
+
+    def test_same_temperature_other_e_over_r_misses(self):
+        first = vyazovkin_segment(10000.0, 500.0, 520.0, "G4")
+        assert first == _segment_direct(10000.0, 500.0, 520.0, "G4")
+        got = vyazovkin_segment(11000.0, 520.0, 540.0, "G4")
+        assert got == _segment_direct(11000.0, 520.0, 540.0, "G4")
+
+    def test_equal_approximants_are_told_apart(self, tmp_path, monkeypatch):
+        path = tmp_path / "g4.coeff"
+        save_coeffs(paper_approximant(4), path)
+        a, b = load_coeffs(path), load_coeffs(path)
+        assert a == b and a is not b
+        self._walk(a)
+        calls = _counted(monkeypatch, models, "model_h")
+        got_a = vyazovkin_segment(WALK_E, WALK_T[0], WALK_T[1], a)
+        got_b = vyazovkin_segment(WALK_E, WALK_T[1], WALK_T[2], b)
+        # a misses twice (after the warm-up), b misses twice (a is
+        # another instance); the direct evaluations come after the count
+        assert len(calls) == 4
+        assert got_a == _segment_direct(WALK_E, WALK_T[0], WALK_T[1], a)
+        assert got_b == _segment_direct(WALK_E, WALK_T[1], WALK_T[2], b)
+
+    def test_threads_sharing_the_memo(self):
+        # six threads walk the same few temperatures over and over, three
+        # with each model, and switch often: each must get its own
+        # model's values, which a torn memo entry would mix up
+        walk = [(WALK_E, lo, hi)
+                for lo, hi in zip(WALK_T[:3], WALK_T[1:4])] * 100
+        expected = {k: [_segment_direct(*seg, k) for seg in walk]
+                    for k in ("oracle", "G4")}
+        kinds = list(expected) * 3
+        got = [None] * len(kinds)
+
+        def run(i):
+            got[i] = [vyazovkin_segment(*seg, kinds[i]) for seg in walk]
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(kinds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [expected[k] for k in kinds]
+
+    def test_raising_call_leaves_the_next_correct(self):
+        lo, mid, hi = WALK_T[:3]
+        self._check([(lo, mid, "G4")])
+        with pytest.raises(KeyError, match="unknown model tag 'nope'"):
+            vyazovkin_segment(WALK_E, mid, hi, "nope")
+        self._check([(mid, hi, "G4")])
+        with pytest.raises(DomainError):
+            vyazovkin_segment(WALK_E, hi / 10.0, hi, "G4")   # x_lo > 100
+        self._check([(hi, WALK_T[3], "G4"), (mid, hi, "oracle")])
 
 
 class TestVyazovkin:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +128,35 @@ class TestSeries:
         hv = h(point)
         lo, hi = sorted((h_series(point, k), h_series(point, k + 1)))
         assert lo - 1e-12 <= hv <= hi + 1e-12
+
+    def test_ends_at_a_zero_term(self):
+        # at m = -2, -3, -4 a factor m + 1 + k is 0: the sum is finite and
+        # returns at once, whatever the number of terms asked for
+        start = time.perf_counter()
+        assert h_series(EvalPoint(-2.0, 8.0), 10**9) == 1.0
+        assert h_series(EvalPoint(-3.0, 8.0), 10**9) == 1.125
+        assert h_series(EvalPoint(-4.0, 8.0), 10**9) == h_series(
+            EvalPoint(-4.0, 8.0), 4)
+        assert time.perf_counter() - start < 1.0
+
+    def test_underflowing_terms_end_the_sum(self):
+        point = EvalPoint(0.5, 1e200)
+        assert h_series(point, 10**9) == h_series(point, 3) == 1.0
+
+    def test_divergent_partial_sum_raises(self):
+        with pytest.raises(ValueError, match="not finite after 231 terms"):
+            h_series(EvalPoint(0.0, 4.0), 1000)
+        # 230 terms still sum to a finite value
+        assert math.isfinite(h_series(EvalPoint(0.0, 4.0), 230))
+
+    @pytest.mark.parametrize("m", [-3.5, -2.5, 0.0, 4.0])
+    def test_bounded_on_the_working_domain(self, m):
+        # at x = 100 the terms shrink for the longest before they grow;
+        # the partial sums still overflow within a few hundred terms
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not finite"):
+            h_series(EvalPoint(m, 100.0), 10**9)
+        assert time.perf_counter() - start < 1.0
 
     def test_terms_validation(self):
         with pytest.raises(ValueError):

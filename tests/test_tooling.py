@@ -6,17 +6,23 @@ import pathlib
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
-def test_tracer_installs_and_uninstalls():
+def _load_layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_tracer_installs_and_uninstalls():
+    layers = _load_layers()
     from tempint import cli, fitter, harness, models
 
     def traced_names():
         # the per-layer fit metrics read these wrappers
         return (harness.report, models.model_h, fitter.linprog,
                 fitter.check_feasible, fitter.build_feasibility,
-                vars(fitter.FitGrid)["from_eval_grid"], cli.bisect_fit)
+                vars(fitter.FitGrid)["from_eval_grid"], cli.bisect_fit,
+                harness.g_cf, harness.vyazovkin_segment)
 
     before = traced_names()
     tracer = layers.Tracer()
@@ -27,3 +33,20 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert traced_names() == before
+
+
+def test_tracer_counts_each_walk_temperature_once():
+    # a walk of N consecutive segments evaluates g_cf at its N + 1
+    # temperatures, through the name the tracer wraps
+    from tempint import harness
+    e_over_r, temps = 12000.0, [400.0 + 3.0 * k for k in range(9)]
+    harness.vyazovkin_segment(e_over_r, 300.0, 310.0)   # away from the walk
+    tracer = _load_layers().Tracer()
+    tracer.install()
+    try:
+        for t_lo, t_hi in zip(temps, temps[1:]):
+            harness.vyazovkin_segment(e_over_r, t_lo, t_hi)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["harness.vyazovkin_segment"] == len(temps) - 1
+    assert tracer.calls["oracle.g_cf"] == len(temps)
