@@ -3,10 +3,10 @@
 
 Runs ``tempint fit --degree <n> --grid <spec> --out <dir>/g<n>.coeff``
 for each degree; it writes ``g<n>.coeff`` and ``g<n>.coeff.report``,
-with that command's messages and exit codes (3: not converged, files
-still written, or LP solver failed; 4: pole warning).  Every degree is
-fitted, and the first that fails sets the exit code.  A bad
-``--degrees`` or ``--grid`` exits 2 before the output directory exists.
+with that command's messages and exit codes (3: fit failed; 4: pole
+warning, files still written).  Every degree is fitted, and the first
+that fails sets the exit code.  A bad ``--degrees`` or ``--grid``
+exits 2 before the output directory exists.
 """
 
 import argparse

@@ -5,9 +5,10 @@ deterministic: fixed grid order and no randomness anywhere, so
 identical invocations produce byte-identical results.
 
 Exit codes: 0 success; 2 domain/validation error, or a file that cannot
-be read or written; 3 fit did not converge or its LP solver failed; 4
-fit converged but with a pole warning (the coefficient file is still
-written); 5 a table-reproduction cell is out of tolerance.
+be read or written; 3 fit failed (its LP solver failed, or an oracle
+target is not positive); 4 fit converged but with a pole warning (the
+coefficient file is still written); 5 a table-reproduction cell is out
+of tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from tempint.rational import (MAX_DEGREE, ParseError, PoleError, load_coeffs,
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
-EXIT_NOT_CONVERGED = 3
+EXIT_FIT_FAILED = 3
 EXIT_POLE_WARNING = 4
 EXIT_TABLE_MISMATCH = 5
 
@@ -84,14 +85,11 @@ def cmd_fit(args) -> int:
         result = bisect_fit(problem)
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return EXIT_FIT_FAILED
     save_coeffs(result.approximant, args.out)
     _write_output(result.report_text(), args.out + ".report")
     print(f"wrote {args.out} (u* in [{result.u_minus:.6E}, "
           f"{result.u_plus:.6E}], achieved_dev {result.achieved_dev:.6E})")
-    if not result.converged:
-        print("warning: bisection did not converge", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
     if result.pole_warning:
         print("warning: denominator not positive on verification grid",
               file=sys.stderr)

@@ -39,8 +39,7 @@ points of S, so every LP of a fit goes through one HiGHS instance with
 presolve off, started from the optimal basis of the last LP solved
 (``WarmStart``), the fitter's only LP solver.  A solve that does not end
 optimal runs again from the same basis at HiGHS's default tolerances;
-only if that does not end optimal either does one cold ``linprog`` call
-solve the LP.
+if that does not end optimal either, the fit fails with ``FitError``.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# bound for perfbench/layers.py, which wraps fitter.linprog
 from scipy.optimize import linprog
 # the HiGHS binding that scipy's linprog loads for method="highs"
 from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus,
@@ -68,7 +68,6 @@ EXCHANGE_PER_COEFF = 4    # most violators added to S per exchange
 
 DENOM_FLOOR = 1.0          # Q >= DENOM_FLOOR at every grid point
 BISECTION_TOL_ABS = 1e-12  # the bracket closes within this, or tol_rel * u
-MAX_BISECTIONS = 60        # most levels per bisection pass on S
 FEASIBILITY_TOL = 1e-9     # phase-1 slack, and row excess, of a feasible u
 # HiGHS primal and dual feasibility tolerances of the first solve of an
 # LP, and HiGHS's defaults, those of the second
@@ -194,8 +193,8 @@ class WarmStart:
     ``build_feasibility`` order, kept in ``row_status``.  The basis of an
     LP on more points then has the rows of its new points basic (their
     slacks enter the basis), so it stays valid.  Points that no stored
-    solve covered are basic too.  An LP only the cold ``linprog`` rung
-    ends leaves the stored basis as it was.
+    solve covered are basic too.  An LP that no solve ends optimal leaves
+    the stored basis as it was.
     """
 
     def __init__(self, grid_size: int):
@@ -221,11 +220,11 @@ class WarmStart:
         """The optimum slack t >= 0 and solution (c, t) of the phase-1 LP
         min t subject to A @ c - t <= b, t >= 0, on the rows of ``system``.
 
-        A ladder of at most three solves: HiGHS at ``TIGHT_OPTIONS`` from
+        A ladder of at most two solves: HiGHS at ``TIGHT_OPTIONS`` from
         the stored basis, if there is one; if that does not end optimal,
-        HiGHS again from the same basis at its default tolerances; if that
-        does not either, one cold ``linprog`` at the defaults.  Raises
-        ``FitError`` if that fails too.
+        HiGHS again from the same basis at its default tolerances.  Raises
+        ``FitError``, with the last run status and model status, if that
+        does not either.
         """
         a = np.hstack([system.a_ub, -np.ones((system.a_ub.shape[0], 1))])
         n_rows, n_cols = a.shape
@@ -254,22 +253,13 @@ class WarmStart:
             model_status = highs.getModelStatus()
             if model_status == HighsModelStatus.kOptimal:
                 self.basis, self.points = highs.getBasis(), system.points
+                # t >= 0 is the LP's own bound, which HiGHS meets only
+                # within its primal tolerance (-6.8e-10 at the default one)
                 slack = highs.getInfo().objective_function_value
-                x = np.array(highs.getSolution().col_value)
-                break
-        else:
-            bounds = [(None, None)] * system.n_coeffs + [(0.0, None)]
-            res = linprog(cost, A_ub=a, b_ub=system.b_ub, bounds=bounds,
-                          method="highs")
-            if res.status != 0:
-                raise FitError(
-                    f"LP solver failed (status {res.status}): {res.message} "
-                    f"(warm solve: run status {run_status.name}, model status "
-                    f"{highs.modelStatusToString(model_status)})")
-            slack, x = res.fun, res.x
-        # t >= 0 is the LP's own bound, which HiGHS meets only within its
-        # primal tolerance (-6.8e-10 at the default one)
-        return max(slack, 0.0), x
+                return max(slack, 0.0), np.array(highs.getSolution().col_value)
+        raise FitError(
+            f"LP solver failed: run status {run_status.name}, model status "
+            f"{highs.modelStatusToString(model_status)}")
 
 
 def _check_status(status: HighsStatus, call: str) -> None:
@@ -305,7 +295,6 @@ class FitResult:
     achieved_dev: float        # recomputed against the oracle on the fit grid
     achieved_dev_fine: float   # same on the 4x-refined verification grid
     denom_min: float           # minimum denominator on the verification grid
-    converged: bool
     pole_warning: bool
     grid: EvalGrid             # the fit grid
 
@@ -447,11 +436,11 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     if that is lower.  When the bisection on S closes on a witness that
     fails outside S, the worst violators join S and the bisection goes
     on between ``u_minus`` and ``u_plus``.  The fit ends when that
-    bracket closes; ``MAX_BISECTIONS`` bounds the levels of one pass on
-    S.  S starts as an evenly strided ``SUBSET_PER_COEFF * n_coeffs``
-    points of the flattened grid (all of it on small grids, where the
-    LPs are exactly plain bisection's) and grows by at most
-    ``EXCHANGE_PER_COEFF * n_coeffs`` points per exchange.
+    bracket closes.  S starts as an evenly strided
+    ``SUBSET_PER_COEFF * n_coeffs`` points of the flattened grid (all of
+    it on small grids, where the LPs are exactly plain bisection's) and
+    grows by at most ``EXCHANGE_PER_COEFF * n_coeffs`` points per
+    exchange.
 
     A subset verdict "infeasible" is not proof for the whole grid (HiGHS
     returns wrong ones at degree 4), so after the last pass on S, if S is
@@ -483,6 +472,10 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     iterations, lp_solves = 0, 0
     warm = WarmStart(g.size)
 
+    # Every pass starts with a gap u_hi - u_minus <= u_start <= 1, since
+    # _initial_level returns u_start below 1 or exactly 1, and each level
+    # halves the gap: a pass closes at BISECTION_TOL_ABS = 1e-12 within
+    # 40 levels (2**-40 < 1e-12), so every fit ends with its bracket closed.
     def closed(u_hi):
         return u_hi - u_minus <= max(BISECTION_TOL_ABS,
                                      problem.bisection_tol_rel * u_hi)
@@ -490,10 +483,10 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     while True:
         # one bisection pass on S, between u_minus and u_hi
         points = np.flatnonzero(in_s)
-        worst, levels = np.empty(0, dtype=int), 0
-        while not (closed(u_hi) or levels == MAX_BISECTIONS):
+        worst = np.empty(0, dtype=int)
+        while not closed(u_hi):
             u = 0.5 * (u_minus + u_hi)
-            levels += 1
+            iterations += 1
             if u >= u_plus:
                 # only after a restart: the witness holds at u_plus <= u
                 u_hi = u
@@ -507,8 +500,7 @@ def bisect_fit(problem: FitProblem) -> FitResult:
             worst, level = _check_on_grid(problem, vec, u, in_s)
             if level < u_plus:
                 u_plus, witness = level, vec
-        iterations += levels
-        if worst.size and closed(u_hi):
+        if worst.size:
             in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
             u_hi = u_plus
             continue
@@ -522,7 +514,6 @@ def bisect_fit(problem: FitProblem) -> FitResult:
         in_s[:] = True
         u_minus, u_plus, u_hi = 0.0, u_minus, u_start
         witness = vec
-    converged = closed(u_plus)
     approx = _coeffs_to_approximant(witness, problem.degree)
     achieved = float(_deviation_on(approx, g)[0].max())
     fine_dev, denom_min = _deviation_on(
@@ -532,4 +523,4 @@ def bisect_fit(problem: FitProblem) -> FitResult:
         iterations=iterations, lp_solves=lp_solves,
         active_points=int(in_s.sum()), achieved_dev=achieved,
         achieved_dev_fine=float(fine_dev.max()), denom_min=denom_min,
-        converged=converged, pole_warning=denom_min <= 0.0, grid=g.grid)
+        pole_warning=denom_min <= 0.0, grid=g.grid)

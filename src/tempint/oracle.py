@@ -144,16 +144,15 @@ def g_cf(point: EvalPoint) -> float:
     return math.exp(-x) * x ** a / t
 
 
-def _lentz_cf_array(a: np.ndarray, x: np.ndarray):
-    """``_lentz_cf`` elementwise over 1-D arrays: (F, converged mask).
+def _lentz_cf_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_lentz_cf`` elementwise over 1-D arrays.
 
     Each lane runs exactly the scalar operations and leaves the iteration
-    once it converges, so converged values are bit-identical to
-    ``_lentz_cf``.  Lanes still open after ``MAX_ITERATIONS`` are reported
-    as not converged.
+    once it converges, so its value is bit-identical to ``_lentz_cf``.
+    Raises ``ConvergenceError``, as ``_lentz_cf`` does, for the first lane
+    in C order that is still open after ``MAX_ITERATIONS``.
     """
     out = np.empty_like(x)
-    converged = np.zeros(x.shape, dtype=bool)
     lanes = np.arange(x.size)
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / _TINY)
@@ -174,16 +173,19 @@ def _lentz_cf_array(a: np.ndarray, x: np.ndarray):
         done = np.abs(delta - 1.0) < REL_TOL
         if done.any():
             out[lanes[done]] = f[done]
-            converged[lanes[done]] = True
             keep = ~done
             lanes, a, b, c, d, f = (v[keep] for v in (lanes, a, b, c, d, f))
-    return out, converged
+    if lanes.size:
+        # the first open lane again as a scalar: the same operations
+        # raise ConvergenceError with its last two iterates
+        _lentz_cf(float(a[0]), float(x[lanes[0]]))
+    return out
 
 
 def _h_quad(point: EvalPoint) -> float:
     """h(m, x) = int_0^inf exp(-u) (1 + u/x)**-(m+2) du by quadrature."""
-    # imported on first use: h_array falls back to quadrature at no point
-    # of the working domain, and scipy.integrate is most of the import time
+    # imported on first use: only g_quad, the independent cross-check,
+    # integrates, and scipy.integrate is most of the import time
     from scipy.integrate import quad
 
     m, x = point.m, point.x
@@ -239,20 +241,17 @@ def h_array(m, x) -> np.ndarray:
     """h elementwise over the broadcast of the arrays ``m`` and ``x``.
 
     h = exp(x) x^(m+2) g = x * F with the Lentz fraction F of
-    ``_lentz_cf``; each lane runs exactly its scalar operations.  Points
-    whose continued fraction does not converge fall back to quadrature.
-    Raises ``DomainError`` for the first point, in C order, outside the
-    working domain.
+    ``_lentz_cf``; each lane runs exactly its scalar operations.  Raises
+    ``DomainError`` for the first point, in C order, outside the working
+    domain, and ``ConvergenceError`` for the first whose continued
+    fraction does not converge (on the working domain each converges
+    within 23 iterations).
     """
     shape = np.broadcast_shapes(np.shape(m), np.shape(x))
     m = np.broadcast_to(np.asarray(m, dtype=float), shape).ravel()
     x = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
     require_in_domain(m, x)
-    f, converged = _lentz_cf_array(-(m + 1.0), x)
-    out = x * f
-    for k in np.flatnonzero(~converged):
-        out[k] = _h_quad(EvalPoint(float(m[k]), float(x[k])))
-    return out.reshape(shape)
+    return (x * _lentz_cf_array(-(m + 1.0), x)).reshape(shape)
 
 
 def h_series(point: EvalPoint, terms: int) -> float:
@@ -263,11 +262,12 @@ def h_series(point: EvalPoint, terms: int) -> float:
     partial sums bracket h once the term ratio (m+2+k)/x drops below 1.
 
     The sum returns early once a term is exactly 0.0, since every later
-    term is 0.0 too: the series ends at m = -2, -3 or -4 and the terms
-    underflow at huge x.  A partial sum that is not finite raises
-    ``ValueError``.  On the working domain one of the two happens within
-    about 750 terms, whatever ``terms`` is.
+    term is 0.0 too: the series ends at m = -2, -3 or -4.  A partial sum
+    that is not finite raises ``ValueError``.  On the working domain one
+    of the two happens within about 750 terms, whatever ``terms`` is;
+    a point outside it raises ``DomainError``.
     """
+    _require_working_domain(point)
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     total = 1.0

@@ -94,11 +94,14 @@ def test_criterion_4_table10_regression():
 @pytest.mark.parametrize("degree", [1, 2])
 def test_criterion_5_fitter_reproduction(degree):
     grid = FitGrid.from_eval_grid(EvalGrid.from_spec("paper-eval"))
-    result = bisect_fit(FitProblem(degree=degree, grid=grid))
+    problem = FitProblem(degree=degree, grid=grid)
+    result = bisect_fit(problem)
     target = TABLE5[degree][0]
+    closed = result.u_plus - result.u_minus <= max(
+        BISECTION_TOL_ABS, problem.bisection_tol_rel * result.u_plus)
     # the 4x-refined verification grid may not inflate the deviation by
     # more than the empirically measured 20% discretization gap
-    ok = (result.converged and not result.pole_warning
+    ok = (closed and not result.pole_warning
           and result.achieved_dev <= 1.1 * target
           and result.achieved_dev_fine <= 1.2 * result.achieved_dev)
     _announce(5, ok,

@@ -38,15 +38,8 @@ def _oracle_transcript(capsys):
     return "".join(chunks)
 
 
-def _assert_fit_golden(capsys, tmp_path, monkeypatch, degree, grid):
-    # the coefficient and report files of a fit are deterministic, and
-    # every LP of the fit ends in a warm rung, never in the cold one
-    from tempint import fitter
-
-    def no_cold_solve(*args, **kwargs):
-        raise AssertionError("an LP reached the cold linprog rung")
-
-    monkeypatch.setattr(fitter, "linprog", no_cold_solve)
+def _assert_fit_golden(capsys, tmp_path, degree, grid):
+    # the coefficient and report files of a fit are deterministic
     out_file = tmp_path / "c.coeff"
     code, _, _ = run(capsys, "fit", "--degree", str(degree),
                      "--grid", grid, "--out", str(out_file))
@@ -128,13 +121,26 @@ class TestFit:
         assert r.degree == 1
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    def test_coarse_fit_golden_bytes(self, capsys, tmp_path, monkeypatch,
-                                     degree):
-        _assert_fit_golden(capsys, tmp_path, monkeypatch, degree, "coarse")
+    def test_coarse_fit_golden_bytes(self, capsys, tmp_path, degree):
+        _assert_fit_golden(capsys, tmp_path, degree, "coarse")
 
-    def test_paper_eval_fit_golden_bytes(self, capsys, tmp_path, monkeypatch):
+    def test_paper_eval_fit_golden_bytes(self, capsys, tmp_path):
         # the benchmark's own fit
-        _assert_fit_golden(capsys, tmp_path, monkeypatch, 2, "paper-eval")
+        _assert_fit_golden(capsys, tmp_path, 2, "paper-eval")
+
+    def test_tol_zero_closes_the_bracket(self, capsys, tmp_path):
+        # at --tol 0 only BISECTION_TOL_ABS closes a pass, within 40
+        # levels each; the passes of this fit take 96 in all
+        from tempint.fitter import BISECTION_TOL_ABS
+        out_file = tmp_path / "c.coeff"
+        code, _, err = run(capsys, "fit", "--degree", "1", "--grid",
+                           "coarse", "--tol", "0", "--out", str(out_file))
+        assert (code, err) == (0, "")
+        report = dict(line.split(" ", 1) for line in
+                      (tmp_path / "c.coeff.report").read_text().splitlines())
+        assert int(report["iterations"]) == 96
+        assert (float(report["u_plus"]) - float(report["u_minus"])
+                <= BISECTION_TOL_ABS)
 
     @pytest.mark.parametrize("tol", ["nan", "2"])
     def test_bad_tol_exit_2(self, capsys, tmp_path, tol):
@@ -206,25 +212,20 @@ class TestFit:
         assert list(tmp_path.iterdir()) == []
 
     def test_lp_failure_exit_3(self, capsys, tmp_path, monkeypatch):
-        from scipy.optimize import OptimizeResult
-
         from tempint import fitter
-
-        def failing_linprog(*args, **kwargs):
-            return OptimizeResult(status=4, message="numerical difficulties")
 
         class NeverRuns(fitter._Highs):
             def run(self):
                 return fitter.HighsStatus.kError
 
-        # no warm run ends optimal, so the first LP reaches the cold rung
+        # neither warm run of the first LP ends optimal
         monkeypatch.setattr(fitter, "_Highs", NeverRuns)
-        monkeypatch.setattr(fitter, "linprog", failing_linprog)
         out_file = tmp_path / "fail.fit"
-        code, _, err = run(capsys, "fit", "--degree", "1", "--grid", "coarse",
-                           "--out", str(out_file))
-        assert code == 3
-        assert err.startswith("error: LP solver failed (status 4)")
+        code, out, err = run(capsys, "fit", "--degree", "1", "--grid",
+                             "coarse", "--out", str(out_file))
+        assert (code, out) == (3, "")
+        assert err == ("error: LP solver failed: run status kError, "
+                       "model status Not Set\n")
         assert not out_file.exists()
 
 
@@ -313,6 +314,17 @@ class TestCompare:
         assert code == 2
         assert err == ("error: model J is not defined at m=0.5; "
                        "allowed: m = 0\n")
+
+    def test_oracle_convergence_error_exit_2(self, capsys, monkeypatch):
+        # a cached oracle row would never reach h_array
+        from tempint import harness, oracle
+        harness.oracle_h_row.cache_clear()
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 2)
+        code, out, err = run(capsys, "compare", "--grid", "coarse")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: continued fraction for Gamma(")
+        assert "did not converge within 2 iterations" in err
+        assert err.count("\n") == 1
 
     def test_x_footnoted(self, capsys):
         code, out, _ = run(capsys, "compare", "--models", "X,G",

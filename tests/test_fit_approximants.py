@@ -54,15 +54,6 @@ def test_bad_input_exits_2_before_writing(script, tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_not_converged_exit_3(script, tmp_path, monkeypatch, capsys):
-    # as with `tempint fit`, the unconverged fit's files are still written
-    monkeypatch.setattr(fitter, "MAX_BISECTIONS", 3)
-    assert script.main(["--degrees", "1", "--grid", "coarse",
-                        "--out", str(tmp_path)]) == 3
-    assert capsys.readouterr().err == "warning: bisection did not converge\n"
-    assert (tmp_path / "g1.coeff").exists()
-
-
 def test_fit_error_exit_3(script, tmp_path, monkeypatch, capsys):
     def failing_fit(problem):
         raise fitter.FitError("LP solver failed (status 4)")

@@ -11,7 +11,6 @@ from tempint.oracle import (
     ConvergenceError,
     DomainError,
     EvalPoint,
-    _h_quad,
     _lentz_cf,
     g_cf,
     g_from_h,
@@ -139,9 +138,11 @@ class TestSeries:
             EvalPoint(-4.0, 8.0), 4)
         assert time.perf_counter() - start < 1.0
 
-    def test_underflowing_terms_end_the_sum(self):
-        point = EvalPoint(0.5, 1e200)
-        assert h_series(point, 10**9) == h_series(point, 3) == 1.0
+    @pytest.mark.parametrize("m, x", [(0.5, 1e200), (1e300, 1e300)])
+    def test_outside_working_domain(self, m, x):
+        # checked before the first term, however many terms are asked for
+        with pytest.raises(DomainError, match="outside working domain"):
+            h_series(EvalPoint(m, x), 10**7)
 
     def test_divergent_partial_sum_raises(self):
         with pytest.raises(ValueError, match="not finite after 231 terms"):
@@ -187,11 +188,8 @@ def _grid_axes(spec, refine=1):
 
 
 def _reference_h(m, x):
-    # the scalar continued fraction, with quadrature where it fails
-    try:
-        return x * _lentz_cf(-(m + 1.0), x)
-    except ConvergenceError:
-        return _h_quad(EvalPoint(m, x))
+    # the scalar continued fraction
+    return x * _lentz_cf(-(m + 1.0), x)
 
 
 def _scalar_h(ms, xs):
@@ -211,11 +209,19 @@ class TestHArray:
         scalar = [_reference_h(m, x) for m, x in zip(ms, xs)]
         assert np.array_equal(h_array(ms, xs), scalar)
 
-    def test_quadrature_fallback_per_lane(self, monkeypatch):
-        # two iterations converge nowhere, so every lane falls back
-        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 2)
-        ms, xs = _grid_axes("coarse")
-        assert np.array_equal(h_array(ms[:, None], xs), _scalar_h(ms, xs))
+    def test_unconverged_lane_raises(self, monkeypatch):
+        # 10 iterations converge at x = 100 but not at x = 5 or x = 4: the
+        # first open lane in C order names the error, with the last two
+        # iterates of the scalar fraction there
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 10)
+        assert h_array(0.0, 100.0) == _reference_h(0.0, 100.0)
+        with pytest.raises(ConvergenceError) as scalar:
+            _lentz_cf(-1.0, 5.0)
+        with pytest.raises(ConvergenceError) as array:
+            h_array(0.0, np.array([100.0, 5.0, 4.0]))
+        assert "Gamma(-1.0, 5.0) did not converge" in str(array.value)
+        assert str(array.value) == str(scalar.value)
+        assert array.value.last_iterates == scalar.value.last_iterates
 
     def test_domain_error_names_first_bad_point(self):
         ms = np.array([0.0, 1.0, 4.5, 2.0])
