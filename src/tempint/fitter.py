@@ -286,15 +286,16 @@ def _witness(system: FeasibilitySystem, slack: float, x: np.ndarray):
 
 @dataclass
 class FitResult:
+    """A fitted P/Q, its bracket on the fit grid, and its verification."""
+
     approximant: RationalApproximant
     u_minus: float
     u_plus: float
-    iterations: int            # bisection levels of all passes
+    iterations: int            # bisection levels of all passes, one LP each
     lp_solves: int             # LPs of the levels and of the confirmation
     active_points: int         # final size of the subset S
     achieved_dev: float        # recomputed against the oracle on the fit grid
-    achieved_dev_fine: float   # same on the 4x-refined verification grid
-    denom_min: float           # minimum denominator on the verification grid
+    denom_min: float           # minimum denominator on the 4x-refined grid
     pole_warning: bool
     grid: EvalGrid             # the fit grid
 
@@ -325,12 +326,10 @@ def _coeffs_to_approximant(vec: np.ndarray, degree: int) -> RationalApproximant:
         BivariatePoly(degree, [v / pivot for v in b]))
 
 
-def _deviation_on(approx: RationalApproximant,
-                  g: FitGrid) -> tuple[np.ndarray, float]:
-    """|eps| of P/Q against the targets at every point, and min Q."""
-    p = np.asarray(approx.numer.eval(g.m, g.x), dtype=float)
-    q = np.asarray(approx.denom.eval(g.m, g.x), dtype=float)
-    return np.abs(p / q / g.h - 1.0), float(q.min())
+def _deviation_on(approx: RationalApproximant, g: FitGrid) -> float:
+    """max |eps| of P/Q against the targets of the grid."""
+    p, q = approx.numer.eval(g.m, g.x), approx.denom.eval(g.m, g.x)
+    return float(np.abs(p / q / g.h - 1.0).max())
 
 
 def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
@@ -451,18 +450,22 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     that violate its solution to the LP on S until none does, which
     gives the full-grid LP's optimum without passing its rows.  If the
     full grid is feasible there, that witness becomes ``u_plus``, S
-    becomes the whole grid and the bisection restarts from the initial
-    bracket.  Levels at or above ``u_plus`` then pass without an LP, and
-    the LPs below it are exactly plain bisection's.
+    becomes the whole grid and the bisection restarts on [0, u_plus].
+    Every level of every pass solves one LP.
 
     All LPs share one ``WarmStart``; a restart goes on from the basis
     that the confirmation left.
 
     A posteriori verification recomputes the deviation against the
-    oracle on the fit grid and on a 4x-refined grid, recording the
-    minimum denominator found.
+    oracle on the fit grid, and finds the least Q on a 4x-refined grid,
+    built before the first LP, on which it evaluates Q alone.
     """
     g = problem.grid
+    try:
+        fine = g.grid.refined(4)
+    except ValueError as exc:
+        raise ValueError(f"fit grid {g.grid.spec!r} is too fine for its "
+                         f"4x-refined verification grid: {exc}") from None
     u_start, witness = _initial_level(problem)
     n_coeffs = 2 * len(problem.basis[1])
     in_s = np.zeros(g.size, dtype=bool)
@@ -473,9 +476,10 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     warm = WarmStart(g.size)
 
     # Every pass starts with a gap u_hi - u_minus <= u_start <= 1, since
-    # _initial_level returns u_start below 1 or exactly 1, and each level
-    # halves the gap: a pass closes at BISECTION_TOL_ABS = 1e-12 within
-    # 40 levels (2**-40 < 1e-12), so every fit ends with its bracket closed.
+    # _initial_level returns u_start <= 1 and a restart's gap is a u_minus
+    # below u_start.  Each level halves the gap, so a pass closes at
+    # BISECTION_TOL_ABS = 1e-12 within 40 levels (2**-40 < 1e-12), and
+    # every fit ends with its bracket closed.
     def closed(u_hi):
         return u_hi - u_minus <= max(BISECTION_TOL_ABS,
                                      problem.bisection_tol_rel * u_hi)
@@ -487,10 +491,6 @@ def bisect_fit(problem: FitProblem) -> FitResult:
         while not closed(u_hi):
             u = 0.5 * (u_minus + u_hi)
             iterations += 1
-            if u >= u_plus:
-                # only after a restart: the witness holds at u_plus <= u
-                u_hi = u
-                continue
             vec = check_feasible(build_feasibility(problem, u, points), warm)
             lp_solves += 1
             if vec is None:
@@ -510,17 +510,16 @@ def bisect_fit(problem: FitProblem) -> FitResult:
         lp_solves += solves
         if vec is None:
             break
-        # a subset verdict was wrong: plain bisection from the start
+        # a subset verdict was wrong: plain bisection below the witness
         in_s[:] = True
-        u_minus, u_plus, u_hi = 0.0, u_minus, u_start
+        u_minus, u_plus, u_hi = 0.0, u_minus, u_minus
         witness = vec
     approx = _coeffs_to_approximant(witness, problem.degree)
-    achieved = float(_deviation_on(approx, g)[0].max())
-    fine_dev, denom_min = _deviation_on(
-        approx, FitGrid.from_eval_grid(g.grid.refined(4)))
+    # Q alone, as an m column against the x row
+    denom_min = float(approx.denom.eval(np.array(fine.m_values)[:, None],
+                                        np.array(fine.x_values)).min())
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
         iterations=iterations, lp_solves=lp_solves,
-        active_points=int(in_s.sum()), achieved_dev=achieved,
-        achieved_dev_fine=float(fine_dev.max()), denom_min=denom_min,
-        pole_warning=denom_min <= 0.0, grid=g.grid)
+        active_points=int(in_s.sum()), achieved_dev=_deviation_on(approx, g),
+        denom_min=denom_min, pole_warning=denom_min <= 0.0, grid=g.grid)

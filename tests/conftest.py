@@ -4,6 +4,7 @@ from scipy.optimize import linprog
 
 from tempint import fitter
 from tempint.harness import EvalGrid
+from tempint.rational import BivariatePoly, RationalApproximant
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,15 @@ def solve_rows(monkeypatch):
 
     monkeypatch.setattr(fitter.WarmStart, "solve", counting_solve)
     return rows
+
+
+@pytest.fixture
+def pole_between_points(monkeypatch):
+    """Every fit returns P = 1, Q = (x - 6)**2 at degree 2.  On ``coarse``
+    (x = 4, 8, ..., 100) Q >= 4 at every grid point; x = 6 is a point of
+    the 4x-refined grid only, where Horner gives Q = 0.0 exactly."""
+    approx = RationalApproximant(BivariatePoly(2, [1, 0, 0, 0, 0, 0]),
+                                 BivariatePoly(2, [36, -12, 0, 1, 0, 0]))
+    monkeypatch.setattr(fitter, "_coeffs_to_approximant",
+                        lambda vec, degree: approx)
+    return approx

@@ -211,6 +211,39 @@ class TestFit:
         assert err == "error: non-finite or non-positive oracle target\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_pole_between_grid_points_exit_4(self, capsys, tmp_path,
+                                             pole_between_points):
+        out_file = tmp_path / "pole.coeff"
+        code, out, err = run(capsys, "fit", "--degree", "2", "--grid",
+                             "coarse", "--out", str(out_file))
+        assert code == 4
+        assert out.startswith(f"wrote {out_file} ")
+        assert err == ("warning: denominator not positive on verification "
+                       "grid\n")
+        from tempint.rational import load_coeffs
+        assert load_coeffs(out_file) == pole_between_points
+        report = (tmp_path / "pole.coeff.report").read_text()
+        assert "denom_min 0.0\n" in report
+
+    def test_verification_grid_too_fine_exit_2_before_any_lp(
+            self, capsys, tmp_path, monkeypatch):
+        # each axis of the fit grid is within the limit, the x axis of
+        # its 4x-refined verification grid is not
+        from tempint import fitter
+
+        def no_solve(*args):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(fitter.WarmStart, "solve", no_solve)
+        spec = "m=0:0:1,x=4:100:0.0003"
+        code, out, err = run(capsys, "fit", "--degree", "1", "--grid", spec,
+                             "--out", str(tmp_path / "x.coeff"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: fit grid {spec!r} is too fine for "
+                              "its 4x-refined verification grid: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_lp_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         from tempint import fitter
 

@@ -95,8 +95,8 @@ class TestCheckFeasible:
             assert np.all(system.a_ub @ (witness * system.col_scale)
                           <= system.b_ub + fitter.FEASIBILITY_TOL), degree
             approx = fitter._coeffs_to_approximant(witness, degree)
-            dev, _ = fitter._deviation_on(approx, coarse_fit_grid)
-            assert dev.max() == pytest.approx(u_start, rel=1e-9), degree
+            assert fitter._deviation_on(approx, coarse_fit_grid) == (
+                pytest.approx(u_start, rel=1e-9)), degree
 
     @pytest.mark.parametrize("b_10", [-2.0, 2.0])
     def test_initial_level_falls_back(self, coarse_fit_grid, monkeypatch,
@@ -210,9 +210,7 @@ class TestExchange:
             # a starting subset larger than the grid: plain bisection
             patch.setattr(fitter, "SUBSET_PER_COEFF", coarse_fit_grid.size)
             plain = bisect_fit(problem)
-        # below u_start / 4, so that a restart skips two levels
         false_below = 1.25 * plain.u_plus
-        assert false_below < fitter._initial_level(problem)[0] / 4.0
         real_check = fitter.check_feasible
         full_grid_levels = []
 
@@ -238,18 +236,23 @@ class TestExchange:
         monkeypatch.setattr(fitter, "check_feasible", lying_check)
         monkeypatch.setattr(fitter, "_confirm", recording_confirm)
         result = bisect_fit(problem)
-        assert not cold_feasible(build_feasibility(problem, result.u_minus))
-        # the contradiction restarts plain bisection on the whole grid
+        # the confirmation finds a witness at the false u_minus, just
+        # below 1.25 u*, once
+        [confirmed] = confirm_levels
+        assert confirmed == pytest.approx(0.0068542, rel=1e-5)
+        assert confirmed < false_below
+        # the contradiction restarts plain bisection on the whole grid,
+        # on [0, confirmed]: every whole-grid LP comes after the restart,
+        # the first at half the confirmed level
         assert result.active_points == coarse_fit_grid.size
-        assert (result.u_minus, result.u_plus) == (plain.u_minus,
-                                                   plain.u_plus)
-        assert result.iterations > plain.iterations
-        # levels above the confirming witness's need no LP: every full-grid
-        # LP comes after the restart, below the confirmation level
-        assert len(confirm_levels) == 1
+        assert full_grid_levels[0] == confirmed / 2.0
+        assert max(full_grid_levels[1:]) < confirmed
         assert min(full_grid_levels) < false_below
-        assert max(full_grid_levels) < confirm_levels[0]
-        assert len(full_grid_levels) < plain.lp_solves
+        # one LP per level, and the confirmation's one
+        assert result.lp_solves == result.iterations + 1 == 47
+        # both ends hold on the whole grid
+        assert not cold_feasible(build_feasibility(problem, result.u_minus))
+        assert cold_feasible(build_feasibility(problem, result.u_plus))
 
     def test_one_confirmation_per_fit(self, coarse_fit_grid, monkeypatch):
         # S (204 of 425 points at the end) is not the whole grid, so the
@@ -544,14 +547,28 @@ class TestVerifyFit:
                 assert rep.eps_max_abs == result.achieved_dev, (grid, degree)
 
     def test_fine_factor_4_structure(self, coarse_fit_grid):
-        # the < 20% inflation contract holds on the default fit grid and
-        # is asserted with the acceptance fits; the coarse smoke grid only
-        # gets structural checks
+        # denom_min is the least Q over the flattened 4x-refined grid
         result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
         assert result.denom_min > 0.0 and not result.pole_warning
         fine = coarse_fit_grid.grid.refined(4)
-        assert report(result.approximant, fine).eps_max_abs == (
-            result.achieved_dev_fine)
+        m = np.repeat(fine.m_values, len(fine.x_values))
+        x = np.tile(fine.x_values, len(fine.m_values))
+        assert result.denom_min == result.approximant.denom.eval(m, x).min()
+
+    def test_denominator_zero_between_grid_points(self, coarse_fit_grid,
+                                                  pole_between_points):
+        result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
+        assert result.approximant is pole_between_points
+        assert result.denom_min == 0.0 and result.pole_warning
+
+    def test_no_oracle_call(self, coarse_fit_grid, monkeypatch):
+        # the targets of the fit grid are all the oracle values a fit needs
+        def no_oracle(*args):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(fitter, "oracle_h_row", no_oracle)
+        result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
+        assert not result.pole_warning
 
     def test_bundled_g3_verification(self):
         # published degree-3 approximant on the evaluation grid
