@@ -29,10 +29,10 @@ bisection runs on a subset S of the grid and exchanges points into it
 ``SUBSET_PER_COEFF * n_coeffs`` evenly strided points, and each exchange
 adds at most ``EXCHANGE_PER_COEFF * n_coeffs`` of the worst violators
 outside S.  Every witness is checked on the whole grid with numpy, so
-``u_plus`` always rests on the whole grid.  ``u_minus`` is confirmed on
-the whole grid too, once, after the last pass on S, by row generation
-from S: LPs at that level on S and the points its solutions violate,
-until none does (see ``bisect_fit``).
+``u_plus`` always rests on the whole grid.  ``u_minus`` rests on the
+whole grid too: adding rows never lowers an LP's optimum slack, so an
+infeasible S is an infeasible grid.  One more LP at ``u_minus`` on S
+confirms it against HiGHS's wrong verdicts (see ``bisect_fit``).
 
 Consecutive LPs differ only in the (1 +- u) * h coefficients and in the
 points of S, so every LP of a fit goes through one HiGHS instance with
@@ -81,6 +81,16 @@ class FitError(Exception):
     """LP solver failure distinct from a clean infeasibility verdict."""
 
 
+def verification_grid(grid: EvalGrid) -> EvalGrid:
+    """The 4x-refined grid on which a fit of ``grid`` checks its Q.
+    Raises ValueError if ``grid`` is too fine to refine."""
+    try:
+        return grid.refined(4)
+    except ValueError as exc:
+        raise ValueError(f"fit grid {grid.spec!r} is too fine for its "
+                         f"4x-refined verification grid: {exc}") from None
+
+
 @dataclass
 class FitGrid:
     """Evaluation grid plus precomputed oracle targets, flattened m-major."""
@@ -92,6 +102,7 @@ class FitGrid:
 
     @classmethod
     def from_eval_grid(cls, grid: EvalGrid) -> "FitGrid":
+        verification_grid(grid)   # reject a grid too fine before the oracle
         mv = np.repeat(np.array(grid.m_values), len(grid.x_values))
         xv = np.tile(np.array(grid.x_values), len(grid.m_values))
         hv = oracle_h_row(grid.m_values, grid.x_values).ravel()
@@ -188,7 +199,7 @@ class WarmStart:
     ``basis`` is the ``HighsBasis`` that HiGHS returned for the last LP,
     whose rows belong to the grid points ``points``.  The next LP on the
     same points starts from that object as it is.  Only when the points
-    change (an exchange, or a round of the confirmation) is it turned
+    change (an exchange, or a restart on the whole grid) is it turned
     into row statuses per grid point, three rows each in
     ``build_feasibility`` order, kept in ``row_status``.  The basis of an
     LP on more points then has the rows of its new points basic (their
@@ -274,11 +285,7 @@ def check_feasible(system: FeasibilitySystem, warm: WarmStart):
     The phase-1 LP (``WarmStart.solve``) is always solvable; the system
     is feasible iff its optimum slack t is within ``FEASIBILITY_TOL``.
     """
-    return _witness(system, *warm.solve(system))
-
-
-def _witness(system: FeasibilitySystem, slack: float, x: np.ndarray):
-    """``check_feasible``'s verdict on a solved phase-1 LP of ``system``."""
+    slack, x = warm.solve(system)
     if slack > FEASIBILITY_TOL:
         return None
     return x[:system.n_coeffs] / system.col_scale
@@ -292,7 +299,7 @@ class FitResult:
     u_minus: float
     u_plus: float
     iterations: int            # bisection levels of all passes, one LP each
-    lp_solves: int             # LPs of the levels and of the confirmation
+    lp_solves: int             # LPs of the levels and of the confirmations
     active_points: int         # final size of the subset S
     achieved_dev: float        # recomputed against the oracle on the fit grid
     denom_min: float           # minimum denominator on the 4x-refined grid
@@ -341,57 +348,21 @@ def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
     at u.  Otherwise it holds at its deviation over the whole grid, if
     its denominator keeps the floor there, and at no level if not.
     """
-    bad, p, q = _violators(problem, vec * np.tile(problem.basis[1], 2), u,
-                           in_s, FEASIBILITY_TOL)
+    phi_s, scale = problem.basis
+    h = problem.grid.h
+    coeffs = vec * np.tile(scale, 2)
+    p, q = phi_s @ coeffs[:len(scale)], phi_s @ coeffs[len(scale):]
+    # the largest row excess A @ c - b at level u, per grid point
+    excess = np.maximum.reduce([p - (h + u * h) * q, (h - u * h) * q - p,
+                                DENOM_FLOOR - q])
+    excess[in_s] = -np.inf
+    bad = np.flatnonzero(excess > FEASIBILITY_TOL)
     if not bad.size:
         return bad, u
     level = math.inf
     if np.all(q > 0.0) and DENOM_FLOOR - q.min() <= FEASIBILITY_TOL:
-        h = problem.grid.h
         level = float(np.max(np.abs(p - h * q) / (h * q)))
-    return bad, level
-
-
-def _violators(problem: FitProblem, coeffs: np.ndarray, u: float,
-               members: np.ndarray, above: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid points outside ``members`` whose largest row excess A @ c - b
-    at level u exceeds ``above``, worst first, for the scaled LP
-    coefficients c; and P and Q at every grid point."""
-    phi_s, _ = problem.basis
-    h = problem.grid.h
-    half = phi_s.shape[1]
-    p, q = phi_s @ coeffs[:half], phi_s @ coeffs[half:2 * half]
-    excess = np.maximum.reduce([p - (h + u * h) * q, (h - u * h) * q - p,
-                                DENOM_FLOOR - q])
-    excess[members] = -np.inf
-    bad = np.flatnonzero(excess > above)
-    return bad[np.argsort(-excess[bad], kind="stable")], p, q
-
-
-def _confirm(problem: FitProblem, u: float, in_s: np.ndarray,
-             warm: WarmStart) -> tuple[np.ndarray | None, int]:
-    """``check_feasible`` on the whole grid at level u, by row generation
-    from the points of S; and the number of LPs it solved.
-
-    When no row outside an LP's points exceeds its optimum slack t by
-    more than ``FEASIBILITY_TOL``, its solution (c, t) is the full-grid
-    LP's optimum too (by LP duality, the rows left out get zero duals).
-    Until then the ``EXCHANGE_PER_COEFF * n_coeffs`` worst points join.
-    An infeasible first round is not enough: it is the subset verdict
-    being confirmed.
-    """
-    in_lp = in_s.copy()
-    n_add = EXCHANGE_PER_COEFF * 2 * len(problem.basis[1])
-    solves = 0
-    while True:
-        system = build_feasibility(problem, u, np.flatnonzero(in_lp))
-        slack, x = warm.solve(system)
-        solves += 1
-        bad = _violators(problem, x, u, in_lp, slack + FEASIBILITY_TOL)[0]
-        if not bad.size:
-            return _witness(system, slack, x), solves
-        in_lp[bad[:n_add]] = True
+    return bad[np.argsort(-excess[bad], kind="stable")], level
 
 
 def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
@@ -441,31 +412,24 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     grows by at most ``EXCHANGE_PER_COEFF * n_coeffs`` points per
     exchange.
 
-    A subset verdict "infeasible" is not proof for the whole grid (HiGHS
-    returns wrong ones at degree 4), so after the last pass on S, if S is
-    not the whole grid, ``u_minus`` is confirmed on the whole grid once.
-    Feasibility is monotone in u and ``u_minus`` only rises, so if any
-    subset verdict was wrong, the whole grid is feasible at the final
-    ``u_minus`` too.  The confirmation (``_confirm``) adds the points
-    that violate its solution to the LP on S until none does, which
-    gives the full-grid LP's optimum without passing its rows.  If the
-    full grid is feasible there, that witness becomes ``u_plus``, S
-    becomes the whole grid and the bisection restarts on [0, u_plus].
-    Every level of every pass solves one LP.
-
-    All LPs share one ``WarmStart``; a restart goes on from the basis
-    that the confirmation left.
+    An infeasible S is an infeasible grid, since adding rows never
+    lowers an LP's optimum slack; but HiGHS returns wrong verdicts at
+    degree 4.  So when a pass closes with nothing to exchange and S is
+    not the whole grid, the LP at ``u_minus`` on S is solved once more,
+    from the basis the pass left, and counted in ``lp_solves``.
+    "Infeasible" ends the fit.  A witness is checked on the whole grid
+    like every other: if it fails outside S, its worst violators join S
+    and the fit goes on; if it holds there, the verdict that set
+    ``u_minus`` was wrong, so S becomes the whole grid and the bisection
+    restarts on [0, u_minus], as plain bisection.  All LPs share one
+    ``WarmStart``.
 
     A posteriori verification recomputes the deviation against the
-    oracle on the fit grid, and finds the least Q on a 4x-refined grid,
-    built before the first LP, on which it evaluates Q alone.
+    oracle on the fit grid, and finds the least Q on the 4x-refined
+    ``verification_grid``, on which it evaluates Q alone.
     """
     g = problem.grid
-    try:
-        fine = g.grid.refined(4)
-    except ValueError as exc:
-        raise ValueError(f"fit grid {g.grid.spec!r} is too fine for its "
-                         f"4x-refined verification grid: {exc}") from None
+    fine = verification_grid(g.grid)
     u_start, witness = _initial_level(problem)
     n_coeffs = 2 * len(problem.basis[1])
     in_s = np.zeros(g.size, dtype=bool)
@@ -500,20 +464,25 @@ def bisect_fit(problem: FitProblem) -> FitResult:
             worst, level = _check_on_grid(problem, vec, u, in_s)
             if level < u_plus:
                 u_plus, witness = level, vec
-        if worst.size:
-            in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
-            u_hi = u_plus
-            continue
-        if in_s.all() or u_minus == 0.0:
-            break
-        vec, solves = _confirm(problem, u_minus, in_s, warm)
-        lp_solves += solves
-        if vec is None:
-            break
-        # a subset verdict was wrong: plain bisection below the witness
-        in_s[:] = True
-        u_minus, u_plus, u_hi = 0.0, u_minus, u_minus
-        witness = vec
+        if not worst.size:
+            if in_s.all() or u_minus == 0.0:
+                break
+            # confirm u_minus: one more LP on S
+            vec = check_feasible(build_feasibility(problem, u_minus, points),
+                                 warm)
+            lp_solves += 1
+            if vec is None:
+                break
+            worst, level = _check_on_grid(problem, vec, u_minus, in_s)
+            if level < u_plus:
+                u_plus, witness = level, vec
+            if not worst.size:
+                # the verdict that set u_minus was wrong: plain bisection
+                # below the witness
+                in_s[:] = True
+                u_minus = 0.0
+        in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
+        u_hi = u_plus
     approx = _coeffs_to_approximant(witness, problem.degree)
     # Q alone, as an m column against the x row
     denom_min = float(approx.denom.eval(np.array(fine.m_values)[:, None],

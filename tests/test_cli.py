@@ -228,13 +228,15 @@ class TestFit:
     def test_verification_grid_too_fine_exit_2_before_any_lp(
             self, capsys, tmp_path, monkeypatch):
         # each axis of the fit grid is within the limit, the x axis of
-        # its 4x-refined verification grid is not
+        # its 4x-refined verification grid is not; that is found before
+        # any oracle work or LP
         from tempint import fitter
 
-        def no_solve(*args):
-            raise AssertionError("an LP was solved")
+        def no_call(*args):
+            raise AssertionError("the oracle ran or an LP was solved")
 
-        monkeypatch.setattr(fitter.WarmStart, "solve", no_solve)
+        monkeypatch.setattr(fitter, "oracle_h_row", no_call)
+        monkeypatch.setattr(fitter.WarmStart, "solve", no_call)
         spec = "m=0:0:1,x=4:100:0.0003"
         code, out, err = run(capsys, "fit", "--degree", "1", "--grid", spec,
                              "--out", str(tmp_path / "x.coeff"))

@@ -43,6 +43,9 @@ def test_coarse_fits_match_the_cli_goldens(script, tmp_path, capsys):
     ["--grid", "m=-4:4:0.001,x=4:100:0.01"],
     # a grid outside the oracle's working domain
     ["--grid", "m=-6:0:1,x=4:100:4"],
+    # a grid too fine for its 4x-refined verification grid: one error
+    # for all degrees
+    ["--degrees", "1,2", "--grid", "m=0:0:1,x=4:100:0.0003"],
 ])
 def test_bad_input_exits_2_before_writing(script, tmp_path, capsys, argv):
     out = tmp_path / "fits"

@@ -212,33 +212,27 @@ class TestExchange:
             plain = bisect_fit(problem)
         false_below = 1.25 * plain.u_plus
         real_check = fitter.check_feasible
-        full_grid_levels = []
+        levels, full_grid_levels = [], []
 
         def lying_check(system, warm):
-            # subset systems call every level below 1.25 u* infeasible,
-            # though the full grid is feasible down to u*
+            # the first LP on a subset at each level below 1.25 u* says
+            # infeasible, though the full grid is feasible down to u*; a
+            # repeat of the level, the confirmation, tells the truth
             subset = system.a_ub.shape[0] < 3 * coarse_fit_grid.size
-            if subset and system.u < false_below:
+            first = system.u not in levels
+            levels.append(system.u)
+            if subset and first and system.u < false_below:
                 return None
             if not subset:
                 full_grid_levels.append(system.u)
             return real_check(system, warm)
 
-        # the confirmation calls WarmStart.solve, not check_feasible, so
-        # it tells the truth, as the full-grid LP it replaces did
-        real_confirm = fitter._confirm
-        confirm_levels = []
-
-        def recording_confirm(problem, u, in_s, warm):
-            confirm_levels.append(u)
-            return real_confirm(problem, u, in_s, warm)
-
         monkeypatch.setattr(fitter, "check_feasible", lying_check)
-        monkeypatch.setattr(fitter, "_confirm", recording_confirm)
         result = bisect_fit(problem)
         # the confirmation finds a witness at the false u_minus, just
         # below 1.25 u*, once
-        [confirmed] = confirm_levels
+        [confirmed] = {u for u in levels if levels.count(u) > 1}
+        assert levels.count(confirmed) == 2
         assert confirmed == pytest.approx(0.0068542, rel=1e-5)
         assert confirmed < false_below
         # the contradiction restarts plain bisection on the whole grid,
@@ -254,35 +248,87 @@ class TestExchange:
         assert not cold_feasible(build_feasibility(problem, result.u_minus))
         assert cold_feasible(build_feasibility(problem, result.u_plus))
 
+    def test_confirmation_witness_failing_outside_s_exchanges(
+            self, coarse_fit_grid, monkeypatch, cold_feasible):
+        # a confirmation whose witness fails outside S grows S like any
+        # pass witness, and the next confirmation runs on the larger S
+        problem = FitProblem(degree=2, grid=coarse_fit_grid,
+                             bisection_tol_rel=0.3)
+        u_star = bisect_fit(problem).u_plus
+        real_check, real_check_on_grid = (fitter.check_feasible,
+                                          fitter._check_on_grid)
+        solves, checks = [], []
+
+        def lying_check(system, warm):
+            # the first subset LP at each level in (u*, 1.5 u*) says
+            # infeasible; a repeat of the level tells the truth
+            subset = len(system.points) < coarse_fit_grid.size
+            first = system.u not in [u for u, _ in solves]
+            solves.append((system.u, len(system.points)))
+            if subset and first and u_star < system.u < 1.5 * u_star:
+                return None
+            return real_check(system, warm)
+
+        def recording_check_on_grid(problem, vec, u, in_s):
+            worst, level = real_check_on_grid(problem, vec, u, in_s)
+            checks.append((u, worst.size))
+            return worst, level
+
+        monkeypatch.setattr(fitter, "check_feasible", lying_check)
+        monkeypatch.setattr(fitter, "_check_on_grid", recording_check_on_grid)
+        result = bisect_fit(problem)
+        levels = [u for u, _ in solves]
+        [confirmed] = {u for u in levels if levels.count(u) > 1}
+        assert confirmed == pytest.approx(5.1678e-5, rel=1e-4)
+        # the lie, then two confirmations: on 206 points, whose witness
+        # fails outside S, and on 207
+        assert [n for u, n in solves if u == confirmed] == [203, 206, 207]
+        confirm_checks = [bad for u, bad in checks if u == confirmed]
+        assert len(confirm_checks) == 2 and confirm_checks[0] > 0
+        assert confirm_checks[1] == 0
+        # the second witness holds on the whole grid: the restart
+        assert result.active_points == coarse_fit_grid.size
+        assert result.lp_solves == result.iterations + 2 == 15
+        assert not cold_feasible(build_feasibility(problem, result.u_minus))
+        assert cold_feasible(build_feasibility(problem, result.u_plus))
+
     def test_one_confirmation_per_fit(self, coarse_fit_grid, monkeypatch):
         # S (204 of 425 points at the end) is not the whole grid, so the
-        # fit confirms its lower end once, after the last pass on S
-        real_confirm = fitter._confirm
+        # fit confirms its lower end once, after the last pass on S, with
+        # one more LP on S
+        real_check = fitter.check_feasible
         calls = []
 
-        def recording_confirm(problem, u, in_s, warm):
-            vec, solves = real_confirm(problem, u, in_s, warm)
-            calls.append((u, vec, solves))
-            return vec, solves
+        def recording_check(system, warm):
+            vec = real_check(system, warm)
+            calls.append((system.u, len(system.points), vec))
+            return vec
 
-        monkeypatch.setattr(fitter, "_confirm", recording_confirm)
+        monkeypatch.setattr(fitter, "check_feasible", recording_check)
         result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
         assert result.active_points < coarse_fit_grid.size
-        [(u, vec, solves)] = calls
+        u, n_points, vec = calls[-1]
         assert u == result.u_minus and vec is None
-        assert result.lp_solves == result.iterations + solves == 51
+        assert n_points == result.active_points
+        assert [c[0] for c in calls].count(u) == 2
+        assert result.lp_solves == len(calls) == result.iterations + 1 == 51
 
     def test_whole_grid_subset_needs_no_confirmation(self, coarse_fit_grid,
                                                      monkeypatch):
         # degree 4 has 30 coefficients: the starting S of 480 points is
         # the whole coarse grid, whose LPs need no confirmation
-        def no_confirm(*args):
-            raise AssertionError("confirmation on the whole grid")
+        real_check = fitter.check_feasible
+        levels = []
 
-        monkeypatch.setattr(fitter, "_confirm", no_confirm)
+        def recording_check(system, warm):
+            levels.append(system.u)
+            return real_check(system, warm)
+
+        monkeypatch.setattr(fitter, "check_feasible", recording_check)
         result = bisect_fit(FitProblem(degree=4, grid=coarse_fit_grid))
         assert result.active_points == coarse_fit_grid.size
-        assert result.lp_solves == result.iterations
+        assert len(set(levels)) == len(levels)
+        assert result.lp_solves == len(levels) == result.iterations
 
     def test_small_grid_is_plain_bisection(self, solve_rows):
         # 65 points are fewer than the 16 x 6 starting subset of degree 1,
@@ -304,46 +350,6 @@ class TestExchange:
         result = bisect_fit(FitProblem(degree=2, grid=grid))
         assert len(solve_rows) == result.lp_solves > result.iterations
         assert max(solve_rows) < 3 * grid.size
-
-    def test_confirm_by_row_generation(self, coarse_fit_grid, solve_rows,
-                                       cold_feasible):
-        problem = FitProblem(degree=2, grid=coarse_fit_grid)
-        size = coarse_fit_grid.size
-        u_star = bisect_fit(problem).u_plus
-        in_s = np.zeros(size, dtype=bool)
-        in_s[::8] = True
-        for u in (0.9 * u_star, 1.1 * u_star):
-            solve_rows.clear()
-            warm = fitter.WarmStart(size)
-            vec, solves = fitter._confirm(problem, u, in_s, warm)
-            full = build_feasibility(problem, u)
-            assert (vec is not None) == (u > u_star) == cold_feasible(full)
-            assert solves == len(solve_rows) > 1
-            assert solve_rows[0] == 3 * in_s.sum()
-            assert max(solve_rows) < 3 * size
-            if vec is not None:
-                # the witness holds on every grid row
-                rows = (full.a_ub * full.col_scale) @ vec
-                assert np.all(rows <= full.b_ub + fitter.FEASIBILITY_TOL)
-            else:
-                # the last LP's solution holds every row left out of it
-                # within its slack, so it is the full-grid LP's optimum
-                slack = warm.highs.getInfo().objective_function_value
-                x = np.array(warm.highs.getSolution().col_value)
-                assert not fitter._violators(
-                    problem, x, u, warm.points,
-                    slack + fitter.FEASIBILITY_TOL)[0].size
-                # though not all within FEASIBILITY_TOL: at an infeasible
-                # level the rows left out need only meet the slack
-                assert fitter._violators(problem, x, u, warm.points,
-                                         fitter.FEASIBILITY_TOL)[0].size
-        # with S the whole grid, the confirmation is one full-grid LP
-        solve_rows.clear()
-        vec, solves = fitter._confirm(problem, 0.9 * u_star,
-                                      np.ones(size, dtype=bool),
-                                      fitter.WarmStart(size))
-        assert vec is None
-        assert solves == 1 and solve_rows == [3 * size]
 
 
 @pytest.fixture
@@ -417,7 +423,7 @@ class TestWarmStart:
                                                verdicts):
         # LPs on S plus new points start from the basis on S, with the
         # rows of the new points basic: an exchange, then the whole grid,
-        # as in a confirmation's last round
+        # as in a restart
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         size = coarse_fit_grid.size
         subset = np.arange(0, size, 4)

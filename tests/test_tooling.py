@@ -50,3 +50,19 @@ def test_tracer_counts_each_walk_temperature_once():
         tracer.uninstall()
     assert tracer.calls["harness.vyazovkin_segment"] == len(temps) - 1
     assert tracer.calls["oracle.g_cf"] == len(temps)
+
+
+def test_tracer_counts_every_lp_of_a_fit():
+    # every LP of a fit, the confirmation's included, goes through the
+    # name the tracer counts LPs by
+    from tempint.fitter import FitGrid, FitProblem, bisect_fit
+    from tempint.harness import EvalGrid
+    grid = FitGrid.from_eval_grid(EvalGrid.from_spec("coarse"))
+    problem = FitProblem(degree=2, grid=grid)
+    tracer = _load_layers().Tracer()
+    tracer.install()
+    try:
+        result = bisect_fit(problem)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["fitter.check_feasible"] == result.lp_solves == 51
