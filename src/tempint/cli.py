@@ -97,16 +97,10 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _resolve_eval_model(args):
-    if args.coeffs:
-        return load_coeffs(args.coeffs)
-    models.model_info(args.model)
-    return args.model
-
-
 def cmd_eval(args) -> int:
     grid = EvalGrid.from_spec(args.grid)
-    model = _resolve_eval_model(args)
+    # report looks the model tag up first: an unknown one raises KeyError
+    model = load_coeffs(args.coeffs) if args.coeffs else args.model
     rep = harness.report(model, grid)
     if args.format == "csv":
         text = harness.render_per_point_csv(rep)

@@ -52,12 +52,12 @@ import numpy as np
 # bound for perfbench/layers.py, which wraps fitter.linprog
 from scipy.optimize import linprog
 # the HiGHS binding that scipy's linprog loads for method="highs"
-from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus,
-                                           HighsModelStatus, HighsStatus,
-                                           MatrixFormat, ObjSense, _Highs)
+from scipy.optimize._highspy._core import (HighsBasisStatus, HighsModelStatus,
+                                           HighsStatus, MatrixFormat, ObjSense,
+                                           _Highs)
 from scipy.sparse import csc_array
 
-from tempint.harness import EvalGrid, oracle_h_row
+from tempint.harness import MAX_GRID_POINTS, EvalGrid, oracle_h_row
 from tempint.rational import (MAX_DEGREE, BivariatePoly, RationalApproximant,
                               index_pairs)
 
@@ -93,22 +93,24 @@ def verification_grid(grid: EvalGrid) -> EvalGrid:
 
 @dataclass
 class FitGrid:
-    """Evaluation grid plus precomputed oracle targets, flattened m-major."""
+    """Evaluation grid plus precomputed oracle targets, flattened m-major,
+    and the ``verification_grid`` on which a fit checks its Q."""
 
     grid: EvalGrid
     m: np.ndarray
     x: np.ndarray
     h: np.ndarray
+    fine: EvalGrid
 
     @classmethod
     def from_eval_grid(cls, grid: EvalGrid) -> "FitGrid":
-        verification_grid(grid)   # reject a grid too fine before the oracle
+        fine = verification_grid(grid)   # raises before the oracle runs
         mv = np.repeat(np.array(grid.m_values), len(grid.x_values))
         xv = np.tile(np.array(grid.x_values), len(grid.m_values))
         hv = oracle_h_row(grid.m_values, grid.x_values).ravel()
         if not np.all(np.isfinite(hv)) or np.any(hv <= 0.0):
             raise FitError("non-finite or non-positive oracle target")
-        return cls(grid=grid, m=mv, x=xv, h=hv)
+        return cls(grid=grid, m=mv, x=xv, h=hv, fine=fine)
 
     @property
     def size(self) -> int:
@@ -197,35 +199,22 @@ class WarmStart:
     and the optimal basis of its last warm solve (see ``solve``).
 
     ``basis`` is the ``HighsBasis`` that HiGHS returned for the last LP,
-    whose rows belong to the grid points ``points``.  The next LP on the
-    same points starts from that object as it is.  Only when the points
-    change (an exchange, or a restart on the whole grid) is it turned
-    into row statuses per grid point, three rows each in
-    ``build_feasibility`` order, kept in ``row_status``.  The basis of an
-    LP on more points then has the rows of its new points basic (their
-    slacks enter the basis), so it stays valid.  Points that no stored
-    solve covered are basic too.  An LP that no solve ends optimal leaves
-    the stored basis as it was.
+    whose rows belong to the sorted grid points ``points``.  The next LP
+    on the same points starts from it as it is.  S only grows, so an LP
+    on other points (an exchange, or a restart on the whole grid) has a
+    superset of them.  Its basis is the stored one with rows for the new
+    points, written into ``basis.row_status`` in place: the stored
+    points keep their statuses, three rows each in ``build_feasibility``
+    order, and the rows of the new points are basic (their slacks enter
+    the basis), so it stays valid.  An LP that no solve ends optimal
+    leaves that basis stored.
     """
 
-    def __init__(self, grid_size: int):
+    def __init__(self):
         self.highs = _Highs()
         self.highs.setOptionValue("output_flag", False)
         self.highs.setOptionValue("presolve", "off")
         self.basis, self.points = None, None
-        self.row_status = np.full((3, grid_size), HighsBasisStatus.kBasic,
-                                  dtype=object)
-
-    def _rebase(self, points: np.ndarray) -> None:
-        """Store the statuses of ``basis`` per point and build the basis of
-        an LP on ``points`` from them."""
-        self.row_status[:, self.points] = np.array(
-            self.basis.row_status, dtype=object).reshape(3, -1)
-        basis = HighsBasis()
-        basis.valid = True
-        basis.col_status = self.basis.col_status
-        basis.row_status = self.row_status[:, points].ravel().tolist()
-        self.basis, self.points = basis, points
 
     def solve(self, system: FeasibilitySystem) -> tuple[float, np.ndarray]:
         """The optimum slack t >= 0 and solution (c, t) of the phase-1 LP
@@ -251,7 +240,13 @@ class WarmStart:
             np.zeros(n_cols, dtype=np.int32)), "passModel")
         if self.basis is not None and not np.array_equal(system.points,
                                                          self.points):
-            self._rebase(system.points)
+            kept = np.isin(system.points, self.points)
+            status = np.full((3, len(kept)), HighsBasisStatus.kBasic,
+                             dtype=object)
+            status[:, kept] = np.array(self.basis.row_status,
+                                       dtype=object).reshape(3, -1)
+            self.basis.row_status = status.ravel().tolist()
+            self.points = system.points
         for options in (TIGHT_OPTIONS, DEFAULT_OPTIONS):
             # tight tolerances can break down near degeneracy (degree 4 at
             # u ~ 1e-9); the same start at the defaults mends those LPs
@@ -340,7 +335,7 @@ def _deviation_on(approx: RationalApproximant, g: FitGrid) -> float:
 
 
 def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
-                   in_s: np.ndarray) -> tuple[np.ndarray, float]:
+                   s: np.ndarray) -> tuple[np.ndarray, float]:
     """Violators of a witness outside S, worst first, and its verified level.
 
     A violator is a grid point outside S where one of the witness's rows
@@ -355,7 +350,7 @@ def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
     # the largest row excess A @ c - b at level u, per grid point
     excess = np.maximum.reduce([p - (h + u * h) * q, (h - u * h) * q - p,
                                 DENOM_FLOOR - q])
-    excess[in_s] = -np.inf
+    excess[s] = -np.inf
     bad = np.flatnonzero(excess > FEASIBILITY_TOL)
     if not bad.size:
         return bad, u
@@ -406,11 +401,11 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     if that is lower.  When the bisection on S closes on a witness that
     fails outside S, the worst violators join S and the bisection goes
     on between ``u_minus`` and ``u_plus``.  The fit ends when that
-    bracket closes.  S starts as an evenly strided
-    ``SUBSET_PER_COEFF * n_coeffs`` points of the flattened grid (all of
-    it on small grids, where the LPs are exactly plain bisection's) and
-    grows by at most ``EXCHANGE_PER_COEFF * n_coeffs`` points per
-    exchange.
+    bracket closes.  S is a sorted array of flat grid indices.  It starts
+    as an evenly strided ``SUBSET_PER_COEFF * n_coeffs`` points of the
+    flattened grid (all of it on small grids, where the LPs are exactly
+    plain bisection's) and grows by at most ``EXCHANGE_PER_COEFF *
+    n_coeffs`` points per exchange; it never shrinks.
 
     An infeasible S is an infeasible grid, since adding rows never
     lowers an LP's optimum slack; but HiGHS returns wrong verdicts at
@@ -426,18 +421,17 @@ def bisect_fit(problem: FitProblem) -> FitResult:
 
     A posteriori verification recomputes the deviation against the
     oracle on the fit grid, and finds the least Q on the 4x-refined
-    ``verification_grid``, on which it evaluates Q alone.
+    ``FitGrid.fine``, on which it evaluates Q alone, in blocks of m rows
+    of at most ``MAX_GRID_POINTS`` points each.
     """
     g = problem.grid
-    fine = verification_grid(g.grid)
     u_start, witness = _initial_level(problem)
     n_coeffs = 2 * len(problem.basis[1])
-    in_s = np.zeros(g.size, dtype=bool)
     n_start = min(SUBSET_PER_COEFF * n_coeffs, g.size)
-    in_s[np.arange(n_start) * g.size // n_start] = True
+    s = np.arange(n_start) * g.size // n_start   # S, sorted grid indices
     u_minus, u_plus, u_hi = 0.0, u_start, u_start
     iterations, lp_solves = 0, 0
-    warm = WarmStart(g.size)
+    warm = WarmStart()
 
     # Every pass starts with a gap u_hi - u_minus <= u_start <= 1, since
     # _initial_level returns u_start <= 1 and a restart's gap is a u_minus
@@ -450,45 +444,45 @@ def bisect_fit(problem: FitProblem) -> FitResult:
 
     while True:
         # one bisection pass on S, between u_minus and u_hi
-        points = np.flatnonzero(in_s)
         worst = np.empty(0, dtype=int)
         while not closed(u_hi):
             u = 0.5 * (u_minus + u_hi)
             iterations += 1
-            vec = check_feasible(build_feasibility(problem, u, points), warm)
+            vec = check_feasible(build_feasibility(problem, u, s), warm)
             lp_solves += 1
             if vec is None:
                 u_minus = u
                 continue
             u_hi = u
-            worst, level = _check_on_grid(problem, vec, u, in_s)
+            worst, level = _check_on_grid(problem, vec, u, s)
             if level < u_plus:
                 u_plus, witness = level, vec
         if not worst.size:
-            if in_s.all() or u_minus == 0.0:
+            if len(s) == g.size or u_minus == 0.0:
                 break
             # confirm u_minus: one more LP on S
-            vec = check_feasible(build_feasibility(problem, u_minus, points),
-                                 warm)
+            vec = check_feasible(build_feasibility(problem, u_minus, s), warm)
             lp_solves += 1
             if vec is None:
                 break
-            worst, level = _check_on_grid(problem, vec, u_minus, in_s)
+            worst, level = _check_on_grid(problem, vec, u_minus, s)
             if level < u_plus:
                 u_plus, witness = level, vec
             if not worst.size:
                 # the verdict that set u_minus was wrong: plain bisection
                 # below the witness
-                in_s[:] = True
+                s = np.arange(g.size)
                 u_minus = 0.0
-        in_s[worst[:EXCHANGE_PER_COEFF * n_coeffs]] = True
+        s = np.union1d(s, worst[:EXCHANGE_PER_COEFF * n_coeffs])
         u_hi = u_plus
     approx = _coeffs_to_approximant(witness, problem.degree)
-    # Q alone, as an m column against the x row
-    denom_min = float(approx.denom.eval(np.array(fine.m_values)[:, None],
-                                        np.array(fine.x_values)).min())
+    # Q alone, as blocks of an m column against the x row
+    m, x = np.array(g.fine.m_values)[:, None], np.array(g.fine.x_values)
+    rows = MAX_GRID_POINTS // len(x)
+    denom_min = float(np.min([approx.denom.eval(m[i:i + rows], x).min()
+                              for i in range(0, len(m), rows)]))
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
         iterations=iterations, lp_solves=lp_solves,
-        active_points=int(in_s.sum()), achieved_dev=_deviation_on(approx, g),
+        active_points=len(s), achieved_dev=_deviation_on(approx, g),
         denom_min=denom_min, pole_warning=denom_min <= 0.0, grid=g.grid)

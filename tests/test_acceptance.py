@@ -135,7 +135,7 @@ def test_criterion_6_bisection_properties(cold_feasible):
     # feasibility monotone in u on sampled pairs
     monotone = True
     verdicts = {u: check_feasible(build_feasibility(problem, u),
-                                  WarmStart(grid.size)) is not None
+                                  WarmStart()) is not None
                 for u in (1e-4, 5e-4, 2e-3, 8e-3, 5e-2, 1.0)}
     us = sorted(verdicts)
     for lo, hi in zip(us, us[1:]):

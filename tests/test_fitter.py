@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,8 @@ from tempint.fitter import (
     check_feasible,
 )
 from tempint.harness import EvalGrid, report
-from tempint.rational import paper_approximant
+from tempint.rational import (BivariatePoly, RationalApproximant,
+                              paper_approximant)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +68,7 @@ class TestCheckFeasible:
     def test_u_1_relative_feasible(self, coarse_fit_grid):
         problem = FitProblem(degree=1, grid=coarse_fit_grid)
         vec = check_feasible(build_feasibility(problem, 1.0),
-                             fitter.WarmStart(coarse_fit_grid.size))
+                             fitter.WarmStart())
         assert vec is not None and len(vec) == 6
 
     def test_u_0_two_targets_infeasible(self):
@@ -73,12 +76,12 @@ class TestCheckFeasible:
         grid = FitGrid.from_eval_grid(EvalGrid.from_spec("arrhenius"))
         problem = FitProblem(degree=1, grid=grid)
         assert check_feasible(build_feasibility(problem, 0.0),
-                              fitter.WarmStart(grid.size)) is None
+                              fitter.WarmStart()) is None
 
     def test_witness_satisfies_rows(self, coarse_fit_grid):
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         system = build_feasibility(problem, 0.01)
-        vec = check_feasible(system, fitter.WarmStart(coarse_fit_grid.size))
+        vec = check_feasible(system, fitter.WarmStart())
         rows = (system.a_ub * system.col_scale) @ vec
         assert np.all(rows <= system.b_ub + 1e-7)
 
@@ -127,7 +130,7 @@ class TestCheckFeasible:
         for u in (1e-4, 1e-3, 1e-2, 1e-1):
             feasible_at[u] = check_feasible(
                 build_feasibility(problem, u),
-                fitter.WarmStart(coarse_fit_grid.size)) is not None
+                fitter.WarmStart()) is not None
         # once feasible, stays feasible at every larger u
         us = sorted(feasible_at)
         seen_feasible = False
@@ -191,6 +194,37 @@ class TestBisectFit:
             FitProblem(grid=coarse_fit_grid, **{"degree": 1, **settings})
 
 
+@pytest.fixture
+def lying_subset_fit(coarse_fit_grid, monkeypatch):
+    """Degree 1 on ``coarse`` with a check whose first LP on a subset at
+    each level below 1.25 u* says infeasible, though the full grid is
+    feasible down to u*; a repeat of the level, the confirmation, tells
+    the truth.  ``levels`` and ``points`` are the level and the points
+    of every LP, in call order."""
+    problem = FitProblem(degree=1, grid=coarse_fit_grid)
+    with monkeypatch.context() as patch:
+        # a starting subset larger than the grid: plain bisection
+        patch.setattr(fitter, "SUBSET_PER_COEFF", coarse_fit_grid.size)
+        plain = bisect_fit(problem)
+    false_below = 1.25 * plain.u_plus
+    real_check = fitter.check_feasible
+    levels, points = [], []
+
+    def lying_check(system, warm):
+        subset = len(system.points) < coarse_fit_grid.size
+        first = system.u not in levels
+        levels.append(system.u)
+        points.append(system.points)
+        if subset and first and system.u < false_below:
+            return None
+        return real_check(system, warm)
+
+    monkeypatch.setattr(fitter, "check_feasible", lying_check)
+    return SimpleNamespace(problem=problem, result=bisect_fit(problem),
+                           false_below=false_below, levels=levels,
+                           points=points)
+
+
 class TestExchange:
     def test_paper_eval_degree2_certified(self, cold_feasible):
         grid = FitGrid.from_eval_grid(EvalGrid.from_spec("paper-eval"))
@@ -204,49 +238,40 @@ class TestExchange:
         assert result.achieved_dev <= 1.1 * 3.7095e-5
 
     def test_wrong_subset_verdicts_fall_back(self, coarse_fit_grid,
-                                             monkeypatch, cold_feasible):
-        problem = FitProblem(degree=1, grid=coarse_fit_grid)
-        with monkeypatch.context() as patch:
-            # a starting subset larger than the grid: plain bisection
-            patch.setattr(fitter, "SUBSET_PER_COEFF", coarse_fit_grid.size)
-            plain = bisect_fit(problem)
-        false_below = 1.25 * plain.u_plus
-        real_check = fitter.check_feasible
-        levels, full_grid_levels = [], []
-
-        def lying_check(system, warm):
-            # the first LP on a subset at each level below 1.25 u* says
-            # infeasible, though the full grid is feasible down to u*; a
-            # repeat of the level, the confirmation, tells the truth
-            subset = system.a_ub.shape[0] < 3 * coarse_fit_grid.size
-            first = system.u not in levels
-            levels.append(system.u)
-            if subset and first and system.u < false_below:
-                return None
-            if not subset:
-                full_grid_levels.append(system.u)
-            return real_check(system, warm)
-
-        monkeypatch.setattr(fitter, "check_feasible", lying_check)
-        result = bisect_fit(problem)
+                                             lying_subset_fit, cold_feasible):
+        fit = lying_subset_fit
+        problem, result, levels = fit.problem, fit.result, fit.levels
+        full_grid_levels = [u for u, points in zip(levels, fit.points)
+                            if len(points) == coarse_fit_grid.size]
         # the confirmation finds a witness at the false u_minus, just
         # below 1.25 u*, once
         [confirmed] = {u for u in levels if levels.count(u) > 1}
         assert levels.count(confirmed) == 2
         assert confirmed == pytest.approx(0.0068542, rel=1e-5)
-        assert confirmed < false_below
+        assert confirmed < fit.false_below
         # the contradiction restarts plain bisection on the whole grid,
         # on [0, confirmed]: every whole-grid LP comes after the restart,
         # the first at half the confirmed level
         assert result.active_points == coarse_fit_grid.size
         assert full_grid_levels[0] == confirmed / 2.0
         assert max(full_grid_levels[1:]) < confirmed
-        assert min(full_grid_levels) < false_below
+        assert min(full_grid_levels) < fit.false_below
         # one LP per level, and the confirmation's one
         assert result.lp_solves == result.iterations + 1 == 47
         # both ends hold on the whole grid
         assert not cold_feasible(build_feasibility(problem, result.u_minus))
         assert cold_feasible(build_feasibility(problem, result.u_plus))
+
+    def test_subset_only_grows(self, lying_subset_fit):
+        # WarmStart keeps one basis because S only grows: the points of
+        # every LP are sorted and hold those of the LP before, through
+        # exchanges and the restart on the whole grid
+        points = lying_subset_fit.points
+        assert len({len(p) for p in points}) > 2
+        assert np.all(np.diff(points[0]) > 0)
+        for before, after in zip(points, points[1:]):
+            assert np.all(np.diff(after) > 0)
+            assert np.isin(before, after).all()
 
     def test_confirmation_witness_failing_outside_s_exchanges(
             self, coarse_fit_grid, monkeypatch, cold_feasible):
@@ -269,8 +294,8 @@ class TestExchange:
                 return None
             return real_check(system, warm)
 
-        def recording_check_on_grid(problem, vec, u, in_s):
-            worst, level = real_check_on_grid(problem, vec, u, in_s)
+        def recording_check_on_grid(problem, vec, u, s):
+            worst, level = real_check_on_grid(problem, vec, u, s)
             checks.append((u, worst.size))
             return worst, level
 
@@ -367,7 +392,7 @@ def failing_runs(coarse_fit_grid):
     run (with its tolerance) goes into ``calls``."""
     system = build_feasibility(
         FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
-    warm = fitter.WarmStart(coarse_fit_grid.size)
+    warm = fitter.WarmStart()
     check_feasible(system, warm)
     calls, fail = [], []
     key = "primal_feasibility_tolerance"
@@ -408,7 +433,7 @@ class TestWarmStart:
     def test_same_verdicts_along_a_bisection(self, coarse_fit_grid,
                                              verdicts):
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
-        warm = fitter.WarmStart(coarse_fit_grid.size)
+        warm = fitter.WarmStart()
         lo, hi, seen = 0.0, 1.0, set()
         for _ in range(40):
             u = 0.5 * (lo + hi)
@@ -429,20 +454,42 @@ class TestWarmStart:
         subset = np.arange(0, size, 4)
         grown = np.union1d(subset, np.arange(1, size, 8))
         u_star = bisect_fit(problem).u_plus
+        starts = []   # the row statuses of every basis handed to setBasis
+
+        class RecordingBases:
+            def __init__(self, highs):
+                self.highs = highs
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def setBasis(self, start):
+                starts.append(list(start.row_status))
+                return self.highs.setBasis(start)
+
         for u in (0.9 * u_star, 1.1 * u_star):
-            warm = fitter.WarmStart(size)
+            warm = fitter.WarmStart()
+            warm.highs = RecordingBases(warm.highs)
             check_feasible(build_feasibility(problem, u, subset), warm)
             assert np.array_equal(warm.points, subset)
-            assert len(warm.basis.row_status) == 3 * len(subset)
-            warm_feasible, feasible = verdicts(
-                build_feasibility(problem, u, grown), warm)
-            assert warm_feasible == feasible, u
-            # the statuses on S are now kept per point, the others basic
-            assert np.all(np.delete(warm.row_status, subset, axis=1)
-                          == fitter.HighsBasisStatus.kBasic)
-            assert verdicts(build_feasibility(problem, u),
-                            warm) == (u > u_star, u > u_star)
-            assert np.array_equal(warm.points, np.arange(size))
+            for points in (grown, np.arange(size)):
+                stored = np.array(warm.basis.row_status, dtype=object)
+                assert len(stored) == 3 * len(warm.points)
+                at = np.searchsorted(points, warm.points)
+                starts.clear()
+                warm_feasible, feasible = verdicts(
+                    build_feasibility(problem, u, points), warm)
+                assert warm_feasible == feasible, u
+                # the rows of the points solved before keep the statuses
+                # of that LP's optimal basis; the rows of new points are
+                # basic
+                start = np.array(starts[0], dtype=object).reshape(3, -1)
+                assert start.shape == (3, len(points))
+                assert np.array_equal(start[:, at], stored.reshape(3, -1))
+                assert np.all(np.delete(start, at, axis=1)
+                              == fitter.HighsBasisStatus.kBasic)
+                assert np.array_equal(warm.points, points)
+            assert feasible == (u > u_star)
 
     @pytest.mark.parametrize("u", [1e-6, 0.01])
     def test_resolve_starts_optimal(self, coarse_fit_grid, verdicts, u):
@@ -450,7 +497,7 @@ class TestWarmStart:
         # no simplex iteration and no cold solve
         system = build_feasibility(
             FitProblem(degree=2, grid=coarse_fit_grid), u)
-        warm = fitter.WarmStart(coarse_fit_grid.size)
+        warm = fitter.WarmStart()
         feasible = check_feasible(system, warm) is not None
         assert warm.highs.getInfo().simplex_iteration_count > 0
         assert verdicts(system, warm) == (feasible, feasible)
@@ -461,7 +508,7 @@ class TestWarmStart:
         # primal tolerance: a default-tolerance rung returned -6.8e-10
         system = build_feasibility(
             FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
-        warm = fitter.WarmStart(coarse_fit_grid.size)
+        warm = fitter.WarmStart()
 
         class NegativeObjective:
             def __init__(self, highs):
@@ -484,7 +531,7 @@ class TestWarmStart:
         # a model or basis HiGHS rejects raises
         system = build_feasibility(
             FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
-        warm = fitter.WarmStart(coarse_fit_grid.size)
+        warm = fitter.WarmStart()
         check_feasible(system, warm)
 
         class Rejecting:
@@ -560,6 +607,30 @@ class TestVerifyFit:
         m = np.repeat(fine.m_values, len(fine.x_values))
         x = np.tile(fine.x_values, len(fine.m_values))
         assert result.denom_min == result.approximant.denom.eval(m, x).min()
+
+    def test_verification_grid_in_bounded_memory(self, coarse_fit_grid,
+                                                 monkeypatch):
+        # each axis of this grid is within the limit, but its 961,961
+        # points refine to 15,367,841: Q is evaluated on them in blocks
+        # of at most MAX_GRID_POINTS points (369 MB in one broadcast)
+        fine = fitter.verification_grid(
+            EvalGrid.from_spec("m=-4:4:0.008,x=4:100:0.1"))
+        assert fine.size == 15_367_841
+        problem = FitProblem(
+            degree=1, grid=dataclasses.replace(coarse_fit_grid, fine=fine))
+        # Q = 10 - m, least on the last m row, which is in the last block
+        approx = RationalApproximant(BivariatePoly(1, [1, 0, 0]),
+                                     BivariatePoly(1, [10, 0, -1]))
+        monkeypatch.setattr(fitter, "_coeffs_to_approximant",
+                            lambda vec, degree: approx)
+        tracemalloc.start()
+        try:
+            result = bisect_fit(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert fine.m_values[-1] == 4.0 and result.denom_min == 6.0
 
     def test_denominator_zero_between_grid_points(self, coarse_fit_grid,
                                                   pole_between_points):
