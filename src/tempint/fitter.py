@@ -32,7 +32,8 @@ outside S.  Every witness is checked on the whole grid with numpy, so
 ``u_plus`` always rests on the whole grid.  ``u_minus`` rests on the
 whole grid too: adding rows never lowers an LP's optimum slack, so an
 infeasible S is an infeasible grid.  One more LP at ``u_minus`` on S
-confirms it against HiGHS's wrong verdicts (see ``bisect_fit``).
+confirms it against HiGHS's wrong verdicts (see ``bisect_fit``).  The
+fit's deviation is ``harness.report``'s, as ``tempint eval`` prints it.
 
 Consecutive LPs differ only in the (1 +- u) * h coefficients and in the
 points of S, so every LP of a fit goes through one HiGHS instance with
@@ -57,7 +58,7 @@ from scipy.optimize._highspy._core import (HighsBasisStatus, HighsModelStatus,
                                            _Highs)
 from scipy.sparse import csc_array
 
-from tempint.harness import MAX_GRID_POINTS, EvalGrid, oracle_h_row
+from tempint.harness import MAX_GRID_POINTS, EvalGrid, oracle_h_row, report
 from tempint.rational import (MAX_DEGREE, BivariatePoly, RationalApproximant,
                               index_pairs)
 
@@ -296,7 +297,7 @@ class FitResult:
     iterations: int            # bisection levels of all passes, one LP each
     lp_solves: int             # LPs of the levels and of the confirmations
     active_points: int         # final size of the subset S
-    achieved_dev: float        # recomputed against the oracle on the fit grid
+    achieved_dev: float        # harness.report's max |eps| on the fit grid
     denom_min: float           # minimum denominator on the 4x-refined grid
     pole_warning: bool
     grid: EvalGrid             # the fit grid
@@ -326,12 +327,6 @@ def _coeffs_to_approximant(vec: np.ndarray, degree: int) -> RationalApproximant:
     return RationalApproximant(
         BivariatePoly(degree, [v / pivot for v in a]),
         BivariatePoly(degree, [v / pivot for v in b]))
-
-
-def _deviation_on(approx: RationalApproximant, g: FitGrid) -> float:
-    """max |eps| of P/Q against the targets of the grid."""
-    p, q = approx.numer.eval(g.m, g.x), approx.denom.eval(g.m, g.x)
-    return float(np.abs(p / q / g.h - 1.0).max())
 
 
 def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
@@ -419,10 +414,12 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     restarts on [0, u_minus], as plain bisection.  All LPs share one
     ``WarmStart``.
 
-    A posteriori verification recomputes the deviation against the
-    oracle on the fit grid, and finds the least Q on the 4x-refined
-    ``FitGrid.fine``, on which it evaluates Q alone, in blocks of m rows
-    of at most ``MAX_GRID_POINTS`` points each.
+    A posteriori verification takes ``achieved_dev`` from
+    ``harness.report`` on the fit grid, and finds the least Q on the
+    4x-refined ``FitGrid.fine``, on which it evaluates Q alone, in blocks
+    of m rows of at most ``MAX_GRID_POINTS`` points each.  ``report``'s
+    pole check cannot fire: every witness has Q >= ``DENOM_FLOOR`` at
+    every grid point, within the LP tolerances.
     """
     g = problem.grid
     u_start, witness = _initial_level(problem)
@@ -484,5 +481,5 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
         iterations=iterations, lp_solves=lp_solves,
-        active_points=len(s), achieved_dev=_deviation_on(approx, g),
+        active_points=len(s), achieved_dev=report(approx, g.grid).eps_max_abs,
         denom_min=denom_min, pole_warning=denom_min <= 0.0, grid=g.grid)

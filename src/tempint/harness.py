@@ -308,9 +308,7 @@ def _g_end(model, x: float) -> float:
     if model == "oracle":
         g = g_cf(EvalPoint(0.0, x))
     else:
-        # models.eval_model's arithmetic, without a point: the caller's x
-        # check covers what EvalPoint checks
-        g = g_from_h(0.0, x, models.model_h(model, 0.0, x))
+        g = models.eval_model(model, 0.0, x)
     # one assignment, so another thread never reads a mixed entry
     _last_end = (model, x, g)
     return g

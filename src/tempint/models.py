@@ -13,8 +13,8 @@ point, along one m row, or over a whole grid at once (m a column of
 shape (M, 1) broadcast against an x row).  The model is a registry tag
 or a fitted ``RationalApproximant``; the tags G1-G4 resolve to the
 bundled approximants, so they and a loaded coefficient file share one
-P/Q path with pole detection.  ``eval_model`` turns h into g through
-``oracle.g_from_h``.
+P/Q path with pole detection.  ``eval_model(model, m, x)`` turns h into
+g at one point through ``oracle.g_from_h``.
 
 J, O and SY approximate only the Arrhenius integral g(0, x).  The X
 model publishes numerator coefficients only for six tabulated m values
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from tempint.oracle import M_MAX, M_MIN, EvalPoint, g_from_h
+from tempint.oracle import M_MAX, M_MIN, g_from_h
 from tempint.rational import paper_approximant, rational_eval_h_array
 
 _SQRT2 = math.sqrt(2.0)
@@ -291,9 +291,10 @@ def model_h(model, m, x):
     return info.h(m, x)
 
 
-def eval_model(model, point: EvalPoint) -> float:
-    """The model's approximation to g(m, x)."""
-    return g_from_h(point.m, point.x, model_h(model, point.m, point.x))
+def eval_model(model, m: float, x: float) -> float:
+    """The model's approximation to g(m, x) at one point; the segment
+    helper ``harness.vyazovkin_segment`` evaluates its ends by it."""
+    return g_from_h(m, x, model_h(model, m, x))
 
 
 def list_models(m_filter: float | None = None) -> list[ModelInfo]:

@@ -13,7 +13,8 @@ are the G1-G4 reports of that evaluation; Table 10's paper-narrow column
 and Table 7's G1-G4 cells (the m = 0 line) are row subsets of its
 reports (``harness.restrict``), bit-identical to evaluating those grids
 afresh.  Only J, O and SY, defined at m = 0 alone, and X on its
-tabulated lines are evaluated on grids of their own.
+tabulated lines are evaluated on grids of their own.  ``reproduce_all``
+is the one entry: a table's cells are those with its ``Cell.table``.
 """
 
 from __future__ import annotations
@@ -101,73 +102,49 @@ def _sse_tol(model: str) -> float:
     return TOL_SSE_BUNDLED if model in _BUNDLED else TOL_SSE_LITERATURE
 
 
-def _full_reports(tags):
-    """tag -> paper-eval report, made when a table is reproduced and
-    never kept: a kept report would miss a change to the bundled
-    approximants."""
-    return {tag: report(tag, PAPER_EVAL) for tag in tags}
-
-
-def reproduce_table5(full=None):
-    """Table 5's cells from ``full``, tag -> paper-eval report."""
-    full = full or _full_reports(f"G{n}" for n in TABLE5)
-    cells = []
+def _table5(full):
     for n, (eps_max, sse) in TABLE5.items():
         r = full[f"G{n}"]
-        cells.append(Cell("table5", f"n={n}", "eps_max", eps_max,
-                          r.eps_max_abs, TOL_EPS_MAX))
-        cells.append(Cell("table5", f"n={n}", "sse", sse, r.sse,
-                          TOL_SSE_BUNDLED))
-    return cells
+        yield Cell("table5", f"n={n}", "eps_max", eps_max, r.eps_max_abs,
+                   TOL_EPS_MAX)
+        yield Cell("table5", f"n={n}", "sse", sse, r.sse, TOL_SSE_BUNDLED)
 
 
-def reproduce_table7(full=None):
-    """Table 7's cells and its ordering flag; G1-G4 from ``full``."""
-    full = full or _full_reports(_BUNDLED)
-    cells = []
-    eps_by_model = {}
+def _table7(full):
     for model, (sse, eps_max) in TABLE7.items():
         r = (restrict(full[model], ARRHENIUS) if model in _BUNDLED
              else report(model, ARRHENIUS))
-        eps_by_model[model] = r.eps_max_abs
-        tol = (TOL_ARRHENIUS_BASELINE if model in ("J", "O", "SY")
-               else TOL_EPS_MAX)
-        tol_sse = (TOL_ARRHENIUS_BASELINE if model in ("J", "O", "SY")
-                   else _sse_tol(model))
-        cells.append(Cell("table7", model, "sse", sse, r.sse, tol_sse))
-        cells.append(Cell("table7", model, "eps_max", eps_max,
-                          r.eps_max_abs, tol))
-    ordered = all(
-        eps_by_model[a] < eps_by_model[b]
-        for a, b in zip(TABLE7_ORDERING, TABLE7_ORDERING[1:]))
-    return cells, ordered
+        baseline = model in ("J", "O", "SY")
+        yield Cell("table7", model, "sse", sse, r.sse,
+                   TOL_ARRHENIUS_BASELINE if baseline else _sse_tol(model))
+        yield Cell("table7", model, "eps_max", eps_max, r.eps_max_abs,
+                   TOL_ARRHENIUS_BASELINE if baseline else TOL_EPS_MAX)
 
 
-def reproduce_table10(full=None):
-    """Table 10's cells from ``full``, tag -> paper-eval report."""
-    full = full or _full_reports(TABLE10)
+def _table10(full):
     narrow = {model: restrict(full[model], PAPER_NARROW) for model in TABLE10}
-    cells = []
     for grid, col, reports in ((PAPER_NARROW, 0, narrow),
                                (PAPER_EVAL, 1, full)):
         for model, pairs in TABLE10.items():
             sse, eps_max = pairs[col]
             r = reports[model]
-            cells.append(Cell("table10", model, f"sse[{grid.spec}]",
-                              sse, r.sse, _sse_tol(model)))
-            cells.append(Cell("table10", model, f"eps_max[{grid.spec}]",
-                              eps_max, r.eps_max_abs, TOL_EPS_MAX))
-    r = report("X", PAPER_NARROW)
-    cells.append(Cell("table10", "X", "eps_max[tabulated m]",
-                      TABLE10_X_EPS_MAX, r.eps_max_abs, TOL_EPS_MAX))
-    return cells
+            yield Cell("table10", model, f"sse[{grid.spec}]",
+                       sse, r.sse, _sse_tol(model))
+            yield Cell("table10", model, f"eps_max[{grid.spec}]",
+                       eps_max, r.eps_max_abs, TOL_EPS_MAX)
+    yield Cell("table10", "X", "eps_max[tabulated m]", TABLE10_X_EPS_MAX,
+               report("X", PAPER_NARROW).eps_max_abs, TOL_EPS_MAX)
 
 
 def reproduce_all():
-    """All cells plus the Arrhenius ordering flag, from one paper-eval
-    report per Table 10 model."""
-    full = _full_reports(TABLE10)
-    t5 = reproduce_table5(full)
-    t7, ordered = reproduce_table7(full)
-    t10 = reproduce_table10(full)
-    return t5 + t7 + t10, ordered
+    """All cells of Tables 5, 7 and 10, in that order, plus the flag of
+    Table 7's ordering, from one paper-eval report per Table 10 model.
+    The reports are made anew on every call and never kept: a kept
+    report would miss a change to the bundled approximants."""
+    full = {tag: report(tag, PAPER_EVAL) for tag in TABLE10}
+    cells = [*_table5(full), *_table7(full), *_table10(full)]
+    eps = {c.row: c.actual for c in cells
+           if c.table == "table7" and c.column == "eps_max"}
+    ordered = all(eps[a] < eps[b]
+                  for a, b in zip(TABLE7_ORDERING, TABLE7_ORDERING[1:]))
+    return cells, ordered

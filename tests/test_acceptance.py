@@ -6,6 +6,7 @@ default grid and take a few minutes.
 """
 
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -24,15 +25,10 @@ from tempint.fitter import (
 )
 from tempint.harness import EvalGrid, report, vyazovkin_segment
 from tempint.oracle import EvalPoint, g_cf, g_quad, h
-from tempint.tables import (
-    TABLE5,
-    TABLE7,
-    TABLE10,
-    TABLE10_X_EPS_MAX,
-    reproduce_table5,
-    reproduce_table7,
-    reproduce_table10,
-)
+from tempint.rational import save_coeffs
+from tempint.tables import TABLE5, TABLE10_X_EPS_MAX, reproduce_all
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _announce(num, ok, detail=""):
@@ -62,8 +58,14 @@ def test_criterion_1_oracle_cross_validation(paper_eval_grid):
                      f"closed-form worst {worst_closed:.2e}")
 
 
+def _table(name):
+    """The cells of one table, and the Table 7 ordering flag."""
+    cells, ordered = reproduce_all()
+    return [c for c in cells if c.table == name], ordered
+
+
 def test_criterion_2_table5_regression():
-    cells = reproduce_table5()
+    cells, _ = _table("table5")
     bad = [c for c in cells if not c.ok]
     detail = "; ".join(c.line() for c in bad) or \
         f"all {len(cells)} cells within tolerance"
@@ -71,7 +73,7 @@ def test_criterion_2_table5_regression():
 
 
 def test_criterion_3_table7_regression():
-    cells, ordered = reproduce_table7()
+    cells, ordered = _table("table7")
     baseline = [c for c in cells if c.row in ("J", "O", "SY")]
     bad = [c for c in baseline if not c.ok]
     detail = "; ".join(c.line() for c in bad)
@@ -82,7 +84,7 @@ def test_criterion_3_table7_regression():
 
 
 def test_criterion_4_table10_regression():
-    cells = reproduce_table10()
+    cells, _ = _table("table10")
     literature = [c for c in cells if c.row not in ("G1", "G2", "G3", "G4")]
     bad = [c for c in literature if not c.ok]
     detail = "; ".join(c.line() for c in bad) or \
@@ -119,9 +121,16 @@ EXPLORATORY_DEV_BOUND = {3: 2.32e-7, 4: 2.37e-9}
 
 
 @pytest.mark.parametrize("degree", [3, 4])
-def test_criterion_5_exploratory_degrees(degree):
+def test_criterion_5_exploratory_degrees(degree, tmp_path):
     grid = FitGrid.from_eval_grid(EvalGrid.from_spec("paper-eval"))
     result = bisect_fit(FitProblem(degree=degree, grid=grid))
+    # the files ``tempint fit --grid paper-eval`` writes for this fit
+    golden = GOLDEN / f"fit-n{degree}-paper-eval"
+    save_coeffs(result.approximant, tmp_path / "c.coeff")
+    assert ((tmp_path / "c.coeff").read_bytes()
+            == golden.with_suffix(".coeff").read_bytes())
+    assert result.report_text() == golden.with_suffix(".report").read_text(
+        encoding="utf-8")
     target = TABLE5[degree][0]
     bound = EXPLORATORY_DEV_BOUND[degree]
     _announce(5, result.achieved_dev <= bound,

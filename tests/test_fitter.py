@@ -98,7 +98,7 @@ class TestCheckFeasible:
             assert np.all(system.a_ub @ (witness * system.col_scale)
                           <= system.b_ub + fitter.FEASIBILITY_TOL), degree
             approx = fitter._coeffs_to_approximant(witness, degree)
-            assert fitter._deviation_on(approx, coarse_fit_grid) == (
+            assert report(approx, coarse_fit_grid.grid).eps_max_abs == (
                 pytest.approx(u_start, rel=1e-9)), degree
 
     @pytest.mark.parametrize("b_10", [-2.0, 2.0])

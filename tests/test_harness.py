@@ -363,7 +363,7 @@ def _g0(model, x):
     """g(0, x) by ``model`` with no memo: the value every end must get."""
     if model == "oracle":
         return g_cf(EvalPoint(0.0, x))
-    return models.eval_model(model, EvalPoint(0.0, x))
+    return models.eval_model(model, 0.0, x)
 
 
 def _segment_direct(e, lo, hi, model="oracle"):
@@ -510,16 +510,16 @@ class TestVyazovkin:
             vyazovkin_segment(float("nan"), 500.0, 500.0)
 
     def test_model_mode_equals_eval_model(self, tmp_path):
-        # both ends go straight to model_h and g_from_h; the result must
-        # be eval_model's, bit for bit, for every kind of model
+        # each end, memo hit or not, is eval_model's g(0, x), bit for
+        # bit, for every kind of model
         path = tmp_path / "g4.coeff"
         save_coeffs(paper_approximant(4), path)
         tags = [info.tag for info in models.list_models(0.0)]
         for model in (*tags, "SY88", load_coeffs(path)):
             for e, lo, hi in _ramp_segments(20261020, 60):
                 expected = e * (
-                    models.eval_model(model, EvalPoint(0.0, e / hi))
-                    - models.eval_model(model, EvalPoint(0.0, e / lo)))
+                    models.eval_model(model, 0.0, e / hi)
+                    - models.eval_model(model, 0.0, e / lo))
                 assert vyazovkin_segment(e, lo, hi, model) == expected, (
                     model, e, lo, hi)
 

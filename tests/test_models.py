@@ -12,7 +12,6 @@ from tempint.models import (
     model_h,
     model_info,
 )
-from tempint.oracle import EvalPoint
 
 
 def test_registry_has_21_tags():
@@ -32,19 +31,18 @@ def test_sy_value_at_0_20():
     x = 20.0
     expected = (math.exp(-x) / x**2) * (x**4 + 18 * x**3 + 86 * x**2 + 96 * x) \
         / (x**4 + 20 * x**3 + 120 * x**2 + 240 * x + 120)
-    assert eval_model("SY", EvalPoint(0.0, x)) == pytest.approx(
+    assert eval_model("SY", 0.0, x) == pytest.approx(
         expected, rel=1e-14)
 
 
 def test_sy88_differs_from_sy():
-    p = EvalPoint(0.0, 10.0)
-    assert eval_model("SY88", p) != eval_model("SY", p)
+    assert eval_model("SY88", 0.0, 10.0) != eval_model("SY", 0.0, 10.0)
     assert model_info("SY88").variant
 
 
 def test_g_exact_at_m_minus2():
     # m + 2 = 0 collapses the Gorbachev bracket to 1
-    assert eval_model("G", EvalPoint(-2.0, 7.0)) == pytest.approx(
+    assert eval_model("G", -2.0, 7.0) == pytest.approx(
         math.exp(-7.0), rel=1e-14)
 
 
@@ -105,14 +103,14 @@ def test_w2_ch2_finite_at_x_100():
 def test_univariate_domain_errors():
     for tag in ("J", "O", "SY"):
         with pytest.raises(ModelDomainError):
-            eval_model(tag, EvalPoint(0.5, 10.0))
+            eval_model(tag, 0.5, 10.0)
         assert model_info(tag).admits(0.0)
 
 
 def test_x_model_domain():
-    assert eval_model("X", EvalPoint(0.5, 10.0)) > 0.0
+    assert eval_model("X", 0.5, 10.0) > 0.0
     with pytest.raises(ModelDomainError):
-        eval_model("X", EvalPoint(0.3, 10.0))
+        eval_model("X", 0.3, 10.0)
     assert set(X_MODEL_ROWS) == {-1.0, -0.5, 0.0, 0.5, 1.0, 2.0}
 
 
@@ -132,12 +130,12 @@ def test_unknown_tag():
 
 def test_bundled_aliases_match_coefficient_files():
     from tempint.rational import paper_approximant
-    p = EvalPoint(1.0, 25.0)
+    m, x = 1.0, 25.0
     for n in (1, 2, 3, 4):
         r = paper_approximant(n)
-        ratio = r.numer.eval(p.m, p.x) / r.denom.eval(p.m, p.x)
-        assert eval_model(f"G{n}", p) == pytest.approx(
-            math.exp(-p.x - 3.0 * math.log(p.x)) * ratio, rel=1e-15)
+        ratio = r.numer.eval(m, x) / r.denom.eval(m, x)
+        assert eval_model(f"G{n}", m, x) == pytest.approx(
+            math.exp(-x - 3.0 * math.log(x)) * ratio, rel=1e-15)
 
 
 def test_tag_and_approximant_share_one_path():
@@ -163,4 +161,4 @@ def test_eval_model_pole_error():
         BivariatePoly(1, [1.0, 0.0, 0.0]),
         BivariatePoly(1, [-10.0, 1.0, 0.0]))   # Q = x - 10
     with pytest.raises(PoleError):
-        eval_model(r, EvalPoint(0.0, 10.0))
+        eval_model(r, 0.0, 10.0)

@@ -173,21 +173,21 @@ class TestRationalEval:
     def test_prefactor(self):
         p = BivariatePoly(1, [1.0, 0.5, 0.0])
         r = RationalApproximant(p, p)
-        assert eval_model(r, EvalPoint(-2.0, 5.0)) == pytest.approx(
+        assert eval_model(r, -2.0, 5.0) == pytest.approx(
             math.exp(-5.0), rel=1e-15)
 
     def test_g4_accuracy_at_0_50(self):
         from tempint.oracle import g_cf
         r = paper_approximant(4)
         g_true = g_cf(EvalPoint(0.0, 50.0))
-        assert eval_model(r, EvalPoint(0.0, 50.0)) == pytest.approx(
+        assert eval_model(r, 0.0, 50.0) == pytest.approx(
             g_true, rel=6.18e-7)
 
     def test_g2_accuracy_at_2p5_4(self):
         from tempint.oracle import g_cf
         r = paper_approximant(2)
         g_true = g_cf(EvalPoint(2.5, 4.0))
-        assert eval_model(r, EvalPoint(2.5, 4.0)) == pytest.approx(
+        assert eval_model(r, 2.5, 4.0) == pytest.approx(
             g_true, rel=6.26e-5)
 
 
