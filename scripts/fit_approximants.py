@@ -5,9 +5,8 @@ Runs ``tempint fit --degree <n> --grid <spec> --out <dir>/g<n>.coeff``
 for each degree; it writes ``g<n>.coeff`` and ``g<n>.coeff.report``,
 with that command's messages and exit codes (3: fit failed; 4: pole
 warning, files still written).  Every degree is fitted, and the first
-that fails sets the exit code.  A bad ``--degrees`` or ``--grid``, or
-a grid too fine for its verification grid, exits 2 before the output
-directory exists.
+that fails sets the exit code.  A bad ``--degrees`` or ``--grid`` exits
+2 before the output directory exists.
 """
 
 import argparse
@@ -15,7 +14,6 @@ import pathlib
 import sys
 
 from tempint import cli
-from tempint.fitter import verification_grid
 from tempint.harness import EvalGrid
 from tempint.oracle import DomainError
 from tempint.rational import MAX_DEGREE
@@ -46,7 +44,6 @@ def main(argv=None) -> int:
     try:
         degrees = parse_degrees(args.degrees)
         grid = EvalGrid.from_spec(args.grid)
-        verification_grid(grid)
     except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_DOMAIN

@@ -6,9 +6,9 @@ identical invocations produce byte-identical results.
 
 Exit codes: 0 success; 2 domain/validation error, or a file that cannot
 be read or written; 3 fit failed (its LP solver failed, or an oracle
-target is not positive); 4 fit converged but with a pole warning (the
-coefficient file is still written); 5 a table-reproduction cell is out
-of tolerance.
+target is not positive); 4 fit converged but its denominator is not
+proven positive on the fit grid's rectangle (the coefficient file is
+still written); 5 a table-reproduction cell is out of tolerance.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def cmd_fit(args) -> int:
     print(f"wrote {args.out} (u* in [{result.u_minus:.6E}, "
           f"{result.u_plus:.6E}], achieved_dev {result.achieved_dev:.6E})")
     if result.pole_warning:
-        print("warning: denominator not positive on verification grid",
-              file=sys.stderr)
+        print("warning: denominator not proven positive on the fit grid's "
+              "rectangle", file=sys.stderr)
         return EXIT_POLE_WARNING
     return EXIT_OK
 

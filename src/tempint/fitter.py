@@ -58,9 +58,9 @@ from scipy.optimize._highspy._core import (HighsBasisStatus, HighsModelStatus,
                                            _Highs)
 from scipy.sparse import csc_array
 
-from tempint.harness import MAX_GRID_POINTS, EvalGrid, oracle_h_row, report
+from tempint.harness import EvalGrid, oracle_h_row, report
 from tempint.rational import (MAX_DEGREE, BivariatePoly, RationalApproximant,
-                              index_pairs)
+                              denom_lower_bound, index_pairs)
 
 
 # Exchange sizing, in multiples of the coefficient count n_coeffs
@@ -82,36 +82,23 @@ class FitError(Exception):
     """LP solver failure distinct from a clean infeasibility verdict."""
 
 
-def verification_grid(grid: EvalGrid) -> EvalGrid:
-    """The 4x-refined grid on which a fit of ``grid`` checks its Q.
-    Raises ValueError if ``grid`` is too fine to refine."""
-    try:
-        return grid.refined(4)
-    except ValueError as exc:
-        raise ValueError(f"fit grid {grid.spec!r} is too fine for its "
-                         f"4x-refined verification grid: {exc}") from None
-
-
 @dataclass
 class FitGrid:
-    """Evaluation grid plus precomputed oracle targets, flattened m-major,
-    and the ``verification_grid`` on which a fit checks its Q."""
+    """Evaluation grid plus precomputed oracle targets, flattened m-major."""
 
     grid: EvalGrid
     m: np.ndarray
     x: np.ndarray
     h: np.ndarray
-    fine: EvalGrid
 
     @classmethod
     def from_eval_grid(cls, grid: EvalGrid) -> "FitGrid":
-        fine = verification_grid(grid)   # raises before the oracle runs
         mv = np.repeat(np.array(grid.m_values), len(grid.x_values))
         xv = np.tile(np.array(grid.x_values), len(grid.m_values))
         hv = oracle_h_row(grid.m_values, grid.x_values).ravel()
         if not np.all(np.isfinite(hv)) or np.any(hv <= 0.0):
             raise FitError("non-finite or non-positive oracle target")
-        return cls(grid=grid, m=mv, x=xv, h=hv, fine=fine)
+        return cls(grid=grid, m=mv, x=xv, h=hv)
 
     @property
     def size(self) -> int:
@@ -298,8 +285,8 @@ class FitResult:
     lp_solves: int             # LPs of the levels and of the confirmations
     active_points: int         # final size of the subset S
     achieved_dev: float        # harness.report's max |eps| on the fit grid
-    denom_min: float           # minimum denominator on the 4x-refined grid
-    pole_warning: bool
+    denom_min: float           # denom_lower_bound on the fit grid's rectangle
+    pole_warning: bool         # Q > 0 not proven there
     grid: EvalGrid             # the fit grid
 
     def report_text(self) -> str:
@@ -415,11 +402,10 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     ``WarmStart``.
 
     A posteriori verification takes ``achieved_dev`` from
-    ``harness.report`` on the fit grid, and finds the least Q on the
-    4x-refined ``FitGrid.fine``, on which it evaluates Q alone, in blocks
-    of m rows of at most ``MAX_GRID_POINTS`` points each.  ``report``'s
-    pole check cannot fire: every witness has Q >= ``DENOM_FLOOR`` at
-    every grid point, within the LP tolerances.
+    ``harness.report`` on the fit grid, whose pole check cannot fire:
+    every witness has Q >= ``DENOM_FLOOR`` at every grid point, within
+    the LP tolerances; ``denom_lower_bound`` on the fit grid's rectangle
+    gives ``denom_min`` and, when it does not prove Q > 0, ``pole_warning``.
     """
     g = problem.grid
     u_start, witness = _initial_level(problem)
@@ -473,13 +459,9 @@ def bisect_fit(problem: FitProblem) -> FitResult:
         s = np.union1d(s, worst[:EXCHANGE_PER_COEFF * n_coeffs])
         u_hi = u_plus
     approx = _coeffs_to_approximant(witness, problem.degree)
-    # Q alone, as blocks of an m column against the x row
-    m, x = np.array(g.fine.m_values)[:, None], np.array(g.fine.x_values)
-    rows = MAX_GRID_POINTS // len(x)
-    denom_min = float(np.min([approx.denom.eval(m[i:i + rows], x).min()
-                              for i in range(0, len(m), rows)]))
+    denom_min, proven = denom_lower_bound(approx.denom, g.grid)
     return FitResult(
         approximant=approx, u_minus=u_minus, u_plus=u_plus,
         iterations=iterations, lp_solves=lp_solves,
         active_points=len(s), achieved_dev=report(approx, g.grid).eps_max_abs,
-        denom_min=denom_min, pole_warning=denom_min <= 0.0, grid=g.grid)
+        denom_min=denom_min, pole_warning=not proven, grid=g.grid)

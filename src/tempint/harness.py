@@ -29,8 +29,8 @@ GRID_PRESETS = {
     "arrhenius": "m=0:0:1,x=4:100:1",
     "coarse": "m=-4:4:0.5,x=4:100:4",
 }
-# Points allowed on one axis and on a whole grid spec: 8 times the 4x
-# refined paper-eval grid (123,585 points) that verifies every fit.
+# Points allowed on one axis and on a whole grid spec: 8 MB per float
+# array of one evaluation over the grid
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -102,20 +102,6 @@ class EvalGrid:
     @property
     def size(self) -> int:
         return len(self.m_values) * len(self.x_values)
-
-    def refined(self, factor: int) -> "EvalGrid":
-        """Same ranges with each axis step divided by ``factor``."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-
-        def refine(values):
-            if len(values) == 1 or factor == 1:
-                return tuple(values)
-            step = (values[1] - values[0]) / factor
-            return _axis_values(values[0], values[-1], step)
-
-        return EvalGrid(refine(self.m_values), refine(self.x_values),
-                        f"{self.spec}/refined{factor}")
 
 
 def oracle_h(point: EvalPoint) -> float:

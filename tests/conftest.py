@@ -53,8 +53,8 @@ def solve_rows(monkeypatch):
 @pytest.fixture
 def pole_between_points(monkeypatch):
     """Every fit returns P = 1, Q = (x - 6)**2 at degree 2.  On ``coarse``
-    (x = 4, 8, ..., 100) Q >= 4 at every grid point; x = 6 is a point of
-    the 4x-refined grid only, where Horner gives Q = 0.0 exactly."""
+    (x = 4, 8, ..., 100) Q >= 4 at every grid point, but Q = 0 at x = 6,
+    between two of them."""
     approx = RationalApproximant(BivariatePoly(2, [1, 0, 0, 0, 0, 0]),
                                  BivariatePoly(2, [36, -12, 0, 1, 0, 0]))
     monkeypatch.setattr(fitter, "_coeffs_to_approximant",

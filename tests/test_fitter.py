@@ -1,5 +1,3 @@
-import dataclasses
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,8 +12,7 @@ from tempint.fitter import (
     check_feasible,
 )
 from tempint.harness import EvalGrid, report
-from tempint.rational import (BivariatePoly, RationalApproximant,
-                              paper_approximant)
+from tempint.rational import paper_approximant
 
 
 @pytest.fixture(scope="module")
@@ -588,55 +585,31 @@ class TestWarmStart:
 class TestVerifyFit:
     def test_fine_factor_1_reproduces(self, coarse_fit_grid):
         # the deviation report of the fitted approximant on the fit grid
-        # is achieved_dev exactly, also for a refined grid and for one
+        # is achieved_dev exactly, also for another grid and for one
         # built without a spec
-        refined = EvalGrid.from_spec("m=-1:1:1,x=4:100:24").refined(2)
+        other = EvalGrid.from_spec("m=-1:1:1,x=4:100:12")
         specless = EvalGrid((0.0, 1.0), (4.0, 50.0, 100.0))
-        for grid in (coarse_fit_grid, FitGrid.from_eval_grid(refined),
+        for grid in (coarse_fit_grid, FitGrid.from_eval_grid(other),
                      FitGrid.from_eval_grid(specless)):
             for degree in (1, 2):
                 result = bisect_fit(FitProblem(degree=degree, grid=grid))
                 rep = report(result.approximant, grid.grid)
                 assert rep.eps_max_abs == result.achieved_dev, (grid, degree)
 
-    def test_fine_factor_4_structure(self, coarse_fit_grid):
-        # denom_min is the least Q over the flattened 4x-refined grid
+    def test_denom_min_is_q_at_first_vertex(self, coarse_fit_grid):
+        # Q's least Bernstein coefficient on the rectangle is the one at
+        # (m0, x0) = (-4, 4), so denom_min is Q there, proven least
         result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
         assert result.denom_min > 0.0 and not result.pole_warning
-        fine = coarse_fit_grid.grid.refined(4)
-        m = np.repeat(fine.m_values, len(fine.x_values))
-        x = np.tile(fine.x_values, len(fine.m_values))
-        assert result.denom_min == result.approximant.denom.eval(m, x).min()
-
-    def test_verification_grid_in_bounded_memory(self, coarse_fit_grid,
-                                                 monkeypatch):
-        # each axis of this grid is within the limit, but its 961,961
-        # points refine to 15,367,841: Q is evaluated on them in blocks
-        # of at most MAX_GRID_POINTS points (369 MB in one broadcast)
-        fine = fitter.verification_grid(
-            EvalGrid.from_spec("m=-4:4:0.008,x=4:100:0.1"))
-        assert fine.size == 15_367_841
-        problem = FitProblem(
-            degree=1, grid=dataclasses.replace(coarse_fit_grid, fine=fine))
-        # Q = 10 - m, least on the last m row, which is in the last block
-        approx = RationalApproximant(BivariatePoly(1, [1, 0, 0]),
-                                     BivariatePoly(1, [10, 0, -1]))
-        monkeypatch.setattr(fitter, "_coeffs_to_approximant",
-                            lambda vec, degree: approx)
-        tracemalloc.start()
-        try:
-            result = bisect_fit(problem)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
-        assert fine.m_values[-1] == 4.0 and result.denom_min == 6.0
+        assert result.denom_min == result.approximant.denom.eval(-4.0, 4.0)
 
     def test_denominator_zero_between_grid_points(self, coarse_fit_grid,
                                                   pole_between_points):
+        # the least Bernstein coefficient of Q = (x - 6)**2 on coarse's
+        # rectangle is -188, so Q > 0 is not proven
         result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
         assert result.approximant is pole_between_points
-        assert result.denom_min == 0.0 and result.pole_warning
+        assert result.denom_min == -188.0 and result.pole_warning
 
     def test_no_oracle_call(self, coarse_fit_grid, monkeypatch):
         # the targets of the fit grid are all the oracle values a fit needs

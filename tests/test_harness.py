@@ -87,12 +87,6 @@ class TestGrids:
                      "m=-9:4:0.001,x=4:100:0.001"):
             with pytest.raises(ValueError, match="above the limit"):
                 EvalGrid.from_spec(spec)
-        assert EvalGrid.from_spec("paper-eval").refined(4).size == 123585
-
-    def test_refined(self):
-        g = EvalGrid.from_spec("arrhenius").refined(4)
-        assert len(g.x_values) == 4 * 96 + 1
-        assert g.x_values[0] == 4.0 and g.x_values[-1] == 100.0
 
     def test_step_below_float_resolution_ends(self):
         # k * 1e-20 needs 1e11 steps to pass m's tolerance, and 100 + k *
@@ -102,8 +96,7 @@ class TestGrids:
 
     @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
     def test_presets_and_refinements_in_domain(self, preset):
-        grid = EvalGrid.from_spec(preset)
-        assert grid.refined(4).size > grid.size
+        EvalGrid.from_spec(preset)
 
     @given(m=axis_ranges((-4.0, 4.0, -6.0, 6.0), 12.0),
            x=axis_ranges((4.0, 100.0, -5.0, 110.0), 120.0))

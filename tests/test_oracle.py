@@ -182,8 +182,8 @@ class TestErrors:
         assert len(exc.value.last_iterates) == 2
 
 
-def _grid_axes(spec, refine=1):
-    grid = EvalGrid.from_spec(spec).refined(refine)
+def _grid_axes(spec):
+    grid = EvalGrid.from_spec(spec)
     return np.array(grid.m_values), np.array(grid.x_values)
 
 
@@ -197,9 +197,12 @@ def _scalar_h(ms, xs):
 
 
 class TestHArray:
-    @pytest.mark.parametrize("refine", [1, 4])
-    def test_bit_identical_on_paper_eval(self, refine):
-        ms, xs = _grid_axes("paper-eval", refine)
+    # ids: the density of the grid relative to paper-eval's
+    @pytest.mark.parametrize("spec", ["paper-eval",
+                                      "m=-4:4:0.025,x=4:100:0.25"],
+                             ids=["1", "4"])
+    def test_bit_identical_on_paper_eval(self, spec):
+        ms, xs = _grid_axes(spec)
         assert np.array_equal(h_array(ms[:, None], xs), _scalar_h(ms, xs))
 
     def test_bit_identical_on_random_scatter(self):

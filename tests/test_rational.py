@@ -1,12 +1,14 @@
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempint.harness import EvalGrid
 from tempint.models import eval_model, model_h
 from tempint.oracle import EvalPoint
 from tempint.rational import (
@@ -14,6 +16,7 @@ from tempint.rational import (
     ParseError,
     PoleError,
     RationalApproximant,
+    denom_lower_bound,
     index_pairs,
     load_coeffs,
     paper_approximant,
@@ -200,6 +203,77 @@ class TestDenominatorSignConstancy:
         mm, xx = np.meshgrid(m, x, indexing="ij")
         vals = rational_eval_h_array(r, mm, xx)  # raises PoleError on a pole
         assert np.all(np.isfinite(vals))
+
+
+class TestDenomLowerBound:
+    @pytest.mark.parametrize("coeff", sorted(GOLDEN.glob("fit-n*-*.coeff")),
+                             ids=lambda path: path.stem)
+    def test_preset_fits_proven_at_first_vertex(self, coeff):
+        # every preset fit's least Bernstein coefficient is the one at
+        # (m0, x0), so the bound is Q there: the golden denom_min
+        report = dict(line.split(" ", 1) for line in
+                      coeff.with_suffix(".report").read_text().splitlines())
+        grid = EvalGrid.from_spec(report["grid-spec"])
+        q = load_coeffs(coeff).denom
+        bound, proven = denom_lower_bound(q, grid)
+        assert proven and repr(bound) == report["denom_min"]
+        assert bound == q.eval(grid.m_values[0], grid.x_values[0])
+
+    @pytest.mark.parametrize("n, bound", [(1, 1.197256719103604),
+                                          (2, 2.106360845442932),
+                                          (3, 6.0269707007836715),
+                                          (4, 25.81110156123168)])
+    def test_bundled_on_the_working_domain(self, n, bound):
+        grid = EvalGrid.from_spec("m=-4:4:4,x=4:100:96")
+        assert denom_lower_bound(paper_approximant(n).denom, grid) == (
+            bound, True)
+
+    def test_interior_least_coefficient(self):
+        # Q = (x - 50)**2 + 3000; with x = 4 + 96 * s on coarse its
+        # Bernstein coefficients are 5116, 700 and 5500 for every m: the
+        # least is no vertex's, and is below Q's minimum, Q(50) = 3000
+        q = BivariatePoly(2, [5500, -100, 0, 1, 0, 0])
+        bound, proven = denom_lower_bound(q, EvalGrid.from_spec("coarse"))
+        assert (bound, proven) == (700.0, True)
+        assert bound < q.eval(0.0, 50.0) == 3000.0
+
+    def test_pole_between_grid_points_not_proven(self, pole_between_points):
+        # Q = (x - 6)**2 is at least 4 at every point of coarse but 0 at
+        # x = 6; its coefficients on x in [4, 100] are 4, -188 and 8836
+        grid = EvalGrid.from_spec("coarse")
+        assert min(pole_between_points.denom.eval(m, x)
+                   for m in grid.m_values for x in grid.x_values) == 4.0
+        assert denom_lower_bound(pole_between_points.denom, grid) == (
+            -188.0, False)
+
+    def test_one_m_line(self):
+        # arrhenius (m = 0 only): the rectangle is the segment x in [4, 100]
+        grid = EvalGrid.from_spec("arrhenius")
+        q = BivariatePoly(1, [10, 1, -1])   # 10 + x - m
+        assert denom_lower_bound(q, grid) == (14.0, True)
+        q = BivariatePoly(2, [36, -12, 5, 1, 0, 0])   # (x - 6)**2 + 5m
+        assert denom_lower_bound(q, grid) == (-188.0, False)
+
+    @given(data=st.data(), degree=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_proven_means_positive_at_sampled_points(self, data, degree):
+        # exact Q at random points of the rectangle is positive wherever
+        # the bound proves it; b_00 up to 1e4 makes most Q proven
+        floats = st.floats(-10.0, 10.0)
+        coeffs = [data.draw(st.floats(0.0, 1e4))] + [
+            data.draw(floats) for _ in index_pairs(degree)[1:]]
+        q = BivariatePoly(degree, coeffs)
+        m0, m1 = sorted(data.draw(st.floats(-4.0, 4.0)) for _ in range(2))
+        x0, x1 = sorted(data.draw(st.floats(4.0, 100.0)) for _ in range(2))
+        grid = EvalGrid((m0, m1), (x0, x1))
+        bound, proven = denom_lower_bound(q, grid)
+        for _ in range(20):
+            m = Fraction(data.draw(st.floats(m0, m1)))
+            x = Fraction(data.draw(st.floats(x0, x1)))
+            exact = sum(Fraction(c) * x ** i * m ** j
+                        for (i, j), c in zip(index_pairs(degree), q.coeffs))
+            assert exact > 0 or not proven
+            assert bound <= exact or math.isclose(bound, exact, rel_tol=1e-12)
 
 
 class TestSerialization:
