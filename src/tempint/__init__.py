@@ -4,8 +4,8 @@ g(m, x) = integral from x to infinity of exp(-t) * t**-(m+2) dt, the
 temperature integral of non-isothermal kinetics with a power-law
 frequency factor.  The package provides a high-precision oracle for
 g and its bounded companion h(m, x) = exp(x) * x**(m+2) * g(m, x),
-bivariate rational approximants fitted by bisection over the maximal
-deviation with LP feasibility subproblems, reference implementations
+bivariate rational approximants fitted to the least maximal deviation
+by differential correction, one LP per step, reference implementations
 of published approximation models, and an evaluation harness.
 """
 

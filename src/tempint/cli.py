@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="paper-eval",
                    help="preset name or m=lo:hi:step,x=lo:hi:step")
     p.add_argument("--tol", type=float, default=1e-4,
-                   help="relative bisection stopping tolerance")
+                   help="relative width of the bracket [u_minus, u_plus]")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

@@ -1,51 +1,53 @@
-"""Minimax rational fitting by bisection with LP feasibility subproblems.
+"""Minimax rational fitting by differential correction on a growing subset.
 
 The objective is the paper's accuracy metric: the maximal relative
 deviation u = max |eps|, eps = (P/Q) / h - 1, of P/Q from the target h
-over a finite grid.  Minimizing it is quasiconvex: for fixed u the
-sublevel set of coefficient vectors is a polyhedron, so bisection on u
-needs only a linear feasibility test per level.  Each test is posed as
-a phase-1 LP (minimize the common slack t subject to all rows relaxed
-by t; the system is feasible iff the optimum slack is below
-``FEASIBILITY_TOL``), which is numerically robust and yields a witness
-vector.
+over a finite grid.  For fixed u the coefficient vectors (a_ij, b_ij)
+with |P_k - h_k Q_k| <= u h_k Q_k and Q_k >= DENOM_FLOOR at every grid
+point k form a polyhedron, so the problem is quasiconvex.  The fitter
+solves it by differential correction (Cheney & Loeb 1961; Barrodale,
+Powell & Roberts, SIAM J. Numer. Anal. 9 (1972), who prove convergence
+on finite point sets).  Around a witness c0 with denominator Q0 and
+deviation delta, one LP
 
-Per grid point k with target h_k > 0 the rows are |P_k/Q_k - h_k| <=
-u*h_k multiplied through by Q_k > 0, and the denominator floor:
+    minimize t  subject to  |P_k - h_k Q_k| - u h_k Q_k <= t delta h_k Q0_k,
+                            Q_k >= DENOM_FLOOR,  t >= -1
 
-    P_k - (h_k + u*h_k) * Q_k <= 0
-   -P_k + (h_k - u*h_k) * Q_k <= 0
-    Q_k >= DENOM_FLOOR
+at u = delta is a step: its witness has a lower deviation whenever
+t < 0.  The same LP at a level u below delta is a feasibility test: the
+system is feasible at u iff the optimum t is within ``FEASIBILITY_TOL``.
+The LP is posed in increment form, c = c0 + delta * d, with Q's constant
+coefficient held fixed as the normalization, and each deviation row is
+divided by delta h_k Q0_k (the floor row by delta Q0_k).  So every term
+is O(1), and HiGHS's absolute tolerances act relative to the level.
 
-all linear in the stacked coefficient vector (a_ij, b_ij).  Monomial
-columns are rescaled to unit max absolute value over the whole grid
-before solving and the witness is unscaled afterwards, which keeps the
-LP well conditioned up to degree 4 on the default domain.
+Monomial columns are rescaled to unit max absolute value over the whole
+grid.  A column that the grid cannot tell apart from the ones before it
+in ``index_pairs`` order (on one m line, m^j x^i is a multiple of x^i)
+is held at 0, and Q's constant column stays as the normalization, so
+the grid never makes an LP rank-deficient.
 
 The LP cost grows with the row count, not with the difficulty, and a
-minimax fit has only about n_coeffs + 1 extremal points.  So the
-bisection runs on a subset S of the grid and exchanges points into it
-(a cutting-plane method, as in the Remez exchange): S starts as
-``SUBSET_PER_COEFF * n_coeffs`` evenly strided points, and each exchange
-adds at most ``EXCHANGE_PER_COEFF * n_coeffs`` of the worst violators
-outside S.  Every witness is checked on the whole grid with numpy, so
-``u_plus`` always rests on the whole grid.  ``u_minus`` rests on the
-whole grid too: adding rows never lowers an LP's optimum slack, so an
-infeasible S is an infeasible grid.  One more LP at ``u_minus`` on S
-confirms it against HiGHS's wrong verdicts (see ``bisect_fit``).  The
-fit's deviation is ``harness.report``'s, as ``tempint eval`` prints it.
+minimax fit has only about n_coeffs + 1 extremal points.  So the LPs
+run on a subset S of the grid and exchange points into it (a
+cutting-plane method, as in the Remez exchange): S starts as
+``SUBSET_PER_COEFF * n_coeffs`` evenly strided points, and each witness
+adds at most ``EXCHANGE_PER_COEFF * n_coeffs`` of its worst points
+outside S.  Every witness is measured on the whole grid with numpy, so
+``u_plus`` rests on the whole grid; ``u_minus`` does too, because adding
+rows never lowers an LP's optimum, so an infeasible S is an infeasible
+grid.  The fit's ``achieved_dev`` is ``harness.report``'s, as ``tempint
+eval`` prints it.
 
-Consecutive LPs differ only in the (1 +- u) * h coefficients and in the
-points of S, so every LP of a fit goes through one HiGHS instance with
-presolve off, started from the optimal basis of the last LP solved
-(``WarmStart``), the fitter's only LP solver.  A solve that does not end
-optimal runs again from the same basis at HiGHS's default tolerances;
-if that does not end optimal either, the fit fails with ``FitError``.
+Every LP of a fit goes through one HiGHS instance with presolve off,
+started from the optimal basis of the last LP solved (``WarmStart``),
+the fitter's only LP solver.  A solve that does not end optimal runs
+again from the same basis at HiGHS's default tolerances; if that does
+not end optimal either, the fit fails with ``FitError``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,7 +71,8 @@ EXCHANGE_PER_COEFF = 4    # most violators added to S per exchange
 
 DENOM_FLOOR = 1.0          # Q >= DENOM_FLOOR at every grid point
 BISECTION_TOL_ABS = 1e-12  # the bracket closes within this, or tol_rel * u
-FEASIBILITY_TOL = 1e-9     # phase-1 slack, and row excess, of a feasible u
+FEASIBILITY_TOL = 1e-9     # optimum t of an LP feasible at its level
+STEP_GAIN = 0.01           # steps end when one lowers the deviation less
 # HiGHS primal and dual feasibility tolerances of the first solve of an
 # LP, and HiGHS's defaults, those of the second
 TIGHT_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
@@ -115,7 +118,7 @@ class FitProblem:
         if not 1 <= self.degree <= MAX_DEGREE:
             raise ValueError(
                 f"degree must be in 1..{MAX_DEGREE}, got {self.degree}: above "
-                f"{MAX_DEGREE} the bisection bracket is not sound")
+                f"{MAX_DEGREE} the bracket is not sound")
         if not 0.0 <= self.bisection_tol_rel < 1.0:
             raise ValueError("bisection_tol_rel must be finite and in [0, 1), "
                              f"got {self.bisection_tol_rel}")
@@ -129,20 +132,54 @@ class FitProblem:
         scale[scale == 0.0] = 1.0   # degenerate grids can zero whole columns
         return phi / scale, scale
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The LP columns, as indices of the stacked (a_ij, b_ij) vector:
+        in P and in Q, each monomial that is not a combination of the
+        ones before it on the grid.  The rest are held at 0.  The
+        constant comes first, so Q's constant, the normalization, is
+        always a column."""
+        phi = self.basis[0]
+        # phi = QR keeps the rank of every column subset; duplicated
+        # columns leave rounding noise near 1e-16, genuine ones 1e-6 and up
+        r = np.linalg.qr(phi, mode="r")
+        tol = 1e-10 * np.linalg.norm(r, 2)
+        kept = [0]
+        for j in range(1, r.shape[1]):
+            if np.linalg.matrix_rank(r[:, kept + [j]], tol) > len(kept):
+                kept.append(j)
+        return np.array(kept + [phi.shape[1] + j for j in kept])
+
 
 @dataclass
 class FeasibilitySystem:
-    """Dense rows A @ c <= b over the stacked (a_ij, b_ij) coefficients."""
+    """Rows A @ d <= b of one LP at level u, over the increment d of the
+    witness center + delta * d in the coefficients ``columns``.  The LP
+    holds the increment of Q's constant, LP column ``normalization``,
+    at 0; the rows alone leave the scale of P and Q free."""
 
     u: float
     a_ub: np.ndarray
     b_ub: np.ndarray
-    col_scale: np.ndarray   # per-coefficient rescale applied to the columns
     points: np.ndarray      # flat grid indices of the rows
+    center: np.ndarray      # the witness the increment starts from
+    delta: float            # its deviation on ``points``, the row scale
+    columns: np.ndarray     # the moved coefficients, in the stacked vector
+    col_scale: np.ndarray   # their column rescale
+
+    @property
+    def normalization(self) -> int:
+        return len(self.columns) // 2   # Q's constant, first of Q's columns
 
     @property
     def n_coeffs(self) -> int:
         return self.a_ub.shape[1]
+
+    def witness(self, d: np.ndarray) -> np.ndarray:
+        """The stacked (a_ij, b_ij) coefficients at increment d."""
+        vec = self.center.copy()
+        vec[self.columns] += self.delta * d / self.col_scale
+        return vec
 
 
 def _monomial_matrix(degree: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -150,36 +187,65 @@ def _monomial_matrix(degree: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.column_stack([x ** i * m ** j for i, j in pairs])
 
 
-def build_feasibility(problem: FitProblem, u: float,
-                      points: np.ndarray | None = None) -> FeasibilitySystem:
-    """Three rows per grid point: two deviation bounds and the Q floor.
+def _errors(problem: FitProblem,
+            vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A witness's relative error (P - hQ) / (hQ) and its Q at every
+    grid point, evaluated on the scaled basis."""
+    phi_s, scale = problem.basis
+    coeffs = vec * np.tile(scale, 2)
+    p, q = phi_s @ coeffs[:len(scale)], phi_s @ coeffs[len(scale):]
+    hq = problem.grid.h * q
+    return (p - hq) / hq, q
 
-    ``points`` (flat grid indices) restricts the rows to those points;
-    by default they are the whole grid.  The column scale always comes
-    from the whole grid, so each subset row is bit-identical to its row
-    in the full system.
+
+def build_feasibility(problem: FitProblem, u: float,
+                      points: np.ndarray | None = None,
+                      center: np.ndarray | None = None) -> FeasibilitySystem:
+    """The LP at level u on ``points``, in increment form around the
+    witness ``center``: three rows per point, two deviation bounds and
+    the Q floor, each divided by delta h_k Q0_k (the floor by delta Q0_k).
+
+    With the center's relative error e0 and its deviation delta on the
+    points, and the moved columns phi of P and Q, the rows are
+
+        phi d_a / (h Q0) - (1 + u) phi d_b / Q0 - t <= (u - e0) / delta
+       -phi d_a / (h Q0) + (1 - u) phi d_b / Q0 - t <= (u + e0) / delta
+                                  -phi d_b / Q0      <= (Q0 - DENOM_FLOOR)
+                                                        / (delta Q0)
+
+    with t left to ``WarmStart.solve``; a floor the center misses by
+    rounding is held at its Q0.  ``points`` (flat grid indices) are the
+    whole grid by default, and ``center`` the least-squares witness.
     """
     if u < 0.0:
         raise ValueError(f"u must be >= 0, got {u}")
     if points is None:
         points = np.arange(problem.grid.size)
+    if center is None:
+        center = _initial_witness(problem)
+    err, q0 = (v[points] for v in _errors(problem, center))
+    delta = float(np.abs(err).max())
+    if not delta > 0.0:
+        raise ValueError("the center fits every point exactly")
     phi_s, scale = problem.basis
-    phi_s, h = phi_s[points], problem.grid.h[points]
-    zeros = np.zeros_like(phi_s)
-    upper = (h + u * h)[:, None] * phi_s
-    lower = (h - u * h)[:, None] * phi_s
-    a_ub = np.vstack([
-        np.hstack([phi_s, -upper]),
-        np.hstack([-phi_s, lower]),
-        np.hstack([zeros, -phi_s]),
+    half, cols = len(scale), problem.columns
+    phi_s = phi_s[points]
+    p_cols = phi_s[:, cols[cols < half]] / (problem.grid.h[points]
+                                            * q0)[:, None]
+    q_cols = phi_s[:, cols[cols >= half] - half] / q0[:, None]
+    a_ub = np.block([
+        [p_cols, -(1.0 + u) * q_cols],
+        [-p_cols, (1.0 - u) * q_cols],
+        [np.zeros_like(p_cols), -q_cols],
     ])
     b_ub = np.concatenate([
-        np.zeros(2 * len(h)),
-        -DENOM_FLOOR * np.ones(len(h)),
+        (u - err) / delta,
+        (u + err) / delta,
+        np.maximum(q0 - DENOM_FLOOR, 0.0) / (delta * q0),
     ])
-    return FeasibilitySystem(u=u, a_ub=a_ub, b_ub=b_ub,
-                             col_scale=np.concatenate([scale, scale]),
-                             points=points)
+    return FeasibilitySystem(u=u, a_ub=a_ub, b_ub=b_ub, points=points,
+                             center=center, delta=delta, columns=cols,
+                             col_scale=np.tile(scale, 2)[cols])
 
 
 class WarmStart:
@@ -189,8 +255,7 @@ class WarmStart:
     ``basis`` is the ``HighsBasis`` that HiGHS returned for the last LP,
     whose rows belong to the sorted grid points ``points``.  The next LP
     on the same points starts from it as it is.  S only grows, so an LP
-    on other points (an exchange, or a restart on the whole grid) has a
-    superset of them.  Its basis is the stored one with rows for the new
+    on other points (after an exchange) has a superset of them.  Its basis is the stored one with rows for the new
     points, written into ``basis.row_status`` in place: the stored
     points keep their statuses, three rows each in ``build_feasibility``
     order, and the rows of the new points are basic (their slacks enter
@@ -205,8 +270,11 @@ class WarmStart:
         self.basis, self.points = None, None
 
     def solve(self, system: FeasibilitySystem) -> tuple[float, np.ndarray]:
-        """The optimum slack t >= 0 and solution (c, t) of the phase-1 LP
-        min t subject to A @ c - t <= b, t >= 0, on the rows of ``system``.
+        """The optimum t and solution (d, t) of the LP min t subject to
+        the rows of ``system``, its deviation rows relaxed by t, and
+        t >= -1, with Q's constant held at the center's.  At t = -1 a
+        row asks |P - hQ| <= u h (Q - Q0), so the bound holds t where the
+        normalization cannot.
 
         A ladder of at most two solves: HiGHS at ``TIGHT_OPTIONS`` from
         the stored basis, if there is one; if that does not end optimal,
@@ -214,15 +282,19 @@ class WarmStart:
         ``FitError``, with the last run status and model status, if that
         does not either.
         """
-        a = np.hstack([system.a_ub, -np.ones((system.a_ub.shape[0], 1))])
+        n_points = len(system.points)
+        t_col = np.repeat([-1.0, 0.0], [2 * n_points, n_points])
+        a = np.hstack([system.a_ub, t_col[:, None]])
         n_rows, n_cols = a.shape
         cost = np.eye(n_cols)[-1]
         sparse = csc_array(a)
+        lower = np.r_[np.full(n_cols - 1, -np.inf), -1.0]
+        upper = np.full(n_cols, np.inf)
+        lower[system.normalization] = upper[system.normalization] = 0.0
         highs = self.highs
         _check_status(highs.passModel(
             n_cols, n_rows, sparse.nnz, MatrixFormat.kColwise,
-            ObjSense.kMinimize, 0.0, cost,
-            np.r_[np.full(n_cols - 1, -np.inf), 0.0], np.full(n_cols, np.inf),
+            ObjSense.kMinimize, 0.0, cost, lower, upper,
             np.full(n_rows, -np.inf), system.b_ub,
             sparse.indptr, sparse.indices, sparse.data,
             np.zeros(n_cols, dtype=np.int32)), "passModel")
@@ -247,10 +319,8 @@ class WarmStart:
             model_status = highs.getModelStatus()
             if model_status == HighsModelStatus.kOptimal:
                 self.basis, self.points = highs.getBasis(), system.points
-                # t >= 0 is the LP's own bound, which HiGHS meets only
-                # within its primal tolerance (-6.8e-10 at the default one)
-                slack = highs.getInfo().objective_function_value
-                return max(slack, 0.0), np.array(highs.getSolution().col_value)
+                return (highs.getInfo().objective_function_value,
+                        np.array(highs.getSolution().col_value))
         raise FitError(
             f"LP solver failed: run status {run_status.name}, model status "
             f"{highs.modelStatusToString(model_status)}")
@@ -265,24 +335,34 @@ def _check_status(status: HighsStatus, call: str) -> None:
 def check_feasible(system: FeasibilitySystem, warm: WarmStart):
     """Witness coefficient vector if the system is feasible, else None.
 
-    The phase-1 LP (``WarmStart.solve``) is always solvable; the system
-    is feasible iff its optimum slack t is within ``FEASIBILITY_TOL``.
+    The LP (``WarmStart.solve``) is always solvable; the system is
+    feasible at its level u iff its optimum t is within
+    ``FEASIBILITY_TOL``, a fraction of the row scale delta.  The witness
+    is the solution's, at any optimum t <= ``FEASIBILITY_TOL``: at
+    u = delta, a differential-correction step.
     """
     slack, x = warm.solve(system)
     if slack > FEASIBILITY_TOL:
         return None
-    return x[:system.n_coeffs] / system.col_scale
+    return system.witness(x[:system.n_coeffs])
 
 
 @dataclass
 class FitResult:
-    """A fitted P/Q, its bracket on the fit grid, and its verification."""
+    """A fitted P/Q, its bracket on the fit grid, and its verification.
+
+    ``u_plus`` is the written witness's deviation over the fit grid, as
+    the fitter measures it on its scaled basis, and ``achieved_dev`` the
+    same deviation by ``harness.report``.  ``u_minus`` is a level at
+    which the LP on S, and so the grid, is infeasible (0 for a fit that
+    reaches ``BISECTION_TOL_ABS``); see ``bisect_fit``.
+    """
 
     approximant: RationalApproximant
     u_minus: float
     u_plus: float
-    iterations: int            # bisection levels of all passes, one LP each
-    lp_solves: int             # LPs of the levels and of the confirmations
+    iterations: int            # differential-correction steps, one LP each
+    lp_solves: int             # LPs of the steps and of the lower end
     active_points: int         # final size of the subset S
     achieved_dev: float        # harness.report's max |eps| on the fit grid
     denom_min: float           # denom_lower_bound on the fit grid's rectangle
@@ -316,90 +396,86 @@ def _coeffs_to_approximant(vec: np.ndarray, degree: int) -> RationalApproximant:
         BivariatePoly(degree, [v / pivot for v in b]))
 
 
-def _check_on_grid(problem: FitProblem, vec: np.ndarray, u: float,
+def _check_on_grid(problem: FitProblem, vec: np.ndarray,
                    s: np.ndarray) -> tuple[np.ndarray, float]:
-    """Violators of a witness outside S, worst first, and its verified level.
+    """Violators of a witness outside S, worst first, and its deviation
+    over the whole grid.
 
-    A violator is a grid point outside S where one of the witness's rows
-    at level u exceeds ``FEASIBILITY_TOL``.  With none, the witness holds
-    at u.  Otherwise it holds at its deviation over the whole grid, if
-    its denominator keeps the floor there, and at no level if not.
+    A violator is a grid point outside S where the witness deviates more
+    than anywhere on S, or where its Q misses the floor by more than
+    ``FEASIBILITY_TOL``; there its deviation counts as infinite.
     """
-    phi_s, scale = problem.basis
-    h = problem.grid.h
-    coeffs = vec * np.tile(scale, 2)
-    p, q = phi_s @ coeffs[:len(scale)], phi_s @ coeffs[len(scale):]
-    # the largest row excess A @ c - b at level u, per grid point
-    excess = np.maximum.reduce([p - (h + u * h) * q, (h - u * h) * q - p,
-                                DENOM_FLOOR - q])
+    err, q = _errors(problem, vec)
+    dev = np.where(q >= DENOM_FLOOR - FEASIBILITY_TOL, np.abs(err), np.inf)
+    excess = dev - dev[s].max()
     excess[s] = -np.inf
-    bad = np.flatnonzero(excess > FEASIBILITY_TOL)
-    if not bad.size:
-        return bad, u
-    level = math.inf
-    if np.all(q > 0.0) and DENOM_FLOOR - q.min() <= FEASIBILITY_TOL:
-        level = float(np.max(np.abs(p - h * q) / (h * q)))
-    return bad[np.argsort(-excess[bad], kind="stable")], level
+    bad = np.flatnonzero(excess > 0.0)
+    return bad[np.argsort(-excess[bad], kind="stable")], float(dev.max())
 
 
-def _initial_level(problem: FitProblem) -> tuple[float, np.ndarray]:
-    """The upper end u_start of the first bracket and a witness there.
+def _initial_witness(problem: FitProblem) -> np.ndarray:
+    """The least-squares witness the first step starts from.
 
-    The witness is the least-squares fit, min sum (P_k/h_k - Q_k)^2 with
-    b_00 = 1, scaled so that min Q = DENOM_FLOOR on the grid; u_start is
-    its deviation there, so its rows hold at u_start with no LP.  If its
-    Q is not positive at every grid point, or its deviation is not below
-    1, the start is u = 1 with P = 0, Q = DENOM_FLOOR, which holds there
-    because h > 0: -(h + u*h) * Q <= 0 always, (h - u*h) * Q = 0 at
-    u = 1, and Q meets the floor.
+    It minimizes sum (P_k/h_k - Q_k)^2 over the moved ``columns`` with
+    b_00 = 1, and is scaled so that min Q = DENOM_FLOOR on the grid.  If
+    its Q is not positive at every grid point, or its deviation is not
+    below 1, the start is P = 0, Q = DENOM_FLOOR, whose deviation is 1
+    at every point because h > 0.
     """
     phi_s, scale = problem.basis
     h = problem.grid.h
     half = len(scale)
+    cols = problem.columns[problem.columns != half]
     # b_00 = 1 moves the constant column of Q to the right-hand side
-    fit = np.linalg.lstsq(np.hstack([phi_s / h[:, None], -phi_s[:, 1:]]),
+    fit = np.linalg.lstsq(np.hstack([phi_s / h[:, None], -phi_s])[:, cols],
                           phi_s[:, 0], rcond=None)[0]
-    coeffs = np.concatenate([fit[:half], [1.0], fit[half:]])
+    coeffs = np.zeros(2 * half)
+    coeffs[cols], coeffs[half] = fit, 1.0
     p, q = phi_s @ coeffs[:half], phi_s @ coeffs[half:]
-    if q.min() > 0.0:
-        factor = DENOM_FLOOR / q.min()
-        u_start = float(np.max(np.abs(p - h * q) / (h * q)))
-        if u_start < 1.0:
-            return u_start, factor * coeffs / np.concatenate([scale, scale])
+    if q.min() > 0.0 and np.max(np.abs(p - h * q) / (h * q)) < 1.0:
+        return DENOM_FLOOR / q.min() * coeffs / np.tile(scale, 2)
     vec = np.zeros(2 * half)
     vec[half] = DENOM_FLOOR   # b_00, the constant of Q
-    return 1.0, vec
+    return vec
 
 
 def bisect_fit(problem: FitProblem) -> FitResult:
-    """Bisection on the deviation level u over a growing subset S.
+    """Differential-correction steps on a growing subset S, and one
+    infeasible LP for the lower end.
 
-    Starts from [0, u_start], where a least-squares witness holds with
-    no LP (``_initial_level``).  Every level solves the LP on the rows of S
-    only.  An infeasible S raises ``u_minus``; a feasible witness lowers
-    the upper end ``u_hi`` of the bisection on S.  It moves ``u_plus``
-    to u if its rows also hold within ``FEASIBILITY_TOL`` at every grid
-    point outside S, and otherwise to its deviation over the whole grid,
-    if that is lower.  When the bisection on S closes on a witness that
-    fails outside S, the worst violators join S and the bisection goes
-    on between ``u_minus`` and ``u_plus``.  The fit ends when that
-    bracket closes.  S is a sorted array of flat grid indices.  It starts
-    as an evenly strided ``SUBSET_PER_COEFF * n_coeffs`` points of the
-    flattened grid (all of it on small grids, where the LPs are exactly
-    plain bisection's) and grows by at most ``EXCHANGE_PER_COEFF *
-    n_coeffs`` points per exchange; it never shrinks.
+    The witness starts as the least-squares one (``_initial_witness``)
+    and is always the one of least deviation over the whole grid,
+    ``u_plus``.  A step is the LP on S at level u = ``u_plus``, around
+    the witness (``build_feasibility``).  Each LP's witness is measured
+    on the whole grid: its worst violators outside S join S, and it
+    becomes the witness if its deviation is lower.  A witness's worst
+    point is then in S, so its deviation on S is ``u_plus``.  The steps
+    end when one lowers ``u_plus`` by less than ``STEP_GAIN`` and adds
+    no point to S.  Then the same LP at u = ``u_plus`` - gap, gap =
+    max(``BISECTION_TOL_ABS``, tol_rel * ``u_plus``), sets the lower end:
+    "infeasible" ends the fit with ``u_minus`` = u.  A witness it finds
+    lowers ``u_plus``, and the steps go on from it if it gains at least
+    half the gap or adds points to S; if it does neither, its verdict is
+    below the LP's resolution, and the gap doubles.  A level that
+    reaches 0, or a ``u_plus`` within ``BISECTION_TOL_ABS`` (an exact
+    fit), ends the fit with ``u_minus`` = 0.  A step whose LP no rung
+    of ``WarmStart.solve`` ends optimal ends the steps like a step that
+    finds no witness; a lower-end LP that fails raises ``FitError``.
+    ``iterations`` counts the steps, and ``lp_solves`` the steps and the
+    lower-end LPs.
 
-    An infeasible S is an infeasible grid, since adding rows never
-    lowers an LP's optimum slack; but HiGHS returns wrong verdicts at
-    degree 4.  So when a pass closes with nothing to exchange and S is
-    not the whole grid, the LP at ``u_minus`` on S is solved once more,
-    from the basis the pass left, and counted in ``lp_solves``.
-    "Infeasible" ends the fit.  A witness is checked on the whole grid
-    like every other: if it fails outside S, its worst violators join S
-    and the fit goes on; if it holds there, the verdict that set
-    ``u_minus`` was wrong, so S becomes the whole grid and the bisection
-    restarts on [0, u_minus], as plain bisection.  All LPs share one
-    ``WarmStart``.
+    Every LP holds Q's constant at the witness's value and Q at or
+    above ``DENOM_FLOOR`` on S, so ``u_minus`` says that no P/Q so
+    normalized reaches it on S; the rows alone, as the tests' cold
+    referee solves them, are free in scale.
+
+    S is a sorted array of flat grid indices.  It starts as an evenly
+    strided ``SUBSET_PER_COEFF * n_coeffs`` points of the flattened grid
+    (all of it on small grids) and grows by at most ``EXCHANGE_PER_COEFF
+    * n_coeffs`` points per LP; it never shrinks.  It grows finitely
+    often, each run of steps lowers ``u_plus`` by ``STEP_GAIN`` per LP
+    and each continuation by half a gap, and the gap doubles up to
+    ``u_plus``, so every fit ends.  All LPs share one ``WarmStart``.
 
     A posteriori verification takes ``achieved_dev`` from
     ``harness.report`` on the fit grid, whose pole check cannot fire:
@@ -408,56 +484,53 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     gives ``denom_min`` and, when it does not prove Q > 0, ``pole_warning``.
     """
     g = problem.grid
-    u_start, witness = _initial_level(problem)
     n_coeffs = 2 * len(problem.basis[1])
     n_start = min(SUBSET_PER_COEFF * n_coeffs, g.size)
     s = np.arange(n_start) * g.size // n_start   # S, sorted grid indices
-    u_minus, u_plus, u_hi = 0.0, u_start, u_start
-    iterations, lp_solves = 0, 0
     warm = WarmStart()
 
-    # Every pass starts with a gap u_hi - u_minus <= u_start <= 1, since
-    # _initial_level returns u_start <= 1 and a restart's gap is a u_minus
-    # below u_start.  Each level halves the gap, so a pass closes at
-    # BISECTION_TOL_ABS = 1e-12 within 40 levels (2**-40 < 1e-12), and
-    # every fit ends with its bracket closed.
-    def closed(u_hi):
-        return u_hi - u_minus <= max(BISECTION_TOL_ABS,
-                                     problem.bisection_tol_rel * u_hi)
-
-    while True:
-        # one bisection pass on S, between u_minus and u_hi
-        worst = np.empty(0, dtype=int)
-        while not closed(u_hi):
-            u = 0.5 * (u_minus + u_hi)
-            iterations += 1
-            vec = check_feasible(build_feasibility(problem, u, s), warm)
-            lp_solves += 1
-            if vec is None:
-                u_minus = u
-                continue
-            u_hi = u
-            worst, level = _check_on_grid(problem, vec, u, s)
-            if level < u_plus:
-                u_plus, witness = level, vec
-        if not worst.size:
-            if len(s) == g.size or u_minus == 0.0:
-                break
-            # confirm u_minus: one more LP on S
-            vec = check_feasible(build_feasibility(problem, u_minus, s), warm)
-            lp_solves += 1
-            if vec is None:
-                break
-            worst, level = _check_on_grid(problem, vec, u_minus, s)
-            if level < u_plus:
-                u_plus, witness = level, vec
-            if not worst.size:
-                # the verdict that set u_minus was wrong: plain bisection
-                # below the witness
-                s = np.arange(g.size)
-                u_minus = 0.0
+    def measure(vec):
+        """vec's deviation over the grid, and whether S grew from it."""
+        nonlocal s
+        worst, dev = _check_on_grid(problem, vec, s)
         s = np.union1d(s, worst[:EXCHANGE_PER_COEFF * n_coeffs])
-        u_hi = u_plus
+        return dev, worst.size > 0
+
+    witness = _initial_witness(problem)
+    u_plus = measure(witness)[0]
+    u_minus, iterations, lp_solves = 0.0, 0, 0
+    lower, widen = False, 1.0   # lower-end LP next, and its gap's factor
+    while u_plus > BISECTION_TOL_ABS:
+        gap = widen * max(BISECTION_TOL_ABS,
+                          problem.bisection_tol_rel * u_plus)
+        u = u_plus - gap if lower else u_plus
+        if u <= 0.0:
+            break
+        lp_solves += 1
+        iterations += not lower
+        try:
+            vec = check_feasible(build_feasibility(problem, u, s, witness),
+                                 warm)
+        except FitError:
+            if lower:
+                raise
+            vec = None   # a failed step ends the steps like an empty one
+        if vec is None:
+            if lower:
+                u_minus = u
+                break
+            lower = True
+            continue
+        dev, grew = measure(vec)
+        gain = u_plus - dev
+        if gain > 0.0:
+            witness, u_plus = vec, dev
+        if not lower:
+            lower = not grew and gain < STEP_GAIN * (u_plus + max(gain, 0.0))
+        elif grew or gain >= gap / 2.0:
+            lower, widen = False, 1.0
+        else:
+            widen *= 2.0
     approx = _coeffs_to_approximant(witness, problem.degree)
     denom_min, proven = denom_lower_bound(approx.denom, g.grid)
     return FitResult(

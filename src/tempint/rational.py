@@ -10,7 +10,6 @@ then x-power descending), so files are deterministic and diffable.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -128,8 +127,8 @@ def denom_lower_bound(q: BivariatePoly, grid) -> tuple[float, bool]:
     span, and whether it proves Q > 0 there.  Q is at least its least
     exact tensor Bernstein coefficient of degree (n, n) on the rectangle,
     and a vertex's coefficient is Q there (Farouki, CAGD 29 (2012)
-    379-419); the bound is the float Horner value of Q at a least vertex,
-    else the least coefficient as a float."""
+    379-419); the bound is the largest float at most that coefficient,
+    so at a least vertex it is Q's exact value there, rounded down."""
     # imported here: fractions and decimal add ~4 ms to every start-up
     from fractions import Fraction
     n, r = q.degree, range(q.degree + 1)
@@ -137,12 +136,11 @@ def denom_lower_bound(q: BivariatePoly, grid) -> tuple[float, bool]:
     c = np.array([[Fraction(q.coeff(i, j)) for j in r] for i in r], object)
     # b[k, l]: k the Bernstein index in x, l the one in m
     tx, tm = (_bernstein_matrix(n, *map(Fraction, v)) for v in (xs, ms))
-    b = tx @ c @ tm.T
-    least = b.min()
-    for (k, x), (l, m) in itertools.product(zip((0, n), xs), zip((0, n), ms)):
-        if b[k, l] == least:
-            return float(q.eval(m, x)), least > 0
-    return float(least), least > 0
+    least = (tx @ c @ tm.T).min()
+    bound = float(least)
+    if bound > least:
+        bound = math.nextafter(bound, -math.inf)
+    return bound, least > 0
 
 
 @dataclass(frozen=True)

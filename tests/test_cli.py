@@ -11,6 +11,28 @@ from tempint import cli
 from tempint.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# achieved_dev of each preset fit by the bisection fitter that preceded
+# differential correction, from its goldens: no fit may deviate more
+BISECTION_ACHIEVED_DEV = {
+    "fit-n1-arrhenius": 0.0004294154230957137,
+    "fit-n1-coarse": 0.005483222114149644,
+    "fit-n1-paper-eval": 0.005566759287015666,
+    "fit-n1-paper-narrow": 0.0010848668041198994,
+    "fit-n2-arrhenius": 1.8048792114200296e-06,
+    "fit-n2-coarse": 3.6023213714653224e-05,
+    "fit-n2-paper-eval": 3.7095221580241144e-05,
+    "fit-n2-paper-narrow": 6.011280063833446e-06,
+    "fit-n3-arrhenius": 9.728311267664935e-09,
+    "fit-n3-coarse": 1.7290572196237974e-07,
+    "fit-n3-paper-eval": 2.3143029448391417e-07,
+    "fit-n3-paper-narrow": 3.967903916546334e-08,
+    "fit-n4-arrhenius": 1.4065140163666001e-09,
+    "fit-n4-coarse": 1.2318781550391122e-09,
+    "fit-n4-paper-eval": 2.053195946594144e-09,
+    "fit-n4-paper-narrow": 6.6273031507080304e-09,
+}
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 DOMAIN = "outside working domain m in [-4.0, 4.0], x in [4.0, 100.0]"
 
@@ -135,17 +157,30 @@ class TestFit:
         _assert_fit_golden(capsys, tmp_path, 2, "paper-eval")
 
     # paper-eval n3 and n4 are pinned by the acceptance gate's exploratory
-    # fits; paper-narrow n4 (7 s, the one fit that restarts) by CI's
-    # preset-fits job alone
+    # fits, and the other 14 presets here
     @pytest.mark.parametrize("grid,degree", [
         *(("arrhenius", n) for n in (1, 2, 3, 4)), ("paper-eval", 1),
-        *(("paper-narrow", n) for n in (1, 2, 3))])
+        *(("paper-narrow", n) for n in (1, 2, 3, 4))])
     def test_preset_fit_golden_bytes(self, capsys, tmp_path, grid, degree):
         _assert_fit_golden(capsys, tmp_path, degree, grid)
 
+    @pytest.mark.parametrize("report_path", sorted(GOLDEN.glob("fit-*.report")),
+                             ids=lambda path: path.stem)
+    def test_golden_quality_floor(self, report_path):
+        # no preset fit deviates more than the bisection fitter's did,
+        # each bracket holds its written fit, and u_plus is that fit's
+        # deviation as the fitter measures it
+        report = dict(line.split(" ", 1) for line in
+                      report_path.read_text().splitlines())
+        u_minus, u_plus, achieved = (float(report[key]) for key in
+                                     ("u_minus", "u_plus", "achieved_dev"))
+        assert achieved <= BISECTION_ACHIEVED_DEV[report_path.stem]
+        assert u_minus <= achieved
+        assert u_plus == pytest.approx(achieved, rel=1e-5)
+
     def test_tol_zero_closes_the_bracket(self, capsys, tmp_path):
-        # at --tol 0 only BISECTION_TOL_ABS closes a pass, within 40
-        # levels each; the passes of this fit take 96 in all
+        # at --tol 0 the lower end sits BISECTION_TOL_ABS below u_plus,
+        # a gap that doubles while the LP cannot resolve it
         from tempint.fitter import BISECTION_TOL_ABS
         out_file = tmp_path / "c.coeff"
         code, _, err = run(capsys, "fit", "--degree", "1", "--grid",
@@ -153,9 +188,10 @@ class TestFit:
         assert (code, err) == (0, "")
         report = dict(line.split(" ", 1) for line in
                       (tmp_path / "c.coeff.report").read_text().splitlines())
-        assert int(report["iterations"]) == 96
-        assert (float(report["u_plus"]) - float(report["u_minus"])
-                <= BISECTION_TOL_ABS)
+        assert int(report["iterations"]) == 5
+        gap = float(report["u_plus"]) - float(report["u_minus"])
+        assert gap == pytest.approx(8 * BISECTION_TOL_ABS, rel=1e-3)
+        assert float(report["u_minus"]) <= float(report["achieved_dev"])
 
     @pytest.mark.parametrize("tol", ["nan", "2"])
     def test_bad_tol_exit_2(self, capsys, tmp_path, tol):

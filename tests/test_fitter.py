@@ -1,3 +1,6 @@
+import math
+import pathlib
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +15,9 @@ from tempint.fitter import (
     check_feasible,
 )
 from tempint.harness import EvalGrid, report
-from tempint.rational import paper_approximant
+from tempint.rational import index_pairs, load_coeffs
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +26,17 @@ def coarse_fit_grid():
 
 
 def bracket_closed(problem, result):
-    """The bisection's stopping rule holds for the fit's bracket."""
-    return result.u_plus - result.u_minus <= max(
+    """The fit's stopping rule holds for its bracket: the lower end is
+    the level u_plus - max(BISECTION_TOL_ABS, tol_rel * u_plus)."""
+    return result.u_minus >= result.u_plus - max(
         fitter.BISECTION_TOL_ABS, problem.bisection_tol_rel * result.u_plus)
 
 
-@pytest.fixture(scope="module")
-def single_point_grid():
-    return FitGrid.from_eval_grid(EvalGrid.from_spec("m=0:0:1,x=10:10:1"))
+def deviation(problem, vec):
+    """A witness's max relative deviation over the whole grid, and its
+    least Q there."""
+    err, q = fitter._errors(problem, vec)
+    return np.abs(err).max(), q.min()
 
 
 class TestBuildFeasibility:
@@ -37,24 +45,71 @@ class TestBuildFeasibility:
         system = build_feasibility(problem, 0.01)
         assert system.a_ub.shape == (3 * coarse_fit_grid.size, 12)
 
-    def test_single_point_rows(self, single_point_grid):
-        problem = FitProblem(degree=1, grid=single_point_grid)
-        u = 0.25
-        system = build_feasibility(problem, u)
-        assert system.a_ub.shape == (3, 6)
-        h0 = single_point_grid.h[0]
-        hi, lo = (1.0 + u) * h0, (1.0 - u) * h0
-        # rows phi . a - (1 + u) h0 phi . b <= 0 and
-        # -phi . a + (1 - u) h0 phi . b <= 0, columns unscaled
-        unscaled = system.a_ub * system.col_scale
-        np.testing.assert_allclose(unscaled[0], [1, 10, 0, -hi, -10 * hi, 0],
-                                   rtol=1e-12)
-        np.testing.assert_allclose(unscaled[1], [-1, -10, 0, lo, 10 * lo, 0],
-                                   rtol=1e-12)
-        np.testing.assert_allclose(unscaled[2], [0, 0, 0, -1, -10, 0],
-                                   rtol=1e-12)
-        np.testing.assert_array_equal(system.b_ub,
-                                      [0.0, 0.0, -fitter.DENOM_FLOOR])
+    @pytest.mark.parametrize("u", [0.0, 1e-4, 0.01])
+    def test_rows_are_scaled_deviation_bounds(self, coarse_fit_grid, u):
+        # at any increment d, with Q's constant held, the rows are
+        # (+-(P - hQ) - u hQ) / (delta h Q0) and (DENOM_FLOOR - Q) /
+        # (delta Q0), less the right-hand side's share of the floor
+        problem = FitProblem(degree=2, grid=coarse_fit_grid)
+        points = np.arange(0, coarse_fit_grid.size, 3)
+        system = build_feasibility(problem, u, points)
+        center = fitter._initial_witness(problem)
+        np.testing.assert_array_equal(system.center, center)
+        err0, q0 = (v[points] for v in fitter._errors(problem, center))
+        assert system.delta == np.abs(err0).max()
+        d = np.random.default_rng(1).normal(size=system.n_coeffs)
+        d[system.normalization] = 0.0
+        vec = system.witness(d)
+        assert vec[len(vec) // 2] == center[len(vec) // 2]
+        err, q = (v[points] for v in fitter._errors(problem, vec))
+        h = coarse_fit_grid.h[points]
+        p = h * q * (1.0 + err)
+        rows = system.a_ub @ d - system.b_ub
+        scale = system.delta * h * q0
+        n = len(points)
+        np.testing.assert_allclose(rows[:n] * scale, p - h * q - u * h * q,
+                                   rtol=1e-9, atol=1e-12 * scale.max())
+        np.testing.assert_allclose(rows[n:2 * n] * scale,
+                                   h * q - p - u * h * q,
+                                   rtol=1e-9, atol=1e-12 * scale.max())
+        np.testing.assert_allclose(rows[2 * n:] * system.delta * q0,
+                                   fitter.DENOM_FLOOR - q, rtol=1e-9)
+
+    def test_single_point_rows(self):
+        # one point, x = 10 on m = 0: the m and x columns are multiples of
+        # the constant, so the LP moves a_00 and b_00; around P = 0,
+        # Q = 1, whose error is -1 and deviation 1, the rows are
+        # a / h - (1 + u) b <= 1 + u, -a / h + (1 - u) b <= u - 1 and
+        # -b <= 0
+        grid = FitGrid.from_eval_grid(EvalGrid.from_spec("m=0:0:1,x=10:10:1"))
+        problem = FitProblem(degree=1, grid=grid)
+        np.testing.assert_array_equal(problem.columns, [0, 3])
+        center = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        u, h = 0.25, grid.h[0]
+        system = build_feasibility(problem, u, center=center)
+        assert (system.delta, system.normalization) == (1.0, 1)
+        np.testing.assert_allclose(
+            system.a_ub, [[1 / h, -(1 + u)], [-1 / h, 1 - u], [0.0, -1.0]],
+            rtol=1e-15)
+        np.testing.assert_allclose(system.b_ub, [1 + u, u - 1, 0.0],
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(system.witness(np.array([2.0, 0.0])),
+                                      [2.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+
+    def test_indistinct_columns_are_held_at_0(self):
+        # on one m line m^j x^i is a multiple of x^i, and on m in {0, 1}
+        # m^2 x^i equals m x^i: only the first of each stays a column,
+        # the constant first of all, in P and in Q
+        for spec, kept in (("m=1:1:1,x=4:100:1", [0, 1, 3, 6, 10]),
+                           ("m=0:1:1,x=4:100:8", [0, 1, 2, 3, 4, 6, 7,
+                                                  10, 11])):
+            grid = FitGrid.from_eval_grid(EvalGrid.from_spec(spec))
+            problem = FitProblem(degree=4, grid=grid)
+            np.testing.assert_array_equal(problem.columns,
+                                          kept + [15 + j for j in kept])
+        problem = FitProblem(degree=4, grid=FitGrid.from_eval_grid(
+            EvalGrid.from_spec("coarse")))
+        np.testing.assert_array_equal(problem.columns, np.arange(30))
 
     def test_negative_u_rejected(self, coarse_fit_grid):
         with pytest.raises(ValueError):
@@ -77,49 +132,46 @@ class TestCheckFeasible:
 
     def test_witness_satisfies_rows(self, coarse_fit_grid):
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
-        system = build_feasibility(problem, 0.01)
-        vec = check_feasible(system, fitter.WarmStart())
-        rows = (system.a_ub * system.col_scale) @ vec
-        assert np.all(rows <= system.b_ub + 1e-7)
+        u = 1e-4
+        vec = check_feasible(build_feasibility(problem, u),
+                             fitter.WarmStart())
+        dev, q_min = deviation(problem, vec)
+        assert dev <= u * (1.0 + 1e-6)
+        assert q_min >= fitter.DENOM_FLOOR - fitter.FEASIBILITY_TOL
 
     def test_initial_witness_feasible(self, coarse_fit_grid, monkeypatch):
-        # the first bracket needs no LP: the least-squares witness holds
-        # every row at its upper end, Q >= DENOM_FLOOR included, at every
-        # grid point
+        # the least-squares witness needs no LP: its Q has min DENOM_FLOOR
+        # on the grid, and its deviation is below 1
         monkeypatch.setattr(fitter, "DENOM_FLOOR", 0.5)
         for degree in (1, 2, 3, 4):
             problem = FitProblem(degree=degree, grid=coarse_fit_grid)
-            u_start, witness = fitter._initial_level(problem)
-            assert type(u_start) is float and 0.0 < u_start < 1e-1, degree
-            system = build_feasibility(problem, u_start)
-            assert np.all(system.a_ub @ (witness * system.col_scale)
-                          <= system.b_ub + fitter.FEASIBILITY_TOL), degree
+            witness = fitter._initial_witness(problem)
+            dev, q_min = deviation(problem, witness)
+            assert 0.0 < dev < 1e-1, degree
+            assert q_min == pytest.approx(0.5, rel=1e-12), degree
             approx = fitter._coeffs_to_approximant(witness, degree)
             assert report(approx, coarse_fit_grid.grid).eps_max_abs == (
-                pytest.approx(u_start, rel=1e-9)), degree
+                pytest.approx(dev, rel=1e-9)), degree
 
     @pytest.mark.parametrize("b_10", [-2.0, 2.0])
     def test_initial_level_falls_back(self, coarse_fit_grid, monkeypatch,
                                       b_10):
         # a least-squares witness whose Q is not positive on the grid
         # (Q = 1 - 2 x / 100 at x = 100), or whose deviation is not below
-        # 1 (P = 0), gives the start u = 1, P = 0, Q = DENOM_FLOOR, which
-        # holds there exactly
+        # 1 (P = 0), gives the start P = 0, Q = DENOM_FLOOR, of
+        # deviation 1
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
-        n_coeffs = 2 * len(problem.basis[1])
+        n_coeffs = len(problem.columns)
         # the solution vector lacks b_00; its x column of Q follows P's
         fit = np.zeros(n_coeffs - 1)
         fit[n_coeffs // 2] = b_10
         monkeypatch.setattr(fitter.np.linalg, "lstsq",
                             lambda *args, **kwargs: (fit,))
-        u_start, witness = fitter._initial_level(problem)
-        assert u_start == 1.0
+        witness = fitter._initial_witness(problem)
         expected = np.zeros(n_coeffs)
         expected[n_coeffs // 2] = fitter.DENOM_FLOOR
         np.testing.assert_array_equal(witness, expected)
-        system = build_feasibility(problem, u_start)
-        assert np.all(system.a_ub @ (witness * system.col_scale)
-                      <= system.b_ub)
+        assert deviation(problem, witness) == (1.0, fitter.DENOM_FLOOR)
 
     def test_monotonicity_in_u(self, coarse_fit_grid):
         problem = FitProblem(degree=1, grid=coarse_fit_grid)
@@ -147,6 +199,8 @@ class TestBisectFit:
         assert bracket_closed(problem, result)
         assert result.u_plus < 1e-9
         assert result.achieved_dev < 1e-9
+        # the least-squares witness is exact: the fit ends with no LP
+        assert result.lp_solves == 0 and result.u_minus == 0.0
 
     def test_coarse_degree1(self, coarse_fit_grid):
         result = bisect_fit(FitProblem(degree=1, grid=coarse_fit_grid))
@@ -192,34 +246,18 @@ class TestBisectFit:
 
 
 @pytest.fixture
-def lying_subset_fit(coarse_fit_grid, monkeypatch):
-    """Degree 1 on ``coarse`` with a check whose first LP on a subset at
-    each level below 1.25 u* says infeasible, though the full grid is
-    feasible down to u*; a repeat of the level, the confirmation, tells
-    the truth.  ``levels`` and ``points`` are the level and the points
-    of every LP, in call order."""
-    problem = FitProblem(degree=1, grid=coarse_fit_grid)
-    with monkeypatch.context() as patch:
-        # a starting subset larger than the grid: plain bisection
-        patch.setattr(fitter, "SUBSET_PER_COEFF", coarse_fit_grid.size)
-        plain = bisect_fit(problem)
-    false_below = 1.25 * plain.u_plus
+def lp_calls(monkeypatch):
+    """(u, delta, points, witness) of every ``check_feasible`` call."""
     real_check = fitter.check_feasible
-    levels, points = [], []
+    calls = []
 
-    def lying_check(system, warm):
-        subset = len(system.points) < coarse_fit_grid.size
-        first = system.u not in levels
-        levels.append(system.u)
-        points.append(system.points)
-        if subset and first and system.u < false_below:
-            return None
-        return real_check(system, warm)
+    def recording_check(system, warm):
+        vec = real_check(system, warm)
+        calls.append((system.u, system.delta, system.points, vec))
+        return vec
 
-    monkeypatch.setattr(fitter, "check_feasible", lying_check)
-    return SimpleNamespace(problem=problem, result=bisect_fit(problem),
-                           false_below=false_below, levels=levels,
-                           points=points)
+    monkeypatch.setattr(fitter, "check_feasible", recording_check)
+    return calls
 
 
 class TestExchange:
@@ -234,144 +272,107 @@ class TestExchange:
         assert result.u_minus <= result.achieved_dev
         assert result.achieved_dev <= 1.1 * 3.7095e-5
 
-    def test_wrong_subset_verdicts_fall_back(self, coarse_fit_grid,
-                                             lying_subset_fit, cold_feasible):
-        fit = lying_subset_fit
-        problem, result, levels = fit.problem, fit.result, fit.levels
-        full_grid_levels = [u for u, points in zip(levels, fit.points)
-                            if len(points) == coarse_fit_grid.size]
-        # the confirmation finds a witness at the false u_minus, just
-        # below 1.25 u*, once
-        [confirmed] = {u for u in levels if levels.count(u) > 1}
-        assert levels.count(confirmed) == 2
-        assert confirmed == pytest.approx(0.0068542, rel=1e-5)
-        assert confirmed < fit.false_below
-        # the contradiction restarts plain bisection on the whole grid,
-        # on [0, confirmed]: every whole-grid LP comes after the restart,
-        # the first at half the confirmed level
-        assert result.active_points == coarse_fit_grid.size
-        assert full_grid_levels[0] == confirmed / 2.0
-        assert max(full_grid_levels[1:]) < confirmed
-        assert min(full_grid_levels) < fit.false_below
-        # one LP per level, and the confirmation's one
-        assert result.lp_solves == result.iterations + 1 == 47
-        # both ends hold on the whole grid
-        assert not cold_feasible(build_feasibility(problem, result.u_minus))
-        assert cold_feasible(build_feasibility(problem, result.u_plus))
+    def test_steps_then_one_infeasible_lp(self, coarse_fit_grid, lp_calls):
+        # every step solves the LP at its center's deviation on S; the
+        # last LP, at the lower end, is infeasible on the final S
+        result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
+        steps = [c for c in lp_calls if c[0] == c[1]]
+        assert all(vec is not None for _, _, _, vec in steps)
+        assert len(steps) == result.iterations == 5
+        u, delta, points, vec = lp_calls[-1]
+        assert (u, vec) == (result.u_minus, None)
+        assert u == delta - 1e-4 * delta == result.u_plus - 1e-4 * delta
+        assert len(points) == result.active_points < coarse_fit_grid.size
+        assert result.lp_solves == len(lp_calls) == result.iterations + 1
+        # each step lowers the deviation the next is centered on
+        deltas = [delta for _, delta, _, _ in steps]
+        assert deltas == sorted(deltas, reverse=True)
 
-    def test_subset_only_grows(self, lying_subset_fit):
+    def test_subset_only_grows(self, coarse_fit_grid, lp_calls):
         # WarmStart keeps one basis because S only grows: the points of
-        # every LP are sorted and hold those of the LP before, through
-        # exchanges and the restart on the whole grid
-        points = lying_subset_fit.points
+        # every LP are sorted and hold those of the LP before
+        bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
+        points = [c[2] for c in lp_calls]
         assert len({len(p) for p in points}) > 2
-        assert np.all(np.diff(points[0]) > 0)
         for before, after in zip(points, points[1:]):
             assert np.all(np.diff(after) > 0)
             assert np.isin(before, after).all()
 
-    def test_confirmation_witness_failing_outside_s_exchanges(
-            self, coarse_fit_grid, monkeypatch, cold_feasible):
-        # a confirmation whose witness fails outside S grows S like any
-        # pass witness, and the next confirmation runs on the larger S
-        problem = FitProblem(degree=2, grid=coarse_fit_grid,
-                             bisection_tol_rel=0.3)
-        u_star = bisect_fit(problem).u_plus
-        real_check, real_check_on_grid = (fitter.check_feasible,
-                                          fitter._check_on_grid)
-        solves, checks = [], []
-
-        def lying_check(system, warm):
-            # the first subset LP at each level in (u*, 1.5 u*) says
-            # infeasible; a repeat of the level tells the truth
-            subset = len(system.points) < coarse_fit_grid.size
-            first = system.u not in [u for u, _ in solves]
-            solves.append((system.u, len(system.points)))
-            if subset and first and u_star < system.u < 1.5 * u_star:
-                return None
-            return real_check(system, warm)
-
-        def recording_check_on_grid(problem, vec, u, s):
-            worst, level = real_check_on_grid(problem, vec, u, s)
-            checks.append((u, worst.size))
-            return worst, level
-
-        monkeypatch.setattr(fitter, "check_feasible", lying_check)
-        monkeypatch.setattr(fitter, "_check_on_grid", recording_check_on_grid)
-        result = bisect_fit(problem)
-        levels = [u for u, _ in solves]
-        [confirmed] = {u for u in levels if levels.count(u) > 1}
-        assert confirmed == pytest.approx(5.1678e-5, rel=1e-4)
-        # the lie, then two confirmations: on 206 points, whose witness
-        # fails outside S, and on 207
-        assert [n for u, n in solves if u == confirmed] == [203, 206, 207]
-        confirm_checks = [bad for u, bad in checks if u == confirmed]
-        assert len(confirm_checks) == 2 and confirm_checks[0] > 0
-        assert confirm_checks[1] == 0
-        # the second witness holds on the whole grid: the restart
-        assert result.active_points == coarse_fit_grid.size
-        assert result.lp_solves == result.iterations + 2 == 15
-        assert not cold_feasible(build_feasibility(problem, result.u_minus))
-        assert cold_feasible(build_feasibility(problem, result.u_plus))
-
-    def test_one_confirmation_per_fit(self, coarse_fit_grid, monkeypatch):
-        # S (204 of 425 points at the end) is not the whole grid, so the
-        # fit confirms its lower end once, after the last pass on S, with
-        # one more LP on S
-        real_check = fitter.check_feasible
-        calls = []
-
-        def recording_check(system, warm):
-            vec = real_check(system, warm)
-            calls.append((system.u, len(system.points), vec))
-            return vec
-
-        monkeypatch.setattr(fitter, "check_feasible", recording_check)
-        result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
-        assert result.active_points < coarse_fit_grid.size
-        u, n_points, vec = calls[-1]
-        assert u == result.u_minus and vec is None
-        assert n_points == result.active_points
-        assert [c[0] for c in calls].count(u) == 2
-        assert result.lp_solves == len(calls) == result.iterations + 1 == 51
-
-    def test_whole_grid_subset_needs_no_confirmation(self, coarse_fit_grid,
-                                                     monkeypatch):
-        # degree 4 has 30 coefficients: the starting S of 480 points is
-        # the whole coarse grid, whose LPs need no confirmation
-        real_check = fitter.check_feasible
-        levels = []
-
-        def recording_check(system, warm):
-            levels.append(system.u)
-            return real_check(system, warm)
-
-        monkeypatch.setattr(fitter, "check_feasible", recording_check)
-        result = bisect_fit(FitProblem(degree=4, grid=coarse_fit_grid))
-        assert result.active_points == coarse_fit_grid.size
-        assert len(set(levels)) == len(levels)
-        assert result.lp_solves == len(levels) == result.iterations
-
-    def test_small_grid_is_plain_bisection(self, solve_rows):
+    def test_small_grid_solves_on_the_whole_grid(self, solve_rows):
         # 65 points are fewer than the 16 x 6 starting subset of degree 1,
-        # so every level is one full-grid LP, as in plain bisection
+        # so every LP has the rows of the whole grid
         grid = FitGrid.from_eval_grid(
             EvalGrid.from_spec("m=-1:1:0.5,x=4:100:8"))
         result = bisect_fit(FitProblem(degree=1, grid=grid))
         assert result.active_points == grid.size
-        assert len(solve_rows) == result.lp_solves
-        assert result.lp_solves == result.iterations
+        assert len(solve_rows) == result.lp_solves == result.iterations + 1
         assert set(solve_rows) == {3 * grid.size}
-        u_start = fitter._initial_level(FitProblem(degree=1, grid=grid))[0]
-        assert result.u_plus - result.u_minus == pytest.approx(
-            u_start / 2.0 ** result.iterations, rel=1e-9)
 
-    def test_confirmations_solve_no_full_grid_lp(self, paper_eval_grid,
-                                                 solve_rows):
+    def test_exchanges_solve_no_full_grid_lp(self, paper_eval_grid,
+                                             solve_rows):
         grid = FitGrid.from_eval_grid(paper_eval_grid)
         result = bisect_fit(FitProblem(degree=2, grid=grid))
         assert len(solve_rows) == result.lp_solves > result.iterations
         assert max(solve_rows) < 3 * grid.size
+
+    @pytest.mark.parametrize("spec", ["m=1:1:1,x=4:100:1",
+                                      "m=0:1:1,x=4:100:8",
+                                      "m=0:0:1,x=4:100:0.25"])
+    def test_indistinct_columns_fit(self, spec):
+        # grids that cannot tell monomials apart end in a few LPs with
+        # a closed bracket, Q > 0 proven
+        grid = FitGrid.from_eval_grid(EvalGrid.from_spec(spec))
+        problem = FitProblem(degree=4, grid=grid)
+        result = bisect_fit(problem)
+        assert bracket_closed(problem, result)
+        assert 0.0 < result.u_minus <= result.achieved_dev
+        assert result.lp_solves <= 10 and not result.pole_warning
+
+    def test_lower_end_on_the_m0_line(self):
+        # a degree-4 witness with every m term 0, measured as `tempint
+        # eval --coeffs` measures it, bounds u* on the 385-point m = 0
+        # line from above; the fit's lower end stays below it
+        grid = EvalGrid.from_spec("m=0:0:1,x=4:100:0.25")
+        witness = load_coeffs(GOLDEN / "m0-line-n4.coeff")
+        measured = report(witness, grid).eps_max_abs
+        assert measured == pytest.approx(9.40e-11, rel=1e-3)
+        result = bisect_fit(FitProblem(degree=4,
+                                       grid=FitGrid.from_eval_grid(grid)))
+        assert result.u_minus <= measured
+        assert result.achieved_dev <= measured
+
+    def test_tol_zero_ends(self, coarse_fit_grid, lp_calls):
+        # at tol_rel 0 the gap is BISECTION_TOL_ABS, below the LP's
+        # resolution at 5.5e-3: a feasible verdict that gains less than
+        # half the gap doubles it, and the fit ends on an infeasible one
+        problem = FitProblem(degree=1, grid=coarse_fit_grid,
+                             bisection_tol_rel=0.0)
+        result = bisect_fit(problem)
+        gaps = [delta - u for u, delta, _, _ in lp_calls if u < delta]
+        assert gaps[0] == pytest.approx(fitter.BISECTION_TOL_ABS, rel=1e-3)
+        assert result.u_plus - result.u_minus == pytest.approx(gaps[-1])
+        assert gaps[-1] < 1e-10 and result.u_minus <= result.achieved_dev
+
+    def test_failed_step_ends_the_steps(self, coarse_fit_grid, monkeypatch,
+                                        lp_calls):
+        # a step whose LP no rung ends optimal is a step without a
+        # witness: the lower-end LP follows, on the same S
+        real_solve = fitter.WarmStart.solve
+        solves = []
+
+        def failing_first(warm, system):
+            solves.append(system.u)
+            if len(solves) == 1:
+                raise fitter.FitError("LP solver failed")
+            return real_solve(warm, system)
+
+        monkeypatch.setattr(fitter.WarmStart, "solve", failing_first)
+        problem = FitProblem(degree=1, grid=coarse_fit_grid)
+        result = bisect_fit(problem)
+        assert solves[1] < solves[0]
+        assert result.lp_solves == len(solves)
+        assert bracket_closed(problem, result)
+        assert result.achieved_dev <= 1.1 * 5.483e-3
 
 
 @pytest.fixture
@@ -488,7 +489,7 @@ class TestWarmStart:
                 assert np.array_equal(warm.points, points)
             assert feasible == (u > u_star)
 
-    @pytest.mark.parametrize("u", [1e-6, 0.01])
+    @pytest.mark.parametrize("u", [1e-6, 1e-4])
     def test_resolve_starts_optimal(self, coarse_fit_grid, verdicts, u):
         # the LP just solved, solved again, starts from its optimal basis:
         # no simplex iteration and no cold solve
@@ -500,28 +501,24 @@ class TestWarmStart:
         assert verdicts(system, warm) == (feasible, feasible)
         assert warm.highs.getInfo().simplex_iteration_count == 0
 
-    def test_slack_is_never_negative(self, coarse_fit_grid):
-        # t >= 0 is a bound of the LP, which HiGHS meets only within its
-        # primal tolerance: a default-tolerance rung returned -6.8e-10
-        system = build_feasibility(
-            FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
+    def test_step_lowers_the_deviation(self, coarse_fit_grid):
+        # the LP at its center's deviation is feasible at t = 0, d = 0;
+        # its optimum t is in [-1, 0], and its witness does better on
+        # the LP's points by that share of delta, through Q0 / Q
+        problem = FitProblem(degree=2, grid=coarse_fit_grid)
+        center = fitter._initial_witness(problem)
+        delta = deviation(problem, center)[0]
+        system = build_feasibility(problem, delta, center=center)
+        assert system.delta == delta
         warm = fitter.WarmStart()
-
-        class NegativeObjective:
-            def __init__(self, highs):
-                self.highs = highs
-
-            def __getattr__(self, name):
-                return getattr(self.highs, name)
-
-            def getInfo(self):
-                return SimpleNamespace(objective_function_value=-6.8e-10)
-
-        warm.highs = NegativeObjective(warm.highs)
         slack, x = warm.solve(system)
-        assert slack == 0.0
-        assert len(x) == system.n_coeffs + 1
-        assert check_feasible(system, warm) is not None
+        assert -1.0 <= slack < 0.0
+        assert x[system.normalization] == 0.0
+        err0, q0 = fitter._errors(problem, center)
+        err, q = fitter._errors(problem, system.witness(x[:-1]))
+        bound = delta * (1.0 + slack * q0 / q)
+        assert np.all(np.abs(err) <= bound * (1.0 + 1e-6))
+        assert np.abs(err).max() < delta
 
     @pytest.mark.parametrize("call", ["passModel", "setBasis"])
     def test_highs_errors_are_not_silent(self, coarse_fit_grid, call):
@@ -598,10 +595,15 @@ class TestVerifyFit:
 
     def test_denom_min_is_q_at_first_vertex(self, coarse_fit_grid):
         # Q's least Bernstein coefficient on the rectangle is the one at
-        # (m0, x0) = (-4, 4), so denom_min is Q there, proven least
+        # (m0, x0) = (-4, 4), so denom_min is Q's exact value there,
+        # rounded down: proven least
         result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
         assert result.denom_min > 0.0 and not result.pole_warning
-        assert result.denom_min == result.approximant.denom.eval(-4.0, 4.0)
+        q = result.approximant.denom
+        exact = sum(Fraction(c) * 4 ** i * (-4) ** j
+                    for (i, j), c in zip(index_pairs(2), q.coeffs))
+        assert Fraction(result.denom_min) <= exact
+        assert Fraction(math.nextafter(result.denom_min, math.inf)) > exact
 
     def test_denominator_zero_between_grid_points(self, coarse_fit_grid,
                                                   pole_between_points):

@@ -210,19 +210,24 @@ class TestDenomLowerBound:
                              ids=lambda path: path.stem)
     def test_preset_fits_proven_at_first_vertex(self, coeff):
         # every preset fit's least Bernstein coefficient is the one at
-        # (m0, x0), so the bound is Q there: the golden denom_min
+        # (m0, x0), so the bound, the golden denom_min, is the largest
+        # float at most Q's exact value there
         report = dict(line.split(" ", 1) for line in
                       coeff.with_suffix(".report").read_text().splitlines())
         grid = EvalGrid.from_spec(report["grid-spec"])
         q = load_coeffs(coeff).denom
         bound, proven = denom_lower_bound(q, grid)
         assert proven and repr(bound) == report["denom_min"]
-        assert bound == q.eval(grid.m_values[0], grid.x_values[0])
+        m, x = (Fraction(v[0]) for v in (grid.m_values, grid.x_values))
+        exact = sum(Fraction(c) * x ** i * m ** j
+                    for (i, j), c in zip(index_pairs(q.degree), q.coeffs))
+        assert Fraction(bound) <= exact
+        assert Fraction(math.nextafter(bound, math.inf)) > exact
 
     @pytest.mark.parametrize("n, bound", [(1, 1.197256719103604),
                                           (2, 2.106360845442932),
                                           (3, 6.0269707007836715),
-                                          (4, 25.81110156123168)])
+                                          (4, 25.811101561231677)])
     def test_bundled_on_the_working_domain(self, n, bound):
         grid = EvalGrid.from_spec("m=-4:4:4,x=4:100:96")
         assert denom_lower_bound(paper_approximant(n).denom, grid) == (
@@ -273,7 +278,7 @@ class TestDenomLowerBound:
             exact = sum(Fraction(c) * x ** i * m ** j
                         for (i, j), c in zip(index_pairs(degree), q.coeffs))
             assert exact > 0 or not proven
-            assert bound <= exact or math.isclose(bound, exact, rel_tol=1e-12)
+            assert Fraction(bound) <= exact
 
 
 class TestSerialization:

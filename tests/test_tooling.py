@@ -53,8 +53,8 @@ def test_tracer_counts_each_walk_temperature_once():
 
 
 def test_tracer_counts_every_lp_of_a_fit():
-    # every LP of a fit, the confirmation's included, goes through the
-    # name the tracer counts LPs by
+    # every LP of a fit, the steps' and the lower end's, goes through
+    # the name the tracer counts LPs by
     from tempint.fitter import FitGrid, FitProblem, bisect_fit
     from tempint.harness import EvalGrid
     grid = FitGrid.from_eval_grid(EvalGrid.from_spec("coarse"))
@@ -65,4 +65,4 @@ def test_tracer_counts_every_lp_of_a_fit():
         result = bisect_fit(problem)
     finally:
         tracer.uninstall()
-    assert tracer.calls["fitter.check_feasible"] == result.lp_solves == 51
+    assert tracer.calls["fitter.check_feasible"] == result.lp_solves == 6
