@@ -523,14 +523,14 @@ def bisect_fit(problem: FitProblem) -> FitResult:
             continue
         dev, grew = measure(vec)
         gain = u_plus - dev
-        if gain > 0.0:
-            witness, u_plus = vec, dev
         if not lower:
-            lower = not grew and gain < STEP_GAIN * (u_plus + max(gain, 0.0))
+            lower = not grew and gain < STEP_GAIN * u_plus
         elif grew or gain >= gap / 2.0:
             lower, widen = False, 1.0
         else:
             widen *= 2.0
+        if gain > 0.0:
+            witness, u_plus = vec, dev
     approx = _coeffs_to_approximant(witness, problem.degree)
     denom_min, proven = denom_lower_bound(approx.denom, g.grid)
     return FitResult(

@@ -445,8 +445,7 @@ class TestWarmStart:
     def test_same_verdicts_as_the_subset_grows(self, coarse_fit_grid,
                                                verdicts):
         # LPs on S plus new points start from the basis on S, with the
-        # rows of the new points basic: an exchange, then the whole grid,
-        # as in a restart
+        # rows of the new points basic: an exchange, then the whole grid
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         size = coarse_fit_grid.size
         subset = np.arange(0, size, 4)
