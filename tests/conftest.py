@@ -36,6 +36,20 @@ def cold_feasible():
     return verdict
 
 
+@pytest.fixture(autouse=True)
+def sound_lower_ends(monkeypatch):
+    """Every fit the suite runs keeps its lower end at or below the
+    deviation of the coefficients it writes."""
+    class CheckedFitResult(fitter.FitResult):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            assert self.u_minus <= self.achieved_dev, (
+                f"u_minus {self.u_minus!r} above achieved_dev "
+                f"{self.achieved_dev!r} on {self.grid.spec}")
+
+    monkeypatch.setattr(fitter, "FitResult", CheckedFitResult)
+
+
 @pytest.fixture
 def solve_rows(monkeypatch):
     """The row count of every ``WarmStart.solve`` call, in call order."""
