@@ -18,8 +18,9 @@ t < 0.  The same LP at a level u below delta is a feasibility test: the
 system is feasible at u iff the optimum t is within ``FEASIBILITY_TOL``.
 The LP is posed in increment form, c = c0 + delta * d, with Q's constant
 coefficient held fixed as the normalization, and each deviation row is
-divided by delta h_k Q0_k (the floor row by delta Q0_k).  So every term
-is O(1), and HiGHS's absolute tolerances act relative to the level.
+divided by delta h_k Q0_k (the floor row by delta Q0_k).  So the rows'
+coefficients and right-hand sides are O(1), and HiGHS's absolute
+tolerances act relative to the level.
 
 Monomial columns are rescaled to unit max absolute value over the whole
 grid.  A column that the grid cannot tell apart from the ones before it
@@ -255,11 +256,12 @@ class WarmStart:
     ``basis`` is the ``HighsBasis`` that HiGHS returned for the last LP,
     whose rows belong to the sorted grid points ``points``.  The next LP
     on the same points starts from it as it is.  S only grows, so an LP
-    on other points (after an exchange) has a superset of them.  Its basis is the stored one with rows for the new
-    points, written into ``basis.row_status`` in place: the stored
-    points keep their statuses, three rows each in ``build_feasibility``
-    order, and the rows of the new points are basic (their slacks enter
-    the basis), so it stays valid.  An LP that no solve ends optimal
+    on other points (after an exchange) has a superset of them.  Its
+    basis is the stored one with rows for the new points, written into
+    ``basis.row_status`` in place: the stored points keep their
+    statuses, three rows each in ``build_feasibility`` order, and the
+    rows of the new points are basic (their slacks enter the basis), so
+    it stays valid.  An LP that no solve ends optimal
     leaves that basis stored.
     """
 

@@ -164,7 +164,8 @@ class TestFit:
     def test_preset_fit_golden_bytes(self, capsys, tmp_path, grid, degree):
         _assert_fit_golden(capsys, tmp_path, degree, grid)
 
-    @pytest.mark.parametrize("report_path", sorted(GOLDEN.glob("fit-*.report")),
+    @pytest.mark.parametrize("report_path",
+                             sorted(GOLDEN.glob("fit-*.report")),
                              ids=lambda path: path.stem)
     def test_golden_quality_floor(self, report_path):
         # no preset fit deviates more than the bisection fitter's did,
