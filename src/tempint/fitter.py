@@ -23,10 +23,11 @@ coefficients and right-hand sides are O(1), and HiGHS's absolute
 tolerances act relative to the level.
 
 Monomial columns are rescaled to unit max absolute value over the whole
-grid.  A column that the grid cannot tell apart from the ones before it
-in ``index_pairs`` order (on one m line, m^j x^i is a multiple of x^i)
-is held at 0, and Q's constant column stays as the normalization, so
-the grid never makes an LP rank-deficient.
+grid.  On a grid of n_x x values and n_m m values the LPs move x^i m^j
+iff i < n_x and j < n_m, in P and Q alike, and hold the rest at 0.  Any
+other monomial is there a combination of moved ones of lower total
+degree (x^i with i >= n_x equals its interpolant of degree < n_x), and
+the moved ones are independent (a tensor Vandermonde system).
 
 The LP cost grows with the row count, not with the difficulty, and a
 minimax fit has only about n_coeffs + 1 extremal points.  So the LPs
@@ -43,8 +44,9 @@ eval`` prints it.
 Every LP of a fit goes through one HiGHS instance with presolve off,
 started from the optimal basis of the last LP solved (``WarmStart``),
 the fitter's only LP solver.  A solve that does not end optimal runs
-again from the same basis at HiGHS's default tolerances; if that does
-not end optimal either, the fit fails with ``FitError``.
+again from the same basis at HiGHS's default tolerances.  A step that
+fails both ends the steps; a lower-end LP is solved once more from no
+basis, and if that fails too the fit fails with ``FitError``.
 """
 
 from __future__ import annotations
@@ -134,22 +136,19 @@ class FitProblem:
         return phi / scale, scale
 
     @cached_property
+    def monomials(self) -> np.ndarray:
+        """``index_pairs`` positions of the monomials the LPs move (see
+        the module docstring), the constant first."""
+        g = self.grid.grid
+        n_x, n_m = len(g.x_values), len(g.m_values)
+        return np.array([k for k, (i, j) in enumerate(index_pairs(self.degree))
+                         if i < n_x and j < n_m])
+
+    @property
     def columns(self) -> np.ndarray:
-        """The LP columns, as indices of the stacked (a_ij, b_ij) vector:
-        in P and in Q, each monomial that is not a combination of the
-        ones before it on the grid.  The rest are held at 0.  The
-        constant comes first, so Q's constant, the normalization, is
-        always a column."""
-        phi = self.basis[0]
-        # phi = QR keeps the rank of every column subset; duplicated
-        # columns leave rounding noise near 1e-16, genuine ones 1e-6 and up
-        r = np.linalg.qr(phi, mode="r")
-        tol = 1e-10 * np.linalg.norm(r, 2)
-        kept = [0]
-        for j in range(1, r.shape[1]):
-            if np.linalg.matrix_rank(r[:, kept + [j]], tol) > len(kept):
-                kept.append(j)
-        return np.array(kept + [phi.shape[1] + j for j in kept])
+        """``monomials`` as indices of the stacked (a_ij, b_ij) vector, in
+        P, then in Q; Q's constant is the normalization."""
+        return np.r_[self.monomials, len(self.basis[1]) + self.monomials]
 
 
 @dataclass
@@ -229,11 +228,9 @@ def build_feasibility(problem: FitProblem, u: float,
     if not delta > 0.0:
         raise ValueError("the center fits every point exactly")
     phi_s, scale = problem.basis
-    half, cols = len(scale), problem.columns
-    phi_s = phi_s[points]
-    p_cols = phi_s[:, cols[cols < half]] / (problem.grid.h[points]
-                                            * q0)[:, None]
-    q_cols = phi_s[:, cols[cols >= half] - half] / q0[:, None]
+    phi_s = phi_s[points][:, problem.monomials]
+    p_cols = phi_s / (problem.grid.h[points] * q0)[:, None]
+    q_cols = phi_s / q0[:, None]
     a_ub = np.block([
         [p_cols, -(1.0 + u) * q_cols],
         [-p_cols, (1.0 - u) * q_cols],
@@ -245,8 +242,9 @@ def build_feasibility(problem: FitProblem, u: float,
         np.maximum(q0 - DENOM_FLOOR, 0.0) / (delta * q0),
     ])
     return FeasibilitySystem(u=u, a_ub=a_ub, b_ub=b_ub, points=points,
-                             center=center, delta=delta, columns=cols,
-                             col_scale=np.tile(scale, 2)[cols])
+                             center=center, delta=delta,
+                             columns=problem.columns,
+                             col_scale=np.tile(scale, 2)[problem.columns])
 
 
 class WarmStart:
@@ -427,7 +425,7 @@ def _initial_witness(problem: FitProblem) -> np.ndarray:
     phi_s, scale = problem.basis
     h = problem.grid.h
     half = len(scale)
-    cols = problem.columns[problem.columns != half]
+    cols = np.r_[problem.monomials, half + problem.monomials[1:]]
     # b_00 = 1 moves the constant column of Q to the right-hand side
     fit = np.linalg.lstsq(np.hstack([phi_s / h[:, None], -phi_s])[:, cols],
                           phi_s[:, 0], rcond=None)[0]
@@ -462,9 +460,8 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     reaches 0, or a ``u_plus`` within ``BISECTION_TOL_ABS`` (an exact
     fit), ends the fit with ``u_minus`` = 0.  A step whose LP no rung
     of ``WarmStart.solve`` ends optimal ends the steps like a step that
-    finds no witness; a lower-end LP that fails raises ``FitError``.
-    ``iterations`` counts the steps, and ``lp_solves`` the steps and the
-    lower-end LPs.
+    finds no witness; such a lower-end LP runs once more from no stored
+    basis.  ``iterations`` counts the steps, and ``lp_solves`` every LP.
 
     Every LP holds Q's constant at the witness's value and Q at or
     above ``DENOM_FLOOR`` on S, so ``u_minus`` says that no P/Q so
@@ -510,13 +507,15 @@ def bisect_fit(problem: FitProblem) -> FitResult:
             break
         lp_solves += 1
         iterations += not lower
+        system = build_feasibility(problem, u, s, witness)
         try:
-            vec = check_feasible(build_feasibility(problem, u, s, witness),
-                                 warm)
+            vec = check_feasible(system, warm)
         except FitError:
-            if lower:
-                raise
             vec = None   # a failed step ends the steps like an empty one
+            if lower:    # a warm basis can break an LP that solves cold
+                warm.basis = None
+                lp_solves += 1
+                vec = check_feasible(system, warm)
         if vec is None:
             if lower:
                 u_minus = u

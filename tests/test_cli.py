@@ -294,6 +294,22 @@ class TestFit:
                        "model status Not Set\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("grid", [
+        "m=-2:2:0.25,x=4:100:5", "m=-4:4:0.5,x=4:100:6",
+        "m=-1:3:0.5,x=5:95:3", "m=0:4:0.5,x=4:100:4",
+        "m=-4:4:0.4,x=4:100:5"])
+    def test_lower_end_with_a_broken_warm_basis(self, capsys, tmp_path,
+                                                grid):
+        # on these grids both warm rungs of a degree-4 lower-end LP fail
+        # from the stored basis; the LP solved cold ends the fit
+        out_file = tmp_path / "c.coeff"
+        code, _, err = run(capsys, "fit", "--degree", "4", "--grid", grid,
+                           "--out", str(out_file))
+        assert (code, err) == (0, "")
+        report = dict(line.split(" ", 1) for line in
+                      (tmp_path / "c.coeff.report").read_text().splitlines())
+        assert float(report["u_minus"]) <= float(report["achieved_dev"])
+
 
 LP_STACK = ("scipy.optimize", "scipy.sparse")
 SMALL_GRID = "m=0:1:1,x=4:100:8"

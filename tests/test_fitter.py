@@ -111,6 +111,20 @@ class TestBuildFeasibility:
             EvalGrid.from_spec("coarse")))
         np.testing.assert_array_equal(problem.columns, np.arange(30))
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spec,m_lines", [
+        ("m=1:1:1,x=4:100:1", 1), ("m=0:1:1,x=4:100:8", 2),
+        ("m=-1:-0.999999999:0.000000001,x=4:100:2", 2)])
+    def test_columns_follow_the_grid_shape(self, spec, m_lines, degree):
+        # more x values than the degree: on L m lines the LPs move
+        # exactly the x^i m^j with j < L, however close the lines are
+        grid = FitGrid.from_eval_grid(EvalGrid.from_spec(spec))
+        problem = FitProblem(degree=degree, grid=grid)
+        pairs = index_pairs(degree)
+        kept = [k for k, (_, j) in enumerate(pairs) if j < m_lines]
+        np.testing.assert_array_equal(
+            problem.columns, kept + [len(pairs) + k for k in kept])
+
     def test_negative_u_rejected(self, coarse_fit_grid):
         with pytest.raises(ValueError):
             build_feasibility(FitProblem(degree=1, grid=coarse_fit_grid), -0.1)
@@ -328,6 +342,14 @@ class TestExchange:
         assert 0.0 < result.u_minus <= result.achieved_dev
         assert result.lp_solves <= 10 and not result.pole_warning
 
+    def test_near_duplicate_m_lines(self):
+        # two m lines 1e-9 apart still tell x m from x: with it moved,
+        # degree 2 reaches 5.014e-7 (2.240e-4 with x m held at 0)
+        grid = FitGrid.from_eval_grid(EvalGrid.from_spec(
+            "m=-1:-0.999999999:0.000000001,x=4:100:2"))
+        result = bisect_fit(FitProblem(degree=2, grid=grid))
+        assert result.achieved_dev <= 6e-7 and not result.pole_warning
+
     def test_lower_end_on_the_m0_line(self):
         # a degree-4 witness with every m term 0, measured as `tempint
         # eval --coeffs` measures it, bounds u* on the 385-point m = 0
@@ -373,6 +395,30 @@ class TestExchange:
         assert result.lp_solves == len(solves)
         assert bracket_closed(problem, result)
         assert result.achieved_dev <= 1.1 * 5.483e-3
+
+
+    def test_failed_lower_end_is_solved_cold(self, coarse_fit_grid,
+                                             monkeypatch):
+        # a lower-end LP that no warm rung ends optimal is solved once
+        # more from no stored basis, and counts as one more LP
+        real_solve = fitter.WarmStart.solve
+        solves, failed = [], []
+
+        def failing_first_lower_end(warm, system):
+            solves.append((system, warm.basis))
+            if system.u < system.delta and not failed:
+                failed.append(len(solves) - 1)
+                raise fitter.FitError("LP solver failed")
+            return real_solve(warm, system)
+
+        monkeypatch.setattr(fitter.WarmStart, "solve",
+                            failing_first_lower_end)
+        problem = FitProblem(degree=1, grid=coarse_fit_grid)
+        result = bisect_fit(problem)
+        (system, basis), (retried, cold) = solves[failed[0]:failed[0] + 2]
+        assert basis is not None and cold is None and retried is system
+        assert result.lp_solves == len(solves)
+        assert bracket_closed(problem, result)
 
 
 @pytest.fixture
