@@ -113,9 +113,10 @@ def oracle_h(point: EvalPoint) -> float:
 def oracle_h_row(m_values: tuple, x_values: tuple) -> np.ndarray:
     """Oracle h on the grid m_values x x_values, one row per m value.
 
-    Memoized per grid: one ``tempint tables`` run touches four grids and
-    one ``compare`` reuses one grid for every model.  The array is shared
-    between callers, so it is read-only.
+    Memoized per grid: one ``tempint tables`` run touches three grids
+    (paper-eval, the m = 0 line and X's tabulated lines of paper-narrow)
+    and one ``compare`` reuses one grid for every model.  The array is
+    shared between callers, so it is read-only.
     """
     hv = h_array(np.array(m_values)[:, None], np.array(x_values))
     hv.flags.writeable = False
@@ -172,21 +173,31 @@ def restrict(rep: DeviationReport, grid: EvalGrid) -> DeviationReport:
 
     Equal field by field to ``report`` of the same model on ``grid``:
     ``models.model_h`` and ``h_array`` give each m row the bits they give
-    it on any grid, and a fresh array of the chosen rows aggregates in
-    the order a fresh evaluation does.  ``grid`` must have the report's
-    x axis, and each of its m values must be a row of the report.
+    it on any grid, and the chosen rows, C-contiguous like a fresh
+    evaluation, aggregate in the order it does.  ``grid`` must have the
+    report's x axis, and each of its m values must be a row of the
+    report.  When those rows are consecutive in the report, the cut's
+    ``eps`` is a view of ``rep.eps``, not a copy; nothing writes a
+    report's ``eps``.
     """
     if grid.x_values != rep.grid.x_values:
         raise ValueError(f"grid {grid.spec!r} and the {rep.model} report's "
                          f"grid {rep.grid.spec!r} differ in x")
-    row_of = {m: i for i, m in enumerate(rep.m_lines)}
-    for m in grid.m_values:
-        if m not in row_of:
-            raise ValueError(f"m={m!r} of grid {grid.spec!r} is not a row "
-                             f"of the {rep.model} report on "
-                             f"{rep.grid.spec!r}")
-    eps = rep.eps[[row_of[m] for m in grid.m_values]]
-    return _aggregate(rep.model, grid, grid.m_values, eps)
+    m_values = grid.m_values
+    try:
+        first = rep.m_lines.index(m_values[0])
+    except ValueError:
+        first = 0   # the comparison below fails at the first value
+    rows = slice(first, first + len(m_values))
+    if rep.m_lines[rows] != m_values:
+        row_of = {m: i for i, m in enumerate(rep.m_lines)}
+        for m in m_values:
+            if m not in row_of:
+                raise ValueError(f"m={m!r} of grid {grid.spec!r} is not a "
+                                 f"row of the {rep.model} report on "
+                                 f"{rep.grid.spec!r}")
+        rows = [row_of[m] for m in m_values]
+    return _aggregate(rep.model, grid, m_values, rep.eps[rows])
 
 
 def _aggregate(label, grid, m_lines, eps, footnote="") -> DeviationReport:

@@ -33,7 +33,8 @@ BISECTION_ACHIEVED_DEV = {
     "fit-n4-paper-narrow": 6.6273031507080304e-09,
 }
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 DOMAIN = "outside working domain m in [-4.0, 4.0], x in [4.0, 100.0]"
 
 
@@ -561,6 +562,14 @@ class TestTables:
         assert out.splitlines()[0] == \
             "table,row,column,expected,actual,tolerance,status"
         assert code == 0
+
+    def test_tables_csv_golden_bytes(self, capsys):
+        # the text format's %.3E hides a one-ulp change in a cell; the
+        # CSV prints each cell's repr, as the benchmark's golden holds it
+        code, out, err = run(capsys, "tables", "--format", "csv")
+        assert (code, err) == (0, "")
+        golden = ROOT / "perfbench" / "golden" / "tables.csv"
+        assert out.encode("utf-8") == golden.read_bytes()
 
     def test_tables_text_golden(self, capsys):
         code, out, err = run(capsys, "tables")

@@ -239,14 +239,15 @@ class TestReport:
 
 
 class TestRestrict:
-    @pytest.mark.parametrize("tag, preset", [
+    @pytest.mark.parametrize("tag, spec", [
         *((info.tag, "paper-narrow") for info in models.list_models()
           if info.m_domain == "any"),
         *((f"G{n}", "arrhenius") for n in range(1, 5)),
+        # rows 30, 40 and 50 of paper-eval: not consecutive there
+        *((tag, "m=-1:1:1,x=4:100:1") for tag in ("G", "G4", "Cp")),
     ])
-    def test_equals_report_on_the_subgrid(self, paper_eval_grid, tag,
-                                          preset):
-        grid = EvalGrid.from_spec(preset)
+    def test_equals_report_on_the_subgrid(self, paper_eval_grid, tag, spec):
+        grid = EvalGrid.from_spec(spec)
         cut = restrict(report(tag, paper_eval_grid), grid)
         fresh = report(tag, grid)
         assert np.array_equal(cut.eps, fresh.eps)
@@ -255,6 +256,12 @@ class TestRestrict:
         assert cut.argmax_point == fresh.argmax_point
         assert (cut.model, cut.grid, cut.m_lines, cut.footnote) == \
             (fresh.model, fresh.grid, fresh.m_lines, fresh.footnote)
+
+    def test_consecutive_rows_are_a_view(self, paper_eval_grid):
+        rep = report("G", paper_eval_grid)
+        cut = restrict(rep, EvalGrid.from_spec("paper-narrow"))
+        assert np.shares_memory(cut.eps, rep.eps)
+        assert np.array_equal(cut.eps, rep.eps[25:66])
 
     def test_x_axis_must_match(self, paper_eval_grid):
         rep = report("G", paper_eval_grid)
