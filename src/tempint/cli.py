@@ -5,10 +5,10 @@ deterministic: fixed grid order and no randomness anywhere, so
 identical invocations produce byte-identical results.
 
 Exit codes: 0 success; 2 domain/validation error, or a file that cannot
-be read or written; 3 fit failed (its LP solver failed, or an oracle
-target is not positive); 4 fit converged but its denominator is not
-proven positive on the fit grid's rectangle (the coefficient file is
-still written); 5 a table-reproduction cell is out of tolerance.
+be read or written; 3 fit failed (its LP solver failed); 4 fit
+converged but its denominator is not proven positive on the fit grid's
+rectangle (the coefficient file is still written); 5 a
+table-reproduction cell is out of tolerance.
 """
 
 from __future__ import annotations

@@ -90,21 +90,15 @@ class FitError(Exception):
 
 @dataclass
 class FitGrid:
-    """Evaluation grid plus precomputed oracle targets, flattened m-major."""
+    """Evaluation grid plus its oracle targets, flattened m-major."""
 
     grid: EvalGrid
-    m: np.ndarray
-    x: np.ndarray
     h: np.ndarray
 
     @classmethod
     def from_eval_grid(cls, grid: EvalGrid) -> "FitGrid":
-        mv = np.repeat(np.array(grid.m_values), len(grid.x_values))
-        xv = np.tile(np.array(grid.x_values), len(grid.m_values))
-        hv = oracle_h_row(grid.m_values, grid.x_values).ravel()
-        if not np.all(np.isfinite(hv)) or np.any(hv <= 0.0):
-            raise FitError("non-finite or non-positive oracle target")
-        return cls(grid=grid, m=mv, x=xv, h=hv)
+        return cls(grid=grid,
+                   h=oracle_h_row(grid.m_values, grid.x_values).ravel())
 
     @property
     def size(self) -> int:
@@ -128,9 +122,12 @@ class FitProblem:
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Monomials at every grid point, columns scaled to unit max |value|."""
-        g = self.grid
-        phi = _monomial_matrix(self.degree, g.m, g.x)
+        """Monomials at every grid point, flattened m-major, columns scaled
+        to unit max |value|."""
+        g = self.grid.grid
+        m = np.repeat(np.array(g.m_values), len(g.x_values))
+        x = np.tile(np.array(g.x_values), len(g.m_values))
+        phi = _monomial_matrix(self.degree, m, x)
         scale = np.abs(phi).max(axis=0)
         scale[scale == 0.0] = 1.0   # degenerate grids can zero whole columns
         return phi / scale, scale

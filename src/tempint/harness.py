@@ -105,7 +105,7 @@ class EvalGrid:
 
 
 def oracle_h(point: EvalPoint) -> float:
-    """Oracle h at one point, uncached; grids go through ``oracle_h_row``."""
+    """Oracle h at one point, uncached; only perfbench/layers.py reads it."""
     return h(point)
 
 
@@ -133,19 +133,6 @@ class DeviationReport:
     sse: float
     argmax_point: EvalPoint
     footnote: str = ""
-
-    def per_point_rows(self):
-        """Rows for the per-point CSV: model,m,x,g_oracle,g_model,eps.
-
-        g_oracle is ``g_from_h`` of the cached oracle h that eps divided
-        by: within the oracle's ``REL_TOL`` of ``g_cf``."""
-        h_oracle = oracle_h_row(self.m_lines, self.grid.x_values)
-        for i, m in enumerate(self.m_lines):
-            for k, x in enumerate(self.grid.x_values):
-                g_oracle = g_from_h(m, x, h_oracle[i, k])
-                eps = float(self.eps[i, k])
-                yield (self.model, m, x, g_oracle, g_oracle * (1.0 + eps),
-                       eps)
 
 
 def report(model, grid: EvalGrid) -> DeviationReport:
@@ -175,28 +162,21 @@ def restrict(rep: DeviationReport, grid: EvalGrid) -> DeviationReport:
     ``models.model_h`` and ``h_array`` give each m row the bits they give
     it on any grid, and the chosen rows, C-contiguous like a fresh
     evaluation, aggregate in the order it does.  ``grid`` must have the
-    report's x axis, and each of its m values must be a row of the
-    report.  When those rows are consecutive in the report, the cut's
-    ``eps`` is a view of ``rep.eps``, not a copy; nothing writes a
-    report's ``eps``.
+    report's x axis, and its m values must be a run of consecutive rows
+    of the report.  The cut's ``eps`` is a view of ``rep.eps``, not a
+    copy; nothing writes a report's ``eps``.
     """
     if grid.x_values != rep.grid.x_values:
         raise ValueError(f"grid {grid.spec!r} and the {rep.model} report's "
                          f"grid {rep.grid.spec!r} differ in x")
     m_values = grid.m_values
-    try:
-        first = rep.m_lines.index(m_values[0])
-    except ValueError:
-        first = 0   # the comparison below fails at the first value
+    first = (rep.m_lines.index(m_values[0]) if m_values[0] in rep.m_lines
+             else 0)   # the comparison below fails at the first value
     rows = slice(first, first + len(m_values))
     if rep.m_lines[rows] != m_values:
-        row_of = {m: i for i, m in enumerate(rep.m_lines)}
-        for m in m_values:
-            if m not in row_of:
-                raise ValueError(f"m={m!r} of grid {grid.spec!r} is not a "
-                                 f"row of the {rep.model} report on "
-                                 f"{rep.grid.spec!r}")
-        rows = [row_of[m] for m in m_values]
+        raise ValueError(f"the m values of grid {grid.spec!r} are not a run "
+                         f"of consecutive rows of the {rep.model} report on "
+                         f"{rep.grid.spec!r}")
     return _aggregate(rep.model, grid, m_values, rep.eps[rows])
 
 
@@ -266,8 +246,9 @@ def render_comparison_csv(reports) -> str:
 
 
 def render_per_point_csv(report_obj: DeviationReport) -> str:
-    """``per_point_rows`` as CSV lines, with each array read once as
-    Python floats and each m and x formatted once."""
+    """The per-point CSV, model,m,x,g_oracle,g_model,eps: g_oracle is
+    ``g_from_h`` of the cached oracle h that eps divided by.  Each array
+    is read once as Python floats, and each m and x formatted once."""
     x_values = report_obj.grid.x_values
     x_cells = [f"{x!r}," for x in x_values]
     h_rows = oracle_h_row(report_obj.m_lines, x_values).tolist()

@@ -251,17 +251,17 @@ class TestFit:
                                             monkeypatch):
         from tempint import fitter
 
-        def no_target(cls, grid):
-            raise fitter.FitError("non-finite or non-positive oracle target")
+        def no_grid(cls, grid):
+            raise fitter.FitError("fit grid set-up failed")
 
         monkeypatch.setattr(fitter.FitGrid, "from_eval_grid",
-                            classmethod(no_target))
+                            classmethod(no_grid))
         out_file = tmp_path / "x.coeff"
         code, out, err = run(capsys, "fit", "--degree", "1", "--grid",
                              "coarse", "--out", str(out_file))
         assert code == 3
         assert out == ""
-        assert err == "error: non-finite or non-positive oracle target\n"
+        assert err == "error: fit grid set-up failed\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_pole_between_grid_points_exit_4(self, capsys, tmp_path,

@@ -14,25 +14,25 @@ def _load_layers():
 
 
 def test_tracer_installs_and_uninstalls():
+    # every name the tracer wraps, read as install reads it: each is
+    # replaced on install and restored on uninstall
     layers = _load_layers()
-    from tempint import cli, fitter, harness, models
+    names = [(owner, attr) for owner, attr, *_ in layers._targets()]
 
     def traced_names():
-        # the per-layer fit metrics read these wrappers
-        return (harness.report, models.model_h, fitter.linprog,
-                fitter.check_feasible, fitter.build_feasibility,
-                vars(fitter.FitGrid)["from_eval_grid"], cli.bisect_fit,
-                harness.g_cf, harness.vyazovkin_segment)
+        return [vars(owner)[attr] for owner, attr in names]
 
     before = traced_names()
     tracer = layers.Tracer()
     tracer.install()
     try:
         during = traced_names()
-        assert all(new is not old for new, old in zip(during, before))
+        for (owner, attr), new, old in zip(names, during, before):
+            assert new is not old, (owner, attr)
     finally:
         tracer.uninstall()
-    assert traced_names() == before
+    for (owner, attr), restored, old in zip(names, traced_names(), before):
+        assert restored is old, (owner, attr)
 
 
 def test_tracer_counts_each_walk_temperature_once():
