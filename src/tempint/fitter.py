@@ -3,24 +3,27 @@
 The objective is the paper's accuracy metric: the maximal relative
 deviation u = max |eps|, eps = (P/Q) / h - 1, of P/Q from the target h
 over a finite grid.  For fixed u the coefficient vectors (a_ij, b_ij)
-with |P_k - h_k Q_k| <= u h_k Q_k and Q_k >= DENOM_FLOOR at every grid
-point k form a polyhedron, so the problem is quasiconvex.  The fitter
-solves it by differential correction (Cheney & Loeb 1961; Barrodale,
-Powell & Roberts, SIAM J. Numer. Anal. 9 (1972), who prove convergence
-on finite point sets).  Around a witness c0 with denominator Q0 and
-deviation delta, one LP
+with |P_k - h_k Q_k| <= u h_k Q_k at every grid point k, and one
+normalization of Q's scale, form a polyhedron, so the problem is
+quasiconvex.  The fitter solves it by differential correction (Cheney &
+Loeb 1961; Barrodale, Powell & Roberts, SIAM J. Numer. Anal. 9 (1972),
+who prove convergence on finite point sets).  Around a witness c0 with
+denominator Q0 and deviation delta on the LP's points S, one LP
 
     minimize t  subject to  |P_k - h_k Q_k| - u h_k Q_k <= t delta h_k Q0_k,
-                            Q_k >= DENOM_FLOOR,  t >= -1
+                            sum_S Q_k / Q0_k = |S|,  t >= -1
 
 at u = delta is a step: its witness has a lower deviation whenever
 t < 0.  The same LP at a level u below delta is a feasibility test: the
 system is feasible at u iff the optimum t is within ``FEASIBILITY_TOL``.
-The LP is posed in increment form, c = c0 + delta * d, with Q's constant
-coefficient held fixed as the normalization, and each deviation row is
-divided by delta h_k Q0_k (the floor row by delta Q0_k).  So the rows'
-coefficients and right-hand sides are O(1), and HiGHS's absolute
-tolerances act relative to the level.
+The normalization row only fixes the scale of P and Q, which the ratio
+does not see: any P/Q with Q > 0 on S scales to meet it, and at t <= 0
+the deviation rows give Q_k >= 0.  So an infeasible verdict covers
+every P/Q with Q > 0 on S.  The LP is posed in increment form,
+c = c0 + delta * d, and each deviation row is divided by
+delta h_k Q0_k; the normalization row is then mean(phi_Q / Q0) d_b = 0.
+So the rows' coefficients and right-hand sides are O(1), and HiGHS's
+absolute tolerances act relative to the level.
 
 Monomial columns are rescaled to unit max absolute value over the whole
 grid.  On a grid of n_x x values and n_m m values the LPs move x^i m^j
@@ -36,10 +39,10 @@ cutting-plane method, as in the Remez exchange): S starts as
 ``SUBSET_PER_COEFF * n_coeffs`` evenly strided points, and each witness
 adds at most ``EXCHANGE_PER_COEFF * n_coeffs`` of its worst points
 outside S.  Every witness is measured on the whole grid with numpy, so
-``u_plus`` rests on the whole grid; ``u_minus`` does too, because adding
-rows never lowers an LP's optimum, so an infeasible S is an infeasible
-grid.  The fit's ``achieved_dev`` is ``harness.report``'s, as ``tempint
-eval`` prints it.
+``u_plus`` rests on the whole grid; ``u_minus`` does too, because a
+P/Q that reached u on the grid with Q > 0 there would reach it on S.
+The fit's ``achieved_dev`` is ``harness.report``'s, as ``tempint eval``
+prints it.
 
 Every LP of a fit goes through one HiGHS instance with presolve off,
 started from the optimal basis of the last LP solved (``WarmStart``),
@@ -72,7 +75,7 @@ from tempint.rational import (MAX_DEGREE, BivariatePoly, RationalApproximant,
 SUBSET_PER_COEFF = 16     # starting size of S
 EXCHANGE_PER_COEFF = 4    # most violators added to S per exchange
 
-DENOM_FLOOR = 1.0          # Q >= DENOM_FLOOR at every grid point
+DENOM_FLOOR = 1.0          # least Q of the starting witness on the grid
 BISECTION_TOL_ABS = 1e-12  # the bracket closes within this, or tol_rel * u
 FEASIBILITY_TOL = 1e-9     # optimum t of an LP feasible at its level
 STEP_GAIN = 0.01           # steps end when one lowers the deviation less
@@ -144,29 +147,26 @@ class FitProblem:
     @property
     def columns(self) -> np.ndarray:
         """``monomials`` as indices of the stacked (a_ij, b_ij) vector, in
-        P, then in Q; Q's constant is the normalization."""
+        P, then in Q."""
         return np.r_[self.monomials, len(self.basis[1]) + self.monomials]
 
 
 @dataclass
 class FeasibilitySystem:
-    """Rows A @ d <= b of one LP at level u, over the increment d of the
-    witness center + delta * d in the coefficients ``columns``.  The LP
-    holds the increment of Q's constant, LP column ``normalization``,
-    at 0; the rows alone leave the scale of P and Q free."""
+    """Rows a_ub @ d <= b_ub and a_eq @ d = 0 of one LP at level u, over
+    the increment d of the witness center + delta * d in the coefficients
+    ``columns``.  The inequalities bound the deviation; the one equality
+    row fixes the scale of P and Q, which the inequalities leave free."""
 
     u: float
     a_ub: np.ndarray
     b_ub: np.ndarray
+    a_eq: np.ndarray        # the normalization row, shape (1, n_coeffs)
     points: np.ndarray      # flat grid indices of the rows
     center: np.ndarray      # the witness the increment starts from
     delta: float            # its deviation on ``points``, the row scale
     columns: np.ndarray     # the moved coefficients, in the stacked vector
     col_scale: np.ndarray   # their column rescale
-
-    @property
-    def normalization(self) -> int:
-        return len(self.columns) // 2   # Q's constant, first of Q's columns
 
     @property
     def n_coeffs(self) -> int:
@@ -199,20 +199,20 @@ def build_feasibility(problem: FitProblem, u: float,
                       points: np.ndarray | None = None,
                       center: np.ndarray | None = None) -> FeasibilitySystem:
     """The LP at level u on ``points``, in increment form around the
-    witness ``center``: three rows per point, two deviation bounds and
-    the Q floor, each divided by delta h_k Q0_k (the floor by delta Q0_k).
+    witness ``center``: two deviation bounds per point, each divided by
+    delta h_k Q0_k, and one normalization row.
 
     With the center's relative error e0 and its deviation delta on the
     points, and the moved columns phi of P and Q, the rows are
 
         phi d_a / (h Q0) - (1 + u) phi d_b / Q0 - t <= (u - e0) / delta
        -phi d_a / (h Q0) + (1 - u) phi d_b / Q0 - t <= (u + e0) / delta
-                                  -phi d_b / Q0      <= (Q0 - DENOM_FLOOR)
-                                                        / (delta Q0)
+                               mean(phi / Q0) d_b    = 0
 
-    with t left to ``WarmStart.solve``; a floor the center misses by
-    rounding is held at its Q0.  ``points`` (flat grid indices) are the
-    whole grid by default, and ``center`` the least-squares witness.
+    with t left to ``WarmStart.solve``.  The last row is
+    sum Q_k / Q0_k = |S| over the points, divided by delta |S|.
+    ``points`` (flat grid indices) are the whole grid by default, and
+    ``center`` the least-squares witness.
     """
     if u < 0.0:
         raise ValueError(f"u must be >= 0, got {u}")
@@ -231,15 +231,11 @@ def build_feasibility(problem: FitProblem, u: float,
     a_ub = np.block([
         [p_cols, -(1.0 + u) * q_cols],
         [-p_cols, (1.0 - u) * q_cols],
-        [np.zeros_like(p_cols), -q_cols],
     ])
-    b_ub = np.concatenate([
-        (u - err) / delta,
-        (u + err) / delta,
-        np.maximum(q0 - DENOM_FLOOR, 0.0) / (delta * q0),
-    ])
-    return FeasibilitySystem(u=u, a_ub=a_ub, b_ub=b_ub, points=points,
-                             center=center, delta=delta,
+    b_ub = np.concatenate([(u - err) / delta, (u + err) / delta])
+    a_eq = np.r_[np.zeros(p_cols.shape[1]), q_cols.mean(axis=0)][None, :]
+    return FeasibilitySystem(u=u, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq,
+                             points=points, center=center, delta=delta,
                              columns=problem.columns,
                              col_scale=np.tile(scale, 2)[problem.columns])
 
@@ -254,10 +250,10 @@ class WarmStart:
     on other points (after an exchange) has a superset of them.  Its
     basis is the stored one with rows for the new points, written into
     ``basis.row_status`` in place: the stored points keep their
-    statuses, three rows each in ``build_feasibility`` order, and the
-    rows of the new points are basic (their slacks enter the basis), so
-    it stays valid.  An LP that no solve ends optimal
-    leaves that basis stored.
+    statuses, two rows each in ``build_feasibility`` order, the
+    normalization row, last, keeps its own, and the rows of the new
+    points are basic (their slacks enter the basis), so it stays valid.
+    An LP that no solve ends optimal leaves that basis stored.
     """
 
     def __init__(self):
@@ -268,10 +264,11 @@ class WarmStart:
 
     def solve(self, system: FeasibilitySystem) -> tuple[float, np.ndarray]:
         """The optimum t and solution (d, t) of the LP min t subject to
-        the rows of ``system``, its deviation rows relaxed by t, and
-        t >= -1, with Q's constant held at the center's.  At t = -1 a
-        row asks |P - hQ| <= u h (Q - Q0), so the bound holds t where the
-        normalization cannot.
+        the rows of ``system``, its deviation rows relaxed by t, its
+        normalization row an equality, and t >= -1; every coefficient's
+        increment is free.  At t = -1 a row asks |P - hQ| <= u h (Q - Q0):
+        the normalization fixes the scale of P and Q, and the bound holds
+        t where that cannot.
 
         A ladder of at most two solves: HiGHS at ``TIGHT_OPTIONS`` from
         the stored basis, if there is one; if that does not end optimal,
@@ -279,30 +276,27 @@ class WarmStart:
         ``FitError``, with the last run status and model status, if that
         does not either.
         """
-        n_points = len(system.points)
-        t_col = np.repeat([-1.0, 0.0], [2 * n_points, n_points])
-        a = np.hstack([system.a_ub, t_col[:, None]])
+        a = np.block([[system.a_ub, -np.ones((len(system.b_ub), 1))],
+                      [system.a_eq, 0.0]])
         n_rows, n_cols = a.shape
         cost = np.eye(n_cols)[-1]
         sparse = csc_array(a)
         lower = np.r_[np.full(n_cols - 1, -np.inf), -1.0]
-        upper = np.full(n_cols, np.inf)
-        lower[system.normalization] = upper[system.normalization] = 0.0
         highs = self.highs
         _check_status(highs.passModel(
             n_cols, n_rows, sparse.nnz, MatrixFormat.kColwise,
-            ObjSense.kMinimize, 0.0, cost, lower, upper,
-            np.full(n_rows, -np.inf), system.b_ub,
+            ObjSense.kMinimize, 0.0, cost, lower, np.full(n_cols, np.inf),
+            np.r_[np.full(n_rows - 1, -np.inf), 0.0], np.r_[system.b_ub, 0.0],
             sparse.indptr, sparse.indices, sparse.data,
             np.zeros(n_cols, dtype=np.int32)), "passModel")
         if self.basis is not None and not np.array_equal(system.points,
                                                          self.points):
             kept = np.isin(system.points, self.points)
-            status = np.full((3, len(kept)), HighsBasisStatus.kBasic,
+            rows = self.basis.row_status
+            status = np.full((2, len(kept)), HighsBasisStatus.kBasic,
                              dtype=object)
-            status[:, kept] = np.array(self.basis.row_status,
-                                       dtype=object).reshape(3, -1)
-            self.basis.row_status = status.ravel().tolist()
+            status[:, kept] = np.array(rows[:-1], dtype=object).reshape(2, -1)
+            self.basis.row_status = status.ravel().tolist() + rows[-1:]
             self.points = system.points
         for options in (TIGHT_OPTIONS, DEFAULT_OPTIONS):
             # tight tolerances can break down near degeneracy (degree 4 at
@@ -385,8 +379,8 @@ def _coeffs_to_approximant(vec: np.ndarray, degree: int) -> RationalApproximant:
     coeffs = [float(v) for v in vec]
     a, b = coeffs[:len(coeffs) // 2], coeffs[len(coeffs) // 2:]
     # Presentation normalization: unit |b_00| unless it is near zero.
-    # The witness has Q >= DENOM_FLOOR > 0 on the grid; dividing by the
-    # pivot's magnitude keeps it positive.
+    # The witness has Q > 0 on the grid (``_check_on_grid`` rejects any
+    # other); dividing by the pivot's magnitude keeps it positive.
     pivot = abs(b[0]) if abs(b[0]) >= 1e-3 else max(map(abs, b))
     return RationalApproximant(
         BivariatePoly(degree, [v / pivot for v in a]),
@@ -399,11 +393,11 @@ def _check_on_grid(problem: FitProblem, vec: np.ndarray,
     over the whole grid.
 
     A violator is a grid point outside S where the witness deviates more
-    than anywhere on S, or where its Q misses the floor by more than
-    ``FEASIBILITY_TOL``; there its deviation counts as infinite.
+    than anywhere on S, or where its Q is not positive; there its
+    deviation counts as infinite.
     """
     err, q = _errors(problem, vec)
-    dev = np.where(q >= DENOM_FLOOR - FEASIBILITY_TOL, np.abs(err), np.inf)
+    dev = np.where(q > 0.0, np.abs(err), np.inf)
     excess = dev - dev[s].max()
     excess[s] = -np.inf
     bad = np.flatnonzero(excess > 0.0)
@@ -460,10 +454,10 @@ def bisect_fit(problem: FitProblem) -> FitResult:
     finds no witness; such a lower-end LP runs once more from no stored
     basis.  ``iterations`` counts the steps, and ``lp_solves`` every LP.
 
-    Every LP holds Q's constant at the witness's value and Q at or
-    above ``DENOM_FLOOR`` on S, so ``u_minus`` says that no P/Q so
-    normalized reaches it on S; the rows alone, as the tests' cold
-    referee solves them, are free in scale.
+    Every LP fixes only the scale of P and Q, by sum Q_k / Q0_k = |S|
+    over S, which every P/Q with Q > 0 on S meets once scaled, whatever
+    its b_00.  So ``u_minus`` says that no P/Q with Q > 0 on S, and so
+    none with Q > 0 on the grid, reaches it there.
 
     S is a sorted array of flat grid indices.  It starts as an evenly
     strided ``SUBSET_PER_COEFF * n_coeffs`` points of the flattened grid
@@ -475,9 +469,9 @@ def bisect_fit(problem: FitProblem) -> FitResult:
 
     A posteriori verification takes ``achieved_dev`` from
     ``harness.report`` on the fit grid, whose pole check cannot fire:
-    every witness has Q >= ``DENOM_FLOOR`` at every grid point, within
-    the LP tolerances; ``denom_lower_bound`` on the fit grid's rectangle
-    gives ``denom_min`` and, when it does not prove Q > 0, ``pole_warning``.
+    every witness kept has Q > 0 at every grid point (``_check_on_grid``).
+    ``denom_lower_bound`` on the fit grid's rectangle gives ``denom_min``
+    and, when it does not prove Q > 0, ``pole_warning``.
     """
     g = problem.grid
     n_coeffs = 2 * len(problem.basis[1])

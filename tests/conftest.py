@@ -20,16 +20,19 @@ def arrhenius_grid():
 @pytest.fixture(scope="session")
 def cold_feasible():
     """A referee for the fitter's verdicts that shares none of its solve
-    path: the phase-1 LP of a ``FeasibilitySystem`` solved cold by scipy's
-    ``linprog``, at the tight tolerances and, if that fails, at the
-    defaults.  True if the system is feasible."""
+    path: the LP of a ``FeasibilitySystem``, min t subject to its rows
+    and t >= -1, solved cold by scipy's ``linprog`` at the tight
+    tolerances and, if that fails, at the defaults.  True if the system
+    is feasible."""
     def verdict(system):
-        a = np.hstack([system.a_ub, -np.ones((len(system.b_ub), 1))])
-        cost = np.eye(a.shape[1])[-1]
-        bounds = [(None, None)] * system.n_coeffs + [(0.0, None)]
+        a_ub = np.hstack([system.a_ub, -np.ones((len(system.b_ub), 1))])
+        a_eq = np.hstack([system.a_eq, [[0.0]]])
+        cost = np.eye(a_ub.shape[1])[-1]
+        bounds = [(None, None)] * system.n_coeffs + [(-1.0, None)]
         for options in (fitter.TIGHT_OPTIONS, None):
-            res = linprog(cost, A_ub=a, b_ub=system.b_ub, bounds=bounds,
-                          method="highs", options=options)
+            res = linprog(cost, A_ub=a_ub, b_ub=system.b_ub, A_eq=a_eq,
+                          b_eq=[0.0], bounds=bounds, method="highs",
+                          options=options)
             if res.status == 0:
                 return res.fun <= fitter.FEASIBILITY_TOL
         raise AssertionError(f"cold solve failed: {res.message}")
@@ -52,12 +55,13 @@ def sound_lower_ends(monkeypatch):
 
 @pytest.fixture
 def solve_rows(monkeypatch):
-    """The row count of every ``WarmStart.solve`` call, in call order."""
+    """The row count of every ``WarmStart.solve`` call, in call order:
+    the deviation rows and the normalization row."""
     real_solve = fitter.WarmStart.solve
     rows = []
 
     def counting_solve(warm, system):
-        rows.append(system.a_ub.shape[0])
+        rows.append(len(system.a_ub) + len(system.a_eq))
         return real_solve(warm, system)
 
     monkeypatch.setattr(fitter.WarmStart, "solve", counting_solve)

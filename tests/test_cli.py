@@ -180,6 +180,17 @@ class TestFit:
         assert u_minus <= achieved
         assert u_plus == pytest.approx(achieved, rel=1e-5)
 
+    @pytest.mark.parametrize("grid", ["coarse", "arrhenius", "paper-eval",
+                                      "paper-narrow"])
+    def test_golden_lower_ends_nest(self, grid):
+        # a degree-n P/Q is also one of degree n + 1, so no sound lower
+        # end at n + 1 lies above the written fit's deviation at n
+        reports = [dict(line.split(" ", 1) for line in
+                        (GOLDEN / f"fit-n{n}-{grid}.report")
+                        .read_text().splitlines()) for n in (1, 2, 3, 4)]
+        for low, high in zip(reports, reports[1:]):
+            assert float(high["u_minus"]) <= float(low["achieved_dev"])
+
     def test_tol_zero_closes_the_bracket(self, capsys, tmp_path):
         # at --tol 0 the lower end sits BISECTION_TOL_ABS below u_plus,
         # a gap that doubles while the LP cannot resolve it

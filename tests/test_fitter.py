@@ -15,7 +15,7 @@ from tempint.fitter import (
     check_feasible,
 )
 from tempint.harness import EvalGrid, report
-from tempint.rational import index_pairs, load_coeffs
+from tempint.rational import denom_lower_bound, index_pairs, load_coeffs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -43,13 +43,14 @@ class TestBuildFeasibility:
     def test_row_count(self, coarse_fit_grid):
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         system = build_feasibility(problem, 0.01)
-        assert system.a_ub.shape == (3 * coarse_fit_grid.size, 12)
+        assert system.a_ub.shape == (2 * coarse_fit_grid.size, 12)
+        assert system.a_eq.shape == (1, 12)
 
     @pytest.mark.parametrize("u", [0.0, 1e-4, 0.01])
     def test_rows_are_scaled_deviation_bounds(self, coarse_fit_grid, u):
-        # at any increment d, with Q's constant held, the rows are
-        # (+-(P - hQ) - u hQ) / (delta h Q0) and (DENOM_FLOOR - Q) /
-        # (delta Q0), less the right-hand side's share of the floor
+        # at any increment d the rows are (+-(P - hQ) - u hQ) /
+        # (delta h Q0), and the normalization row is
+        # (sum Q / Q0 - |S|) / (delta |S|)
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         points = np.arange(0, coarse_fit_grid.size, 3)
         system = build_feasibility(problem, u, points)
@@ -58,9 +59,7 @@ class TestBuildFeasibility:
         err0, q0 = (v[points] for v in fitter._errors(problem, center))
         assert system.delta == np.abs(err0).max()
         d = np.random.default_rng(1).normal(size=system.n_coeffs)
-        d[system.normalization] = 0.0
         vec = system.witness(d)
-        assert vec[len(vec) // 2] == center[len(vec) // 2]
         err, q = (v[points] for v in fitter._errors(problem, vec))
         h = coarse_fit_grid.h[points]
         p = h * q * (1.0 + err)
@@ -72,27 +71,28 @@ class TestBuildFeasibility:
         np.testing.assert_allclose(rows[n:2 * n] * scale,
                                    h * q - p - u * h * q,
                                    rtol=1e-9, atol=1e-12 * scale.max())
-        np.testing.assert_allclose(rows[2 * n:] * system.delta * q0,
-                                   fitter.DENOM_FLOOR - q, rtol=1e-9)
+        assert len(rows) == 2 * n
+        np.testing.assert_allclose(
+            system.a_eq @ d * system.delta * n, [np.sum(q / q0) - n],
+            rtol=1e-9)
 
     def test_single_point_rows(self):
         # one point, x = 10 on m = 0: the m and x columns are multiples of
         # the constant, so the LP moves a_00 and b_00; around P = 0,
         # Q = 1, whose error is -1 and deviation 1, the rows are
-        # a / h - (1 + u) b <= 1 + u, -a / h + (1 - u) b <= u - 1 and
-        # -b <= 0
+        # a / h - (1 + u) b <= 1 + u and -a / h + (1 - u) b <= u - 1,
+        # and the normalization row is b = 0
         grid = FitGrid.from_eval_grid(EvalGrid.from_spec("m=0:0:1,x=10:10:1"))
         problem = FitProblem(degree=1, grid=grid)
         np.testing.assert_array_equal(problem.columns, [0, 3])
         center = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
         u, h = 0.25, grid.h[0]
         system = build_feasibility(problem, u, center=center)
-        assert (system.delta, system.normalization) == (1.0, 1)
+        assert system.delta == 1.0
         np.testing.assert_allclose(
-            system.a_ub, [[1 / h, -(1 + u)], [-1 / h, 1 - u], [0.0, -1.0]],
-            rtol=1e-15)
-        np.testing.assert_allclose(system.b_ub, [1 + u, u - 1, 0.0],
-                                   rtol=1e-15)
+            system.a_ub, [[1 / h, -(1 + u)], [-1 / h, 1 - u]], rtol=1e-15)
+        np.testing.assert_allclose(system.b_ub, [1 + u, u - 1], rtol=1e-15)
+        np.testing.assert_array_equal(system.a_eq, [[0.0, 1.0]])
         np.testing.assert_array_equal(system.witness(np.array([2.0, 0.0])),
                                       [2.0, 0.0, 0.0, 1.0, 0.0, 0.0])
 
@@ -147,11 +147,15 @@ class TestCheckFeasible:
     def test_witness_satisfies_rows(self, coarse_fit_grid):
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         u = 1e-4
-        vec = check_feasible(build_feasibility(problem, u),
-                             fitter.WarmStart())
+        system = build_feasibility(problem, u)
+        vec = check_feasible(system, fitter.WarmStart())
         dev, q_min = deviation(problem, vec)
         assert dev <= u * (1.0 + 1e-6)
-        assert q_min >= fitter.DENOM_FLOOR - fitter.FEASIBILITY_TOL
+        # Q > 0 at every point, scaled to sum Q / Q0 = |S|
+        assert q_min > 0.0
+        q0 = fitter._errors(problem, system.center)[1]
+        q = fitter._errors(problem, vec)[1]
+        assert np.sum(q / q0) == pytest.approx(len(q), rel=1e-9)
 
     def test_initial_witness_feasible(self, coarse_fit_grid, monkeypatch):
         # the least-squares witness needs no LP: its Q has min DENOM_FLOOR
@@ -320,31 +324,38 @@ class TestExchange:
         result = bisect_fit(FitProblem(degree=1, grid=grid))
         assert result.active_points == grid.size
         assert len(solve_rows) == result.lp_solves == result.iterations + 1
-        assert set(solve_rows) == {3 * grid.size}
+        assert set(solve_rows) == {2 * grid.size + 1}
 
     def test_exchanges_solve_no_full_grid_lp(self, paper_eval_grid,
                                              solve_rows):
         grid = FitGrid.from_eval_grid(paper_eval_grid)
         result = bisect_fit(FitProblem(degree=2, grid=grid))
         assert len(solve_rows) == result.lp_solves > result.iterations
-        assert max(solve_rows) < 3 * grid.size
+        assert max(solve_rows) < 2 * grid.size + 1
 
-    @pytest.mark.parametrize("spec", ["m=1:1:1,x=4:100:1",
-                                      "m=0:1:1,x=4:100:8",
-                                      "m=0:0:1,x=4:100:0.25"])
-    def test_indistinct_columns_fit(self, spec):
+    @pytest.mark.parametrize("spec,exact", [
+        pytest.param(spec, exact, id=spec) for spec, exact in (
+            ("m=1:1:1,x=4:100:1", False), ("m=0:1:1,x=4:100:8", True),
+            ("m=0:0:1,x=4:100:0.25", False))])
+    def test_indistinct_columns_fit(self, spec, exact):
         # grids that cannot tell monomials apart end in a few LPs with
-        # a closed bracket, Q > 0 proven
+        # a closed bracket, Q > 0 proven.  Degree 4 on 13 x values of two
+        # m lines reaches 1.15e-13, within BISECTION_TOL_ABS: an exact
+        # fit, whose lower end is 0
         grid = FitGrid.from_eval_grid(EvalGrid.from_spec(spec))
         problem = FitProblem(degree=4, grid=grid)
         result = bisect_fit(problem)
         assert bracket_closed(problem, result)
-        assert 0.0 < result.u_minus <= result.achieved_dev
+        assert result.u_minus <= result.achieved_dev
+        if exact:
+            assert result.achieved_dev < 1e-12
+        else:
+            assert result.u_minus > 0.0
         assert result.lp_solves <= 10 and not result.pole_warning
 
     def test_near_duplicate_m_lines(self):
         # two m lines 1e-9 apart still tell x m from x: with it moved,
-        # degree 2 reaches 5.014e-7 (2.240e-4 with x m held at 0)
+        # degree 2 reaches 5.022e-7 (2.240e-4 with x m held at 0)
         grid = FitGrid.from_eval_grid(EvalGrid.from_spec(
             "m=-1:-0.999999999:0.000000001,x=4:100:2"))
         result = bisect_fit(FitProblem(degree=2, grid=grid))
@@ -362,6 +373,21 @@ class TestExchange:
                                        grid=FitGrid.from_eval_grid(grid)))
         assert result.u_minus <= measured
         assert result.achieved_dev <= measured
+
+    def test_lower_end_below_a_refuter(self):
+        # refuter-n4.coeff is the witness of a cold linprog, at
+        # TIGHT_OPTIONS, of the lower-end LP of a fit that held Q's
+        # constant and kept Q >= 1 on S: measured as `tempint eval
+        # --coeffs` measures it, with Q > 0 proven, it bounds u* on this
+        # grid from above.  That fit printed u_minus 6.855e-11
+        grid = EvalGrid.from_spec("m=-2:2:0.25,x=4:100:5")
+        witness = load_coeffs(GOLDEN / "refuter-n4.coeff")
+        measured = report(witness, grid).eps_max_abs
+        assert measured == pytest.approx(1.248e-11, rel=1e-3)
+        assert denom_lower_bound(witness.denom, grid)[1]
+        result = bisect_fit(FitProblem(degree=4,
+                                       grid=FitGrid.from_eval_grid(grid)))
+        assert result.u_minus <= measured
 
     def test_tol_zero_ends(self, coarse_fit_grid, lp_calls):
         # at tol_rel 0 the gap is BISECTION_TOL_ABS, below the LP's
@@ -517,18 +543,21 @@ class TestWarmStart:
             assert np.array_equal(warm.points, subset)
             for points in (grown, np.arange(size)):
                 stored = np.array(warm.basis.row_status, dtype=object)
-                assert len(stored) == 3 * len(warm.points)
+                assert len(stored) == 2 * len(warm.points) + 1
                 at = np.searchsorted(points, warm.points)
                 starts.clear()
                 warm_feasible, feasible = verdicts(
                     build_feasibility(problem, u, points), warm)
                 assert warm_feasible == feasible, u
-                # the rows of the points solved before keep the statuses
-                # of that LP's optimal basis; the rows of new points are
-                # basic
-                start = np.array(starts[0], dtype=object).reshape(3, -1)
-                assert start.shape == (3, len(points))
-                assert np.array_equal(start[:, at], stored.reshape(3, -1))
+                # the rows of the points solved before, and the
+                # normalization row, keep the statuses of that LP's
+                # optimal basis; the rows of new points are basic
+                start = np.array(starts[0], dtype=object)
+                assert start[-1] == stored[-1]
+                start = start[:-1].reshape(2, -1)
+                assert start.shape == (2, len(points))
+                assert np.array_equal(start[:, at],
+                                      stored[:-1].reshape(2, -1))
                 assert np.all(np.delete(start, at, axis=1)
                               == fitter.HighsBasisStatus.kBasic)
                 assert np.array_equal(warm.points, points)
@@ -548,8 +577,9 @@ class TestWarmStart:
 
     def test_step_lowers_the_deviation(self, coarse_fit_grid):
         # the LP at its center's deviation is feasible at t = 0, d = 0;
-        # its optimum t is in [-1, 0], and its witness does better on
-        # the LP's points by that share of delta, through Q0 / Q
+        # its optimum t is in [-1, 0], its witness meets sum Q / Q0 = |S|
+        # on the LP's points and does better there by that share of
+        # delta, through Q0 / Q
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         center = fitter._initial_witness(problem)
         delta = deviation(problem, center)[0]
@@ -558,9 +588,9 @@ class TestWarmStart:
         warm = fitter.WarmStart()
         slack, x = warm.solve(system)
         assert -1.0 <= slack < 0.0
-        assert x[system.normalization] == 0.0
         err0, q0 = fitter._errors(problem, center)
         err, q = fitter._errors(problem, system.witness(x[:-1]))
+        assert np.sum(q / q0) == pytest.approx(len(q), rel=1e-9)
         bound = delta * (1.0 + slack * q0 / q)
         assert np.all(np.abs(err) <= bound * (1.0 + 1e-6))
         assert np.abs(err).max() < delta
