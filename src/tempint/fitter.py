@@ -46,10 +46,12 @@ prints it.
 
 Every LP of a fit goes through one HiGHS instance with presolve off,
 started from the optimal basis of the last LP solved (``WarmStart``),
-the fitter's only LP solver.  A solve that does not end optimal runs
-again from the same basis at HiGHS's default tolerances.  A step that
-fails both ends the steps; a lower-end LP is solved once more from no
-basis, and if that fails too the fit fails with ``FitError``.
+the fitter's only LP solver.  A step is solved in its dual form, a
+lower-end LP as stated above; one basis serves both.  A solve that does
+not end optimal runs again from the same basis at HiGHS's default
+tolerances.  A step that fails both ends the steps; a lower-end LP is
+solved once more from no basis, and if that fails too the fit fails
+with ``FitError``.
 """
 
 from __future__ import annotations
@@ -61,10 +63,9 @@ import numpy as np
 # bound for perfbench/layers.py, which wraps fitter.linprog
 from scipy.optimize import linprog
 # the HiGHS binding that scipy's linprog loads for method="highs"
-from scipy.optimize._highspy._core import (HighsBasisStatus, HighsModelStatus,
-                                           HighsStatus, MatrixFormat, ObjSense,
-                                           _Highs)
-from scipy.sparse import csc_array
+from scipy.optimize._highspy._core import (HighsBasis, HighsBasisStatus,
+                                           HighsModelStatus, HighsStatus,
+                                           MatrixFormat, ObjSense, _Highs)
 
 from tempint.harness import EvalGrid, oracle_h_row, report
 from tempint.rational import (MAX_DEGREE, BivariatePoly, RationalApproximant,
@@ -85,6 +86,11 @@ TIGHT_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
                  "dual_feasibility_tolerance": 1e-9}
 DEFAULT_OPTIONS = {"primal_feasibility_tolerance": 1e-7,
                    "dual_feasibility_tolerance": 1e-7}
+# HiGHS simplex_strategy: primal simplex on a step's dual form, and
+# HiGHS's default, dual simplex, on a lower-end LP
+STEP_SIMPLEX, LOWER_END_SIMPLEX = 4, 1
+BASIC, LOWER, UPPER, ZERO = (HighsBasisStatus.kBasic, HighsBasisStatus.kLower,
+                             HighsBasisStatus.kUpper, HighsBasisStatus.kZero)
 
 
 class FitError(Exception):
@@ -244,16 +250,32 @@ class WarmStart:
     """The fitter's LP solver: one HiGHS instance for the LPs of a fit,
     and the optimal basis of its last warm solve (see ``solve``).
 
-    ``basis`` is the ``HighsBasis`` that HiGHS returned for the last LP,
-    whose rows belong to the sorted grid points ``points``.  The next LP
-    on the same points starts from it as it is.  S only grows, so an LP
-    on other points (after an exchange) has a superset of them.  Its
-    basis is the stored one with rows for the new points, written into
-    ``basis.row_status`` in place: the stored points keep their
-    statuses, two rows each in ``build_feasibility`` order, the
-    normalization row, last, keeps its own, and the rows of the new
-    points are basic (their slacks enter the basis), so it stays valid.
-    An LP that no solve ends optimal leaves that basis stored.
+    A step (u = delta, or any u above) is solved in its dual form, of
+    n_coeffs + 1 rows in place of 2|S| + 1 (Barrodale & Phillips, ACM
+    TOMS 1 (1975), Algorithm 495), by primal simplex:
+
+        minimize b_ub y + s  subject to  a_ub^T y + a_eq^T w = 0,
+                                         sum y + s = 1,  y, s >= 0,
+
+    w free.  Its row duals are (d, -t).  A lower-end LP (u < delta),
+    whose verdict sets ``u_minus``, is solved as built, by dual simplex.
+
+    ``basis`` is the ``HighsBasis`` of the last LP in the terms of the
+    LP as built, whose rows belong to the sorted grid points ``points``.
+    It maps to and from the dual form by complementarity: y_k is basic
+    iff deviation row k is not, w iff the normalization row is not, s
+    iff t is not, and a dual row iff its increment is not (the last
+    dual row never is).  A lower-end LP starts with the increments that
+    the dual form left nonbasic made basic, an alien basis from which
+    HiGHS picks the rows that leave: dual simplex cannot start with a
+    free column nonbasic.  S only grows, so an LP on other points (after
+    an exchange) has a superset of them.  Its basis is the stored one
+    with rows for the new points, written into ``basis.row_status`` in
+    place: the stored points keep their statuses, two rows each in
+    ``build_feasibility`` order, the normalization row, last, keeps its
+    own, and the rows of the new points are basic (their slacks enter
+    the basis), so it stays valid.  An LP that no solve ends optimal
+    leaves that basis stored.
     """
 
     def __init__(self):
@@ -276,45 +298,113 @@ class WarmStart:
         ``FitError``, with the last run status and model status, if that
         does not either.
         """
-        a = np.block([[system.a_ub, -np.ones((len(system.b_ub), 1))],
-                      [system.a_eq, 0.0]])
-        n_rows, n_cols = a.shape
-        cost = np.eye(n_cols)[-1]
-        sparse = csc_array(a)
-        lower = np.r_[np.full(n_cols - 1, -np.inf), -1.0]
+        n_rows, n_coeffs = system.a_ub.shape
+        step = not system.u < system.delta
+        if step:   # the dual form's columns y, w, s
+            a = np.block([[system.a_ub.T, system.a_eq.T,
+                           np.zeros((n_coeffs, 1))],
+                          [np.ones((1, n_rows)), 0.0, 1.0]])
+            cost = np.r_[system.b_ub, 0.0, 1.0]
+            lower = np.r_[np.zeros(n_rows), -np.inf, 0.0]
+            row_lower = row_upper = np.r_[np.zeros(n_coeffs), 1.0]
+        else:      # columns d, t
+            a = np.block([[system.a_ub, -np.ones((n_rows, 1))],
+                          [system.a_eq, 0.0]])
+            cost = np.eye(n_coeffs + 1)[-1]
+            lower = np.r_[np.full(n_coeffs, -np.inf), -1.0]
+            row_lower = np.r_[np.full(n_rows, -np.inf), 0.0]
+            row_upper = np.r_[system.b_ub, 0.0]
+        height, width = a.shape
         highs = self.highs
+        # the dense matrix, column by column
         _check_status(highs.passModel(
-            n_cols, n_rows, sparse.nnz, MatrixFormat.kColwise,
-            ObjSense.kMinimize, 0.0, cost, lower, np.full(n_cols, np.inf),
-            np.r_[np.full(n_rows - 1, -np.inf), 0.0], np.r_[system.b_ub, 0.0],
-            sparse.indptr, sparse.indices, sparse.data,
-            np.zeros(n_cols, dtype=np.int32)), "passModel")
+            width, height, a.size, MatrixFormat.kColwise, ObjSense.kMinimize,
+            0.0, cost, lower, np.full(width, np.inf), row_lower, row_upper,
+            np.arange(0, a.size + 1, height),
+            np.tile(np.arange(height), width), a.ravel(order="F"),
+            np.zeros(width, dtype=np.int32)), "passModel")
         if self.basis is not None and not np.array_equal(system.points,
                                                          self.points):
             kept = np.isin(system.points, self.points)
             rows = self.basis.row_status
-            status = np.full((2, len(kept)), HighsBasisStatus.kBasic,
-                             dtype=object)
+            status = np.full((2, len(kept)), BASIC, dtype=object)
             status[:, kept] = np.array(rows[:-1], dtype=object).reshape(2, -1)
             self.basis.row_status = status.ravel().tolist() + rows[-1:]
             self.points = system.points
+        start = self.basis
+        if start is not None and step:
+            start = _dual_basis(start)
+        elif start is not None and ZERO in start.col_status:
+            # an increment the dual form left nonbasic, which HiGHS's dual
+            # simplex cannot start from: it enters, and HiGHS picks the
+            # rows that leave
+            start = _basis([BASIC if status == ZERO else status
+                            for status in start.col_status],
+                           start.row_status, alien=True)
+        highs.setOptionValue("simplex_strategy",
+                             STEP_SIMPLEX if step else LOWER_END_SIMPLEX)
         for options in (TIGHT_OPTIONS, DEFAULT_OPTIONS):
             # tight tolerances can break down near degeneracy (degree 4 at
             # u ~ 1e-9); the same start at the defaults mends those LPs
             for key, value in options.items():
                 highs.setOptionValue(key, value)
-            if self.basis is not None:
-                _check_status(highs.setBasis(self.basis), "setBasis")
+            if start is not None:
+                _check_status(highs.setBasis(start), "setBasis")
             # a run that returns kError is a failed rung, not an error
             run_status = highs.run()
             model_status = highs.getModelStatus()
             if model_status == HighsModelStatus.kOptimal:
-                self.basis, self.points = highs.getBasis(), system.points
-                return (highs.getInfo().objective_function_value,
-                        np.array(highs.getSolution().col_value))
-        raise FitError(
-            f"LP solver failed: run status {run_status.name}, model status "
-            f"{highs.modelStatusToString(model_status)}")
+                break
+        else:
+            raise FitError(
+                f"LP solver failed: run status {run_status.name}, model "
+                f"status {highs.modelStatusToString(model_status)}")
+        self.points = system.points
+        t = highs.getInfo().objective_function_value
+        if not step:
+            self.basis = highs.getBasis()
+            return t, np.array(highs.getSolution().col_value)
+        self.basis = _primal_basis(highs.getBasis(), n_rows)
+        y = np.array(highs.getSolution().row_dual)
+        return -t, np.r_[y[:-1], -y[-1]]
+
+
+def _complement(statuses: list, nonbasic: HighsBasisStatus) -> list:
+    """Basic where ``statuses`` is nonbasic, else ``nonbasic``."""
+    # by .value: a HighsBasisStatus compares by == in Python, 3x slower
+    basic = BASIC.value
+    return [nonbasic if status.value == basic else BASIC
+            for status in statuses]
+
+
+def _basis(col_status: list, row_status: list,
+           alien: bool = False) -> HighsBasis:
+    """A basis of the given statuses; an alien one may have more basic
+    statuses than rows."""
+    basis = HighsBasis()
+    basis.col_status, basis.row_status = col_status, row_status
+    basis.alien, basis.valid = alien, not alien
+    return basis
+
+
+def _dual_basis(basis: HighsBasis) -> HighsBasis:
+    """The dual form's basis complementary to ``basis`` of the LP as
+    built (see ``WarmStart``)."""
+    rows, cols = basis.row_status, basis.col_status
+    return _basis(
+        _complement(rows[:-1], LOWER) + _complement(rows[-1:], ZERO)
+        + _complement(cols[-1:], LOWER),
+        _complement(cols[:-1], LOWER) + [LOWER])
+
+
+def _primal_basis(dual: HighsBasis, n_rows: int) -> HighsBasis:
+    """The basis of the LP as built, with ``n_rows`` deviation rows,
+    complementary to ``dual`` of its dual form."""
+    cols, rows = dual.col_status, dual.row_status
+    return _basis(
+        _complement(rows[:-1], ZERO) + _complement(cols[-1:], LOWER),
+        _complement(cols[:n_rows], UPPER)
+        + _complement(cols[n_rows:-1], LOWER))
 
 
 def _check_status(status: HighsStatus, call: str) -> None:

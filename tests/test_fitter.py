@@ -389,6 +389,20 @@ class TestExchange:
                                        grid=FitGrid.from_eval_grid(grid)))
         assert result.u_minus <= measured
 
+    def test_lower_end_below_the_arrhenius_refuter(self, arrhenius_grid):
+        # refuter-n4-arrhenius.coeff is the degree-4 fit on arrhenius of a
+        # fitter that solved every LP as ``build_feasibility`` states it:
+        # measured as `tempint eval --coeffs` measures it, with Q > 0
+        # proven, it bounds u* on this grid from above.  A fitter that
+        # solved the lower-end LP in dual form too printed u_minus 2.41e-10
+        witness = load_coeffs(GOLDEN / "refuter-n4-arrhenius.coeff")
+        measured = report(witness, arrhenius_grid).eps_max_abs
+        assert measured == pytest.approx(4.2537e-11, rel=1e-4)
+        assert denom_lower_bound(witness.denom, arrhenius_grid)[1]
+        result = bisect_fit(FitProblem(
+            degree=4, grid=FitGrid.from_eval_grid(arrhenius_grid)))
+        assert result.u_minus <= measured
+
     def test_tol_zero_ends(self, coarse_fit_grid, lp_calls):
         # at tol_rel 0 the gap is BISECTION_TOL_ABS, below the LP's
         # resolution at 5.5e-3: a feasible verdict that gains less than
@@ -455,13 +469,20 @@ def verdicts(cold_feasible):
     return both
 
 
+def statuses(basis):
+    """A ``HighsBasis``'s column and row statuses."""
+    return list(basis.col_status), list(basis.row_status)
+
+
 @pytest.fixture
 def failing_runs(coarse_fit_grid):
-    """A WarmStart that has solved one LP, whose next HiGHS runs return
-    kError while ``fail`` pops True; every setBasis (with its basis) and
+    """A WarmStart that has solved one LP, a step (u = 0.01 is above its
+    center's deviation), whose next HiGHS runs return kError while
+    ``fail`` pops True; every setBasis (with its basis's statuses) and
     run (with its tolerance) goes into ``calls``."""
     system = build_feasibility(
         FitProblem(degree=2, grid=coarse_fit_grid), 0.01)
+    assert system.u > system.delta
     warm = fitter.WarmStart()
     check_feasible(system, warm)
     calls, fail = [], []
@@ -475,7 +496,7 @@ def failing_runs(coarse_fit_grid):
             return getattr(self.highs, name)
 
         def setBasis(self, start):
-            calls.append(("setBasis", start))
+            calls.append(("setBasis", statuses(start)))
             return self.highs.setBasis(start)
 
         def run(self):
@@ -490,7 +511,9 @@ def failing_runs(coarse_fit_grid):
                 return fitter.HighsModelStatus.kNotset
             return self.highs.getModelStatus()
 
-    def warm_rungs(start):
+    def warm_rungs(stored):
+        # the step starts from the dual form's map of the stored basis
+        start = statuses(fitter._dual_basis(stored))
         return [("setBasis", start), ("run", fitter.TIGHT_OPTIONS[key]),
                 ("setBasis", start), ("run", fitter.DEFAULT_OPTIONS[key])]
 
@@ -499,7 +522,68 @@ def failing_runs(coarse_fit_grid):
                            warm_rungs=warm_rungs)
 
 
+@pytest.fixture
+def step_bases(monkeypatch):
+    """(system, stored basis, HiGHS's dual-form basis), as statuses,
+    after every step LP that ``WarmStart.solve`` ends optimal."""
+    real_solve = fitter.WarmStart.solve
+    steps = []
+
+    def recording_solve(warm, system):
+        out = real_solve(warm, system)
+        if not system.u < system.delta:
+            steps.append((system, statuses(warm.basis),
+                          statuses(warm.highs.getBasis())))
+        return out
+
+    monkeypatch.setattr(fitter.WarmStart, "solve", recording_solve)
+    return steps
+
+
+def basic(status_lists):
+    """Whether each status of (col_status, row_status) is basic."""
+    return [s == fitter.BASIC for s in status_lists[0] + status_lists[1]]
+
+
 class TestWarmStart:
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_step_bases_map_both_ways(self, coarse_fit_grid, step_bases,
+                                      degree):
+        # a step's basis, stored in the terms of the LP as built, maps to
+        # the dual form and back unchanged; the map of the stored basis
+        # has the basic set HiGHS returned, and each form has as many
+        # basic statuses as rows: 2|S| + 1 as built, n_coeffs + 1 in
+        # dual form
+        bisect_fit(FitProblem(degree=degree, grid=coarse_fit_grid))
+        assert len(step_bases) >= 3
+        for system, stored, dual in step_bases:
+            mapped = fitter._dual_basis(fitter._basis(*stored))
+            n_rows = len(system.b_ub)
+            assert statuses(fitter._primal_basis(mapped, n_rows)) == stored
+            assert basic(statuses(mapped)) == basic(dual)
+            assert sum(basic(stored)) == n_rows + 1
+            assert sum(basic(dual)) == system.n_coeffs + 1
+
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_lower_end_from_a_step_basis(self, coarse_fit_grid, step_bases,
+                                         verdicts, degree):
+        # a lower-end LP on a step's points and center, started from the
+        # step's stored basis, reaches the cold referee's verdict
+        problem = FitProblem(degree=degree, grid=coarse_fit_grid)
+        result = bisect_fit(problem)
+        seen = set()
+        for system, stored, _ in step_bases:
+            for u in (result.u_minus, (1.0 - 1e-4) * system.delta):
+                warm = fitter.WarmStart()
+                warm.basis = fitter._basis(*stored)
+                warm.points = system.points
+                warm_feasible, feasible = verdicts(
+                    build_feasibility(problem, u, system.points,
+                                      system.center), warm)
+                assert warm_feasible == feasible, u
+                seen.add(feasible)
+        assert seen == {True, False}
+
     def test_same_verdicts_along_a_bisection(self, coarse_fit_grid,
                                              verdicts):
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
