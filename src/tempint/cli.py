@@ -75,13 +75,13 @@ def bisect_fit(problem):
 def cmd_fit(args) -> int:
     from tempint.fitter import FitError, FitGrid, FitProblem
     grid = EvalGrid.from_spec(args.grid)
+    problem = FitProblem(degree=args.degree,
+                         grid=FitGrid.from_eval_grid(grid),
+                         bisection_tol_rel=args.tol)
+    # a fit can take seconds; find a bad output path before it
+    for path in (args.out, args.out + ".report"):
+        _check_writable(path)
     try:
-        fit_grid = FitGrid.from_eval_grid(grid)
-        problem = FitProblem(degree=args.degree, grid=fit_grid,
-                             bisection_tol_rel=args.tol)
-        # a fit can take seconds; find a bad output path before it
-        for path in (args.out, args.out + ".report"):
-            _check_writable(path)
         result = bisect_fit(problem)
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,8 +47,10 @@ prints it.
 Every LP of a fit goes through one HiGHS instance with presolve off,
 started from the optimal basis of the last LP solved (``WarmStart``),
 the fitter's only LP solver.  A step is solved in its dual form, a
-lower-end LP as stated above; one basis serves both.  A solve that does
-not end optimal runs again from the same basis at HiGHS's default
+lower-end LP as stated above.  The basis is kept as a mask of the basic
+rows and columns of the LP as stated; a step starts from its
+complement, a lower-end LP from the mask.  A solve that does not end
+optimal runs again from the same basis at HiGHS's default
 tolerances.  A step that fails both ends the steps; a lower-end LP is
 solved once more from no basis, and if that fails too the fit fails
 with ``FitError``.
@@ -248,7 +250,7 @@ def build_feasibility(problem: FitProblem, u: float,
 
 class WarmStart:
     """The fitter's LP solver: one HiGHS instance for the LPs of a fit,
-    and the optimal basis of its last warm solve (see ``solve``).
+    and the basic set of its last solve (see ``solve``).
 
     A step (u = delta, or any u above) is solved in its dual form, of
     n_coeffs + 1 rows in place of 2|S| + 1 (Barrodale & Phillips, ACM
@@ -260,29 +262,31 @@ class WarmStart:
     w free.  Its row duals are (d, -t).  A lower-end LP (u < delta),
     whose verdict sets ``u_minus``, is solved as built, by dual simplex.
 
-    ``basis`` is the ``HighsBasis`` of the last LP in the terms of the
-    LP as built, whose rows belong to the sorted grid points ``points``.
-    It maps to and from the dual form by complementarity: y_k is basic
+    ``basic`` is the mask of the last LP's basic rows and columns in the
+    LP as built, whose rows belong to the sorted grid points ``points``:
+    its deviation rows, two per point in ``build_feasibility`` order,
+    the normalization row, the increments and t.  Each nonbasic status
+    follows from the position: a deviation row at its upper bound, the
+    normalization row and t at their lower ones, an increment (free) at
+    zero.  The dual form's basic set is the complement: y_k is basic
     iff deviation row k is not, w iff the normalization row is not, s
     iff t is not, and a dual row iff its increment is not (the last
     dual row never is).  A lower-end LP starts with the increments that
     the dual form left nonbasic made basic, an alien basis from which
     HiGHS picks the rows that leave: dual simplex cannot start with a
     free column nonbasic.  S only grows, so an LP on other points (after
-    an exchange) has a superset of them.  Its basis is the stored one
-    with rows for the new points, written into ``basis.row_status`` in
-    place: the stored points keep their statuses, two rows each in
-    ``build_feasibility`` order, the normalization row, last, keeps its
-    own, and the rows of the new points are basic (their slacks enter
-    the basis), so it stays valid.  An LP that no solve ends optimal
-    leaves that basis stored.
+    an exchange) has a superset of them.  Its mask is the stored one
+    with rows for the new points: the stored points keep their flags,
+    and the rows of the new points are basic (their slacks enter the
+    basis), so it stays valid.  An LP that no solve ends optimal leaves
+    that mask stored.
     """
 
     def __init__(self):
         self.highs = _Highs()
         self.highs.setOptionValue("output_flag", False)
         self.highs.setOptionValue("presolve", "off")
-        self.basis, self.points = None, None
+        self.basic, self.points = None, None
 
     def solve(self, system: FeasibilitySystem) -> tuple[float, np.ndarray]:
         """The optimum t and solution (d, t) of the LP min t subject to
@@ -299,6 +303,7 @@ class WarmStart:
         does not either.
         """
         n_rows, n_coeffs = system.a_ub.shape
+        size = n_rows + n_coeffs + 2   # of the mask ``basic``
         step = not system.u < system.delta
         if step:   # the dual form's columns y, w, s
             a = np.block([[system.a_ub.T, system.a_eq.T,
@@ -307,6 +312,10 @@ class WarmStart:
             cost = np.r_[system.b_ub, 0.0, 1.0]
             lower = np.r_[np.zeros(n_rows), -np.inf, 0.0]
             row_lower = row_upper = np.r_[np.zeros(n_coeffs), 1.0]
+            # the mask positions of y, w, s and the dual rows but the last
+            order = np.r_[:n_rows + 1, size - 1, n_rows + 1:size - 1]
+            nonbasic = np.repeat([LOWER, ZERO, LOWER],
+                                 [n_rows, 1, n_coeffs + 2])
         else:      # columns d, t
             a = np.block([[system.a_ub, -np.ones((n_rows, 1))],
                           [system.a_eq, 0.0]])
@@ -314,6 +323,10 @@ class WarmStart:
             lower = np.r_[np.full(n_coeffs, -np.inf), -1.0]
             row_lower = np.r_[np.full(n_rows, -np.inf), 0.0]
             row_upper = np.r_[system.b_ub, 0.0]
+            # the mask positions of d, t and the rows
+            order = np.r_[n_rows + 1:size, :n_rows + 1]
+            nonbasic = np.repeat([ZERO, LOWER, UPPER, LOWER],
+                                 [n_coeffs, 1, n_rows, 1])
         height, width = a.shape
         highs = self.highs
         # the dense matrix, column by column
@@ -323,24 +336,26 @@ class WarmStart:
             np.arange(0, a.size + 1, height),
             np.tile(np.arange(height), width), a.ravel(order="F"),
             np.zeros(width, dtype=np.int32)), "passModel")
-        if self.basis is not None and not np.array_equal(system.points,
+        if self.basic is not None and not np.array_equal(system.points,
                                                          self.points):
             kept = np.isin(system.points, self.points)
-            rows = self.basis.row_status
-            status = np.full((2, len(kept)), BASIC, dtype=object)
-            status[:, kept] = np.array(rows[:-1], dtype=object).reshape(2, -1)
-            self.basis.row_status = status.ravel().tolist() + rows[-1:]
-            self.points = system.points
-        start = self.basis
-        if start is not None and step:
-            start = _dual_basis(start)
-        elif start is not None and ZERO in start.col_status:
-            # an increment the dual form left nonbasic, which HiGHS's dual
-            # simplex cannot start from: it enters, and HiGHS picks the
-            # rows that leave
-            start = _basis([BASIC if status == ZERO else status
-                            for status in start.col_status],
-                           start.row_status, alien=True)
+            old = 2 * len(self.points)   # the stored deviation rows
+            rows = np.ones((2, len(kept)), dtype=bool)
+            rows[:, kept] = self.basic[:old].reshape(2, -1)
+            self.basic = np.r_[rows.ravel(), self.basic[old:]]
+        self.points = system.points
+        start = None
+        if self.basic is not None:
+            basic = self.basic[order]
+            if step:   # the last dual row is never basic
+                basic = np.r_[~basic, False]
+            alien = not step and not basic[:n_coeffs].all()
+            if alien:
+                # an increment the dual form left nonbasic, which HiGHS's
+                # dual simplex cannot start from: it enters, and HiGHS
+                # picks the rows that leave
+                basic[:n_coeffs] = True
+            start = _basis(basic, nonbasic, width, alien)
         highs.setOptionValue("simplex_strategy",
                              STEP_SIMPLEX if step else LOWER_END_SIMPLEX)
         for options in (TIGHT_OPTIONS, DEFAULT_OPTIONS):
@@ -359,52 +374,29 @@ class WarmStart:
             raise FitError(
                 f"LP solver failed: run status {run_status.name}, model "
                 f"status {highs.modelStatusToString(model_status)}")
-        self.points = system.points
+        basis = highs.getBasis()
+        # by .value: a HighsBasisStatus compares by == in Python, 3x slower
+        basic = np.array([status.value for status in basis.col_status
+                          + basis.row_status]) == BASIC.value
+        self.basic = np.empty(size, dtype=bool)
+        self.basic[order] = ~basic[:-1] if step else basic
         t = highs.getInfo().objective_function_value
         if not step:
-            self.basis = highs.getBasis()
             return t, np.array(highs.getSolution().col_value)
-        self.basis = _primal_basis(highs.getBasis(), n_rows)
         y = np.array(highs.getSolution().row_dual)
         return -t, np.r_[y[:-1], -y[-1]]
 
 
-def _complement(statuses: list, nonbasic: HighsBasisStatus) -> list:
-    """Basic where ``statuses`` is nonbasic, else ``nonbasic``."""
-    # by .value: a HighsBasisStatus compares by == in Python, 3x slower
-    basic = BASIC.value
-    return [nonbasic if status.value == basic else BASIC
-            for status in statuses]
-
-
-def _basis(col_status: list, row_status: list,
-           alien: bool = False) -> HighsBasis:
-    """A basis of the given statuses; an alien one may have more basic
+def _basis(basic: np.ndarray, nonbasic: np.ndarray, n_cols: int,
+           alien: bool) -> HighsBasis:
+    """The basis whose ``basic`` columns, then rows, are basic and the
+    rest at their ``nonbasic`` status; an alien one may have more basic
     statuses than rows."""
+    status = np.where(basic, BASIC, nonbasic).tolist()
     basis = HighsBasis()
-    basis.col_status, basis.row_status = col_status, row_status
+    basis.col_status, basis.row_status = status[:n_cols], status[n_cols:]
     basis.alien, basis.valid = alien, not alien
     return basis
-
-
-def _dual_basis(basis: HighsBasis) -> HighsBasis:
-    """The dual form's basis complementary to ``basis`` of the LP as
-    built (see ``WarmStart``)."""
-    rows, cols = basis.row_status, basis.col_status
-    return _basis(
-        _complement(rows[:-1], LOWER) + _complement(rows[-1:], ZERO)
-        + _complement(cols[-1:], LOWER),
-        _complement(cols[:-1], LOWER) + [LOWER])
-
-
-def _primal_basis(dual: HighsBasis, n_rows: int) -> HighsBasis:
-    """The basis of the LP as built, with ``n_rows`` deviation rows,
-    complementary to ``dual`` of its dual form."""
-    cols, rows = dual.col_status, dual.row_status
-    return _basis(
-        _complement(rows[:-1], ZERO) + _complement(cols[-1:], LOWER),
-        _complement(cols[:n_rows], UPPER)
-        + _complement(cols[n_rows:-1], LOWER))
 
 
 def _check_status(status: HighsStatus, call: str) -> None:
@@ -594,7 +586,7 @@ def bisect_fit(problem: FitProblem) -> FitResult:
         except FitError:
             vec = None   # a failed step ends the steps like an empty one
             if lower:    # a warm basis can break an LP that solves cold
-                warm.basis = None
+                warm.basic = None
                 lp_solves += 1
                 vec = check_feasible(system, warm)
         if vec is None:

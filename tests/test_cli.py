@@ -262,17 +262,16 @@ class TestFit:
                                             monkeypatch):
         from tempint import fitter
 
-        def no_grid(cls, grid):
-            raise fitter.FitError("fit grid set-up failed")
+        def failing_fit(problem):
+            raise fitter.FitError("fit failed before any LP")
 
-        monkeypatch.setattr(fitter.FitGrid, "from_eval_grid",
-                            classmethod(no_grid))
+        monkeypatch.setattr(fitter, "bisect_fit", failing_fit)
         out_file = tmp_path / "x.coeff"
         code, out, err = run(capsys, "fit", "--degree", "1", "--grid",
                              "coarse", "--out", str(out_file))
         assert code == 3
         assert out == ""
-        assert err == "error: fit grid set-up failed\n"
+        assert err == "error: fit failed before any LP\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_pole_between_grid_points_exit_4(self, capsys, tmp_path,

@@ -445,7 +445,7 @@ class TestExchange:
         solves, failed = [], []
 
         def failing_first_lower_end(warm, system):
-            solves.append((system, warm.basis))
+            solves.append((system, warm.basic))
             if system.u < system.delta and not failed:
                 failed.append(len(solves) - 1)
                 raise fitter.FitError("LP solver failed")
@@ -455,8 +455,8 @@ class TestExchange:
                             failing_first_lower_end)
         problem = FitProblem(degree=1, grid=coarse_fit_grid)
         result = bisect_fit(problem)
-        (system, basis), (retried, cold) = solves[failed[0]:failed[0] + 2]
-        assert basis is not None and cold is None and retried is system
+        (system, basic), (retried, cold) = solves[failed[0]:failed[0] + 2]
+        assert basic is not None and cold is None and retried is system
         assert result.lp_solves == len(solves)
         assert bracket_closed(problem, result)
 
@@ -472,6 +472,26 @@ def verdicts(cold_feasible):
 def statuses(basis):
     """A ``HighsBasis``'s column and row statuses."""
     return list(basis.col_status), list(basis.row_status)
+
+
+def basic(status_lists):
+    """Whether each status of (col_status, row_status) is basic."""
+    return np.array([s == fitter.BASIC
+                     for s in status_lists[0] + status_lists[1]])
+
+
+def dual_start(mask, n_rows):
+    """The statuses of a step's start from the stored ``mask``: each of
+    y, w and s is basic iff its deviation row, the normalization row or
+    t is not, at kLower, kZero and kLower if not; a dual row is basic iff
+    its increment is not, and the last never is, at kLower if not."""
+    def status(is_basic, nonbasic):
+        return [fitter.BASIC if b else nonbasic for b in is_basic]
+    dual = ~mask
+    return (status(dual[:n_rows], fitter.LOWER)
+            + status(dual[n_rows:n_rows + 1], fitter.ZERO)
+            + status(dual[-1:], fitter.LOWER),
+            status(dual[n_rows + 1:-1], fitter.LOWER) + [fitter.LOWER])
 
 
 @pytest.fixture
@@ -512,8 +532,8 @@ def failing_runs(coarse_fit_grid):
             return self.highs.getModelStatus()
 
     def warm_rungs(stored):
-        # the step starts from the dual form's map of the stored basis
-        start = statuses(fitter._dual_basis(stored))
+        # both rungs of the step start from the complement of the mask
+        start = dual_start(stored, len(system.b_ub))
         return [("setBasis", start), ("run", fitter.TIGHT_OPTIONS[key]),
                 ("setBasis", start), ("run", fitter.DEFAULT_OPTIONS[key])]
 
@@ -524,15 +544,15 @@ def failing_runs(coarse_fit_grid):
 
 @pytest.fixture
 def step_bases(monkeypatch):
-    """(system, stored basis, HiGHS's dual-form basis), as statuses,
-    after every step LP that ``WarmStart.solve`` ends optimal."""
+    """(system, stored mask, HiGHS's dual-form basis as statuses) after
+    every step LP that ``WarmStart.solve`` ends optimal."""
     real_solve = fitter.WarmStart.solve
     steps = []
 
     def recording_solve(warm, system):
         out = real_solve(warm, system)
         if not system.u < system.delta:
-            steps.append((system, statuses(warm.basis),
+            steps.append((system, warm.basic,
                           statuses(warm.highs.getBasis())))
         return out
 
@@ -540,29 +560,23 @@ def step_bases(monkeypatch):
     return steps
 
 
-def basic(status_lists):
-    """Whether each status of (col_status, row_status) is basic."""
-    return [s == fitter.BASIC for s in status_lists[0] + status_lists[1]]
-
-
 class TestWarmStart:
     @pytest.mark.parametrize("degree", [2, 4])
     def test_step_bases_map_both_ways(self, coarse_fit_grid, step_bases,
                                       degree):
-        # a step's basis, stored in the terms of the LP as built, maps to
-        # the dual form and back unchanged; the map of the stored basis
-        # has the basic set HiGHS returned, and each form has as many
-        # basic statuses as rows: 2|S| + 1 as built, n_coeffs + 1 in
-        # dual form
+        # a step's basis is stored as the mask of basic rows and columns
+        # of the LP as built; HiGHS's dual-form basic set is its
+        # complement, and each form has as many basic entries as rows:
+        # 2|S| + 1 as built, n_coeffs + 1 in dual form
         bisect_fit(FitProblem(degree=degree, grid=coarse_fit_grid))
         assert len(step_bases) >= 3
         for system, stored, dual in step_bases:
-            mapped = fitter._dual_basis(fitter._basis(*stored))
             n_rows = len(system.b_ub)
-            assert statuses(fitter._primal_basis(mapped, n_rows)) == stored
-            assert basic(statuses(mapped)) == basic(dual)
-            assert sum(basic(stored)) == n_rows + 1
-            assert sum(basic(dual)) == system.n_coeffs + 1
+            assert len(stored) == n_rows + system.n_coeffs + 2
+            assert np.array_equal(basic(dual), basic(dual_start(stored,
+                                                                n_rows)))
+            assert stored.sum() == n_rows + 1
+            assert basic(dual).sum() == system.n_coeffs + 1
 
     @pytest.mark.parametrize("degree", [2, 4])
     def test_lower_end_from_a_step_basis(self, coarse_fit_grid, step_bases,
@@ -575,7 +589,7 @@ class TestWarmStart:
         for system, stored, _ in step_bases:
             for u in (result.u_minus, (1.0 - 1e-4) * system.delta):
                 warm = fitter.WarmStart()
-                warm.basis = fitter._basis(*stored)
+                warm.basic = stored
                 warm.points = system.points
                 warm_feasible, feasible = verdicts(
                     build_feasibility(problem, u, system.points,
@@ -583,6 +597,32 @@ class TestWarmStart:
                 assert warm_feasible == feasible, u
                 seen.add(feasible)
         assert seen == {True, False}
+
+    def test_infeasible_lower_end_rows_nonbasic_are_tight(
+            self, coarse_fit_grid, monkeypatch):
+        # after the lower-end LP that sets u_minus, every deviation row
+        # the mask marks nonbasic is tight at HiGHS's solution: the
+        # active set is the nonbasic rows
+        real_solve = fitter.WarmStart.solve
+        lower_ends = []
+
+        def recording_solve(warm, system):
+            slack, x = real_solve(warm, system)
+            if system.u < system.delta:
+                lower_ends.append((system, warm.basic, slack, x))
+            return slack, x
+
+        monkeypatch.setattr(fitter.WarmStart, "solve", recording_solve)
+        result = bisect_fit(FitProblem(degree=2, grid=coarse_fit_grid))
+        system, mask, slack, x = lower_ends[-1]
+        assert system.u == result.u_minus
+        assert slack > fitter.FEASIBILITY_TOL
+        n_rows = len(system.b_ub)
+        active = ~mask[:n_rows]
+        assert active.sum() >= 1
+        rows = system.a_ub @ x[:-1] - x[-1]
+        np.testing.assert_allclose(rows[active], system.b_ub[active],
+                                   rtol=0.0, atol=1e-9)
 
     def test_same_verdicts_along_a_bisection(self, coarse_fit_grid,
                                              verdicts):
@@ -600,14 +640,14 @@ class TestWarmStart:
 
     def test_same_verdicts_as_the_subset_grows(self, coarse_fit_grid,
                                                verdicts):
-        # LPs on S plus new points start from the basis on S, with the
+        # LPs on S plus new points start from the mask on S, with the
         # rows of the new points basic: an exchange, then the whole grid
         problem = FitProblem(degree=2, grid=coarse_fit_grid)
         size = coarse_fit_grid.size
         subset = np.arange(0, size, 4)
         grown = np.union1d(subset, np.arange(1, size, 8))
         u_star = bisect_fit(problem).u_plus
-        starts = []   # the row statuses of every basis handed to setBasis
+        starts = []   # the basic rows of every basis handed to setBasis
 
         class RecordingBases:
             def __init__(self, highs):
@@ -617,7 +657,7 @@ class TestWarmStart:
                 return getattr(self.highs, name)
 
             def setBasis(self, start):
-                starts.append(list(start.row_status))
+                starts.append(basic(([], start.row_status)))
                 return self.highs.setBasis(start)
 
         for u in (0.9 * u_star, 1.1 * u_star):
@@ -626,24 +666,23 @@ class TestWarmStart:
             check_feasible(build_feasibility(problem, u, subset), warm)
             assert np.array_equal(warm.points, subset)
             for points in (grown, np.arange(size)):
-                stored = np.array(warm.basis.row_status, dtype=object)
-                assert len(stored) == 2 * len(warm.points) + 1
+                n_old = len(warm.points)
+                stored = warm.basic[:2 * n_old + 1]   # its rows' flags
                 at = np.searchsorted(points, warm.points)
                 starts.clear()
                 warm_feasible, feasible = verdicts(
                     build_feasibility(problem, u, points), warm)
                 assert warm_feasible == feasible, u
                 # the rows of the points solved before, and the
-                # normalization row, keep the statuses of that LP's
+                # normalization row, keep their flags from that LP's
                 # optimal basis; the rows of new points are basic
-                start = np.array(starts[0], dtype=object)
+                start = starts[0]
                 assert start[-1] == stored[-1]
                 start = start[:-1].reshape(2, -1)
                 assert start.shape == (2, len(points))
                 assert np.array_equal(start[:, at],
                                       stored[:-1].reshape(2, -1))
-                assert np.all(np.delete(start, at, axis=1)
-                              == fitter.HighsBasisStatus.kBasic)
+                assert np.all(np.delete(start, at, axis=1))
                 assert np.array_equal(warm.points, points)
             assert feasible == (u > u_star)
 
@@ -708,34 +747,37 @@ class TestWarmStart:
         fresh = fitter._Highs()
         assert fitter.DEFAULT_OPTIONS == {
             key: fresh.getOptionValue(key)[1] for key in fitter.DEFAULT_OPTIONS}
-        basis = ladder.warm.basis
+        mask = ladder.warm.basic
         ladder.fail[:] = [True]
         assert check_feasible(ladder.system, ladder.warm) is not None
-        assert ladder.calls == ladder.warm_rungs(basis)
-        assert ladder.warm.basis is not basis
+        assert ladder.calls == ladder.warm_rungs(mask)
+        assert ladder.warm.basic is not mask
         # the next LP starts at the tight tolerances again
-        basis = ladder.warm.basis
+        mask = ladder.warm.basic
         ladder.calls.clear()
         assert check_feasible(ladder.system, ladder.warm) is not None
-        assert ladder.calls == ladder.warm_rungs(basis)[:2]
+        assert ladder.calls == ladder.warm_rungs(mask)[:2]
 
     def test_failed_warm_solve_falls_back(self, failing_runs):
         # if the default rung does not end the LP either, the fit fails.
         # A run that returns kError is a failed rung, not an error, and
         # its status goes into the FitError.
         ladder = failing_runs
-        system, basis = ladder.system, ladder.warm.basis
+        system, mask = ladder.system, ladder.warm.basic
+        saved = mask.copy()
         ladder.fail[:] = [True, True]
         with pytest.raises(fitter.FitError,
                            match=r"^LP solver failed: run status kError, "
                                  r"model status Not Set$"):
             check_feasible(system, ladder.warm)
-        assert ladder.calls == ladder.warm_rungs(basis)
-        assert ladder.warm.basis is basis
+        assert ladder.calls == ladder.warm_rungs(mask)
+        # a failed LP leaves the mask as it was
+        assert ladder.warm.basic is mask
+        assert np.array_equal(mask, saved)
         # the next LP starts at the tight tolerances again
         ladder.calls.clear()
         assert check_feasible(system, ladder.warm) is not None
-        assert ladder.calls == ladder.warm_rungs(basis)[:2]
+        assert ladder.calls == ladder.warm_rungs(mask)[:2]
 
 
 class TestVerifyFit:
